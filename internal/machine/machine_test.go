@@ -114,6 +114,45 @@ func TestShootdownInvalidatesAllCores(t *testing.T) {
 	}
 }
 
+// A shootdown leaves a core with no entries of the flushed ASID, which
+// lets later shootdowns skip it; refilling the core must bring it back
+// into the next shootdown's reach, while other ASIDs survive both.
+func TestShootdownReachesRefilledCore(t *testing.T) {
+	m := testMachine(t)
+	const asid, other = 7, 8
+	ctx := m.NewContext(0)
+	// Core 0 holds only asid, core 5 holds both ASIDs, core 9 only other.
+	m.Core(0).TLB.Insert(asid, 100, 5)
+	m.Core(5).TLB.Insert(asid, 100, 5)
+	m.Core(5).TLB.Insert(other, 201, 6)
+	m.Core(9).TLB.Insert(other, 202, 6)
+	ctx.ShootdownAll(asid)
+	for _, c := range []int{0, 5} {
+		if _, ok := m.Core(c).TLB.Lookup(asid, 100); ok {
+			t.Fatalf("first shootdown left a stale entry on core %d", c)
+		}
+	}
+	m.Core(5).TLB.Insert(asid, 101, 5)
+	m.Core(0).TLB.Insert(asid, 102, 5)
+	ctx.ShootdownAll(asid)
+	for _, c := range []int{0, 5} {
+		for _, vpn := range []uint64{100, 101, 102} {
+			if _, ok := m.Core(c).TLB.Lookup(asid, vpn); ok {
+				t.Errorf("core %d kept entry %d after the second shootdown", c, vpn)
+			}
+		}
+	}
+	if _, ok := m.Core(5).TLB.Lookup(other, 201); !ok {
+		t.Error("core 5 lost an unrelated ASID's entry")
+	}
+	if _, ok := m.Core(9).TLB.Lookup(other, 202); !ok {
+		t.Error("core 9 lost an unrelated ASID's entry")
+	}
+	if ctx.Perf.IPIsSent != 62 || ctx.Perf.Shootdowns != 2 {
+		t.Errorf("ipis=%d shootdowns=%d, want 62 and 2", ctx.Perf.IPIsSent, ctx.Perf.Shootdowns)
+	}
+}
+
 func TestFlushLocalOnlyTouchesOwnCore(t *testing.T) {
 	m := testMachine(t)
 	const asid = 3

@@ -24,14 +24,35 @@ import (
 // behaviour real hardware exhibits between a PTE update and the
 // invalidation landing, and a miss is always safe (it costs a walk, never
 // a wrong translation).
+//
+// A shootdown reaches every core, but most cores hold nothing of the
+// flushed address space, so the TLB also keeps a summary of which ASIDs
+// may own valid entries (see FlushASID). Only writers touch it; Lookup
+// never reads it.
 type TLB struct {
 	seq    []atomic.Uint32 // per-entry seqlock; odd = writer active
 	keys   []atomic.Uint64 // tlbKey, or 0 when the slot is invalid
 	frames []atomic.Uint32 // FrameID backing the key
 	mask   uint64
+
+	// live is 0 when no entry was inserted since the last emptying flush,
+	// asid+1 (of the key's 16-bit ASID) when only that ASID was, and
+	// tlbMixed when possibly several were. tlbMixed is sticky until
+	// FlushAll.
+	live atomic.Uint32
+	// resets counts the flushes in flight that reset live to 0 and have
+	// not finished their scan yet; a concurrent flush that finds nothing
+	// in live must not return before they do.
+	resets atomic.Int32
 }
 
+// tlbMixed is the live summary for "possibly several ASIDs"; asid+1 never
+// exceeds 1<<16.
+const tlbMixed = ^uint32(0)
+
 // DefaultTLBEntries matches a typical unified second-level data TLB.
+// NewTLB rounds it up to a power of two, so every simulated core really
+// has 2048 entries; the checked-in goldens depend on that size.
 const DefaultTLBEntries = 1536
 
 // NewTLB builds a TLB with the given number of entries, rounded up to a
@@ -115,12 +136,66 @@ func (t *TLB) Insert(asid uint32, vpn uint64, frame mem.FrameID) {
 	t.keys[i].Store(tlbKey(asid, vpn))
 	t.frames[i].Store(uint32(frame))
 	t.seq[i].Store(s + 2)
+	t.markLive(asid&0xffff + 1)
+}
+
+// markLive records in the live summary that an entry of the ASID encoded
+// as mark now exists. It runs after the key is stored: a flush that resets
+// live before this mark is re-armed by it, and one that resets live after
+// the store scans after the store too, so a stored key is always either
+// covered by live or cleared by a scan. Marking before the store would
+// let a flush reset live and scan past the slot before the key lands.
+func (t *TLB) markLive(mark uint32) {
+	for {
+		s := t.live.Load()
+		if s == mark || s == tlbMixed {
+			return
+		}
+		next := mark
+		if s != 0 {
+			next = tlbMixed
+		}
+		if t.live.CompareAndSwap(s, next) {
+			return
+		}
+	}
 }
 
 // FlushASID invalidates every entry belonging to asid (the per-process
-// flush issued by flush_tlb_local / shootdown handlers). Slots holding
-// other ASIDs are skipped with a single load and never write-locked.
+// flush issued by flush_tlb_local / shootdown handlers). When the live
+// summary says no entry of asid can exist, it returns without touching a
+// slot; when asid is the only live ASID, it resets the summary to 0
+// before scanning, so an Insert racing the scan re-marks it. Otherwise
+// (tlbMixed) it scans and leaves the summary as it is.
 func (t *TLB) FlushASID(asid uint32) {
+	mark := asid&0xffff + 1
+	for {
+		switch s := t.live.Load(); s {
+		case mark:
+			t.resets.Add(1)
+			if t.live.CompareAndSwap(mark, 0) {
+				t.scanASID(asid)
+				t.resets.Add(-1)
+				return
+			}
+			t.resets.Add(-1) // an Insert or a flush changed live; decide again
+		case tlbMixed:
+			t.scanASID(asid)
+			return
+		default:
+			// 0 or another single ASID: no entry of asid can remain once
+			// every reset flush in flight has finished its scan.
+			if t.resets.Load() != 0 {
+				t.scanASID(asid)
+			}
+			return
+		}
+	}
+}
+
+// scanASID clears every slot holding asid. Slots holding other ASIDs are
+// skipped with a single load and never write-locked.
+func (t *TLB) scanASID(asid uint32) {
 	want := uint64(asid & 0xffff)
 	for i := range t.keys {
 		k := t.keys[i].Load()
@@ -152,8 +227,12 @@ func (t *TLB) FlushPage(asid uint32, vpn uint64) {
 	t.seq[i].Store(s + 2)
 }
 
-// FlushAll invalidates everything.
+// FlushAll invalidates everything and resets the live summary, tlbMixed
+// included, before scanning.
 func (t *TLB) FlushAll() {
+	t.resets.Add(1)
+	defer t.resets.Add(-1)
+	t.live.Store(0)
 	for i := range t.keys {
 		if t.keys[i].Load() == 0 {
 			continue

@@ -30,6 +30,7 @@
 package swaptier
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -167,7 +168,7 @@ func (t *Tier) Config() Config { return t.cfg }
 func csizeOf(page []byte) int {
 	nz := 0
 	for i := 0; i+8 <= len(page); i += 8 {
-		if page[i]|page[i+1]|page[i+2]|page[i+3]|page[i+4]|page[i+5]|page[i+6]|page[i+7] != 0 {
+		if binary.LittleEndian.Uint64(page[i:]) != 0 {
 			nz++
 		}
 	}

@@ -1,6 +1,7 @@
 package swaptier
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/mem"
@@ -30,6 +31,47 @@ func TestCsizeOf(t *testing.T) {
 	if got, want := csizeOf(pageWith(full)), compressedHeaderBytes+mem.PageSize; got != want {
 		// Incompressible pages cost slightly more than raw, as with LZ4.
 		t.Errorf("full csize = %d, want %d", got, want)
+	}
+}
+
+// csizeOfBytes is the byte-wise reference csizeOf must agree with.
+func csizeOfBytes(page []byte) int {
+	nz := 0
+	for i := 0; i+8 <= len(page); i += 8 {
+		for _, b := range page[i : i+8] {
+			if b != 0 {
+				nz++
+				break
+			}
+		}
+	}
+	return compressedHeaderBytes + nz*8
+}
+
+func TestCsizeOfMatchesByteReference(t *testing.T) {
+	var pages [][]byte
+	for off := 0; off < 8; off++ {
+		p := make([]byte, mem.PageSize)
+		p[8*37+off] = 0x80
+		pages = append(pages, p)
+	}
+	full := make([]byte, mem.PageSize)
+	for i := range full {
+		full[i] = 0xff
+	}
+	pages = append(pages, make([]byte, mem.PageSize), full)
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 50; n++ {
+		p := make([]byte, mem.PageSize)
+		for k := rng.Intn(64); k > 0; k-- {
+			p[rng.Intn(len(p))] = byte(rng.Intn(255) + 1)
+		}
+		pages = append(pages, p)
+	}
+	for i, p := range pages {
+		if got, want := csizeOf(p), csizeOfBytes(p); got != want {
+			t.Errorf("page %d: csizeOf = %d, byte-wise reference %d", i, got, want)
+		}
 	}
 }
 

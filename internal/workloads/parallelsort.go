@@ -3,7 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/gc"
 	"repro/internal/heap"
@@ -74,7 +74,7 @@ func parallelsortThread(t *jvm.Thread, rng *rand.Rand, segments, segInts int, ke
 		if err := readWords(t, r.Obj, vals); err != nil {
 			return err
 		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		slices.Sort(vals)
 		chargeOps(t, float64(segInts)*18, 1.0) // ~n log n comparisons+moves
 		fresh, err := t.AllocRooted(heap.AllocSpec{Payload: segInts * 8, Class: clsSortSegment})
 		if err != nil {
