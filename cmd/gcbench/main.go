@@ -44,7 +44,6 @@ func main() {
 		faultPln = flag.String("fault-plan", "", "fault-injection plan: comma-separated site=rate (sites: pte-lock, ipi-ack, swapva, poison, interconnect, far-write, all), e.g. 'swapva=0.01,poison=1e-4'")
 		faultRt  = flag.Float64("fault-rate", 0, "uniform fault rate applied to every site (per-site -fault-plan entries override it)")
 		faultSd  = flag.Int64("fault-seed", 0, "fault-injection seed; the same seed and plan replay the identical fault sequence (0 = workload seed)")
-		exact    = flag.Bool("exact", false, "force exact per-word cost charging instead of epoch-batched run settlement (bit-identical output, slower host runtime; exists for parity checking)")
 		swapTier = flag.Int64("swap-tier", 0, "far (NVMe) swap-tier capacity in MiB for the far-memory figures, e.g. oversub1 (0 with -zpool 0 = each figure's built-in tier)")
 		zpool    = flag.Int64("zpool", 0, "compressed-RAM zpool budget in MiB in front of the far tier")
 		farLat   = flag.Int64("far-lat", 0, "far-device access latency in ns (0 = default 10000)")
@@ -73,8 +72,7 @@ func main() {
 		Sockets: *sockets, NUMAPolicy: policy, NUMABind: bind,
 		Parallel:  *parallel,
 		FaultPlan: *faultPln, FaultRate: *faultRt, FaultSeed: *faultSd,
-		Swap:  swaptier.Config{FarBytes: *swapTier << 20, ZpoolBytes: *zpool << 20, FarLatNs: sim.Time(*farLat)},
-		Exact: *exact}
+		Swap: swaptier.Config{FarBytes: *swapTier << 20, ZpoolBytes: *zpool << 20, FarLatNs: sim.Time(*farLat)}}
 	if _, err := opt.FaultInjector(); err != nil {
 		fmt.Fprintln(os.Stderr, "gcbench:", err)
 		os.Exit(2)

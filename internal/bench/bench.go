@@ -73,12 +73,6 @@ type Options struct {
 	// tier. The paper-reproduction figures ignore it — their machines are
 	// never swap-armed, preserving bit-exact parity with the seed.
 	Swap swaptier.Config
-	// Exact forces declared access runs down the exact per-word charging
-	// path (machine.Config.ExactCharging). Simulated results are
-	// bit-identical with or without it — the parity suite and the -exact
-	// CLI flag exist to prove exactly that — so the only observable
-	// difference is host wall time.
-	Exact bool
 }
 
 func (o Options) cost() *sim.CostModel {
@@ -147,8 +141,7 @@ func (o Options) machineConfig() machine.Config {
 		// Each workload run is driven by exactly one host goroutine (the
 		// prefetch worker or the assembling figure), so the machine's
 		// shared-LLC locks can be elided.
-		SingleDriver:  true,
-		ExactCharging: o.Exact,
+		SingleDriver: true,
 	}
 }
 
@@ -383,9 +376,6 @@ func recordMicro(t sim.Time) {
 //   - Swap: only read by the far-memory figures (oversub1), which build
 //     their machines directly and never pass through runWorkload — the
 //     cache never sees a swap-armed run → excluded.
-//   - Exact: contractually does NOT change results, but it is serialised
-//     anyway so the batched-vs-exact parity suite really executes both
-//     paths instead of one path and a cache hit.
 //
 // Floats are serialised with strconv.FormatFloat(f, 'g', -1, 64) — the
 // shortest exact representation — because fixed-precision formatting
@@ -400,7 +390,6 @@ func cacheKey(opt Options, collector, bench string, factor float64, jvms int) st
 		opt.NUMAPolicy.String(), strconv.Itoa(opt.NUMABind),
 		opt.FaultPlan, strconv.FormatFloat(opt.FaultRate, 'g', -1, 64),
 		strconv.FormatInt(opt.FaultSeed, 10),
-		strconv.FormatBool(opt.Exact),
 	}, "|")
 }
 

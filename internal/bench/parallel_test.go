@@ -20,7 +20,7 @@ import (
 // checklist cacheKey's comment promises.
 var (
 	keyFields = []string{"Cost", "GCWorkers", "Seed", "Sockets", "NUMAPolicy", "NUMABind",
-		"FaultPlan", "FaultRate", "FaultSeed", "Exact"}
+		"FaultPlan", "FaultRate", "FaultSeed"}
 	excludedFields = []string{"Quick", "OnMachine", "Parallel", "Swap"}
 )
 
@@ -70,7 +70,6 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 		{"FaultPlan", cacheKey(Options{FaultPlan: "swapva=0.1"}, "svagc", "CryptoAES", 1.2, 1)},
 		{"FaultRate", cacheKey(Options{FaultRate: 0.01}, "svagc", "CryptoAES", 1.2, 1)},
 		{"FaultSeed", cacheKey(Options{FaultSeed: 9}, "svagc", "CryptoAES", 1.2, 1)},
-		{"Exact", cacheKey(Options{Exact: true}, "svagc", "CryptoAES", 1.2, 1)},
 	}
 	seen := map[string]string{}
 	for _, v := range variants {

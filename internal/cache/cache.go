@@ -196,32 +196,6 @@ func (c *Cache) Access(pa uint64) bool {
 	return hit
 }
 
-// AccessHot is Access for accesses hinted cache-resident (mmu.Run.Hot):
-// when the line is already the set's MRU way, the probe — lock, tick
-// bump, age update — is skipped entirely and the access reported as the
-// hit it provably is. The skip cannot change any future decision: every
-// probe writes the set's strictly increasing tick into the way it
-// touches, so the MRU way holds the set's unique maximum age; leaving
-// that age un-bumped preserves the relative age order of every pair of
-// ways, and relative order is all that hit/miss results and LRU victim
-// selection ever read. Cold lines (and shared, non-exclusive caches,
-// where reading the MRU index unlocked would race) fall back to the full
-// probe, so a wrong hint costs nothing but the probe it tried to save.
-func (c *Cache) AccessHot(pa uint64) bool {
-	line := pa >> c.lineShift
-	if c.lastLineLoad() == line+1 {
-		return true
-	}
-	if c.exclusive {
-		set := int(line & c.setMask)
-		if c.tags[set*c.ways+int(c.mru[set])] == line+1 {
-			c.lastLine = line + 1
-			return true
-		}
-	}
-	return c.Access(pa)
-}
-
 // coldSet reports whether set has provably never been probed (and never
 // re-probed since the last InvalidateAll): its LRU tick is still zero.
 // Every probe unconditionally increments the set's tick first, so a zero
@@ -241,34 +215,6 @@ func (c *Cache) installCold(set int, line uint64) {
 	c.tags[set*c.ways] = line + 1
 	c.age[set*c.ways] = 1
 	c.mru[set] = 0
-}
-
-// AccessCold is Access for accesses hinted all-miss (mmu.Run.Cold): when
-// the line's set is provably empty — never probed since construction or
-// the last InvalidateAll, i.e. its LRU tick is still zero — the ways-long
-// tag scan is skipped and the line installed in closed form, bit-identical
-// to what the full probe would have left behind (see installCold). The
-// proof is the dual of AccessHot's: a zero tick means no probe ever
-// touched the set, so every way is invalid and the access must miss; a
-// warm set (or a shared, non-exclusive cache, where reading the tick
-// unlocked would race) falls back to the full probe, so a wrong hint
-// costs nothing but the scan it tried to save. The one-entry repeat
-// filter stays in front: a filter hit implies the line was just probed,
-// which implies its set is warm, so the two fast paths never disagree.
-func (c *Cache) AccessCold(pa uint64) bool {
-	line := pa >> c.lineShift
-	if c.lastLineLoad() == line+1 {
-		return true
-	}
-	if c.exclusive {
-		set := int(line & c.setMask)
-		if c.coldSet(set) {
-			c.installCold(set, line)
-			c.lastLine = line + 1
-			return false
-		}
-	}
-	return c.Access(pa)
 }
 
 // AccessRange touches every line in [pa, pa+n) and returns the number of

@@ -10,53 +10,33 @@ import (
 	"repro/internal/swaptier"
 )
 
-// TestBatchChargingPredicate pins every arm of the fallback predicate:
-// batching engages only on a single-driver machine with no tracer, no
-// fault plan, no armed watermarks and no explicit exact-charging
-// override — each of those demands (or simulates demanding) per-access
-// observability.
+// TestBatchChargingPredicate pins the one charging rule: every context
+// settles declared runs in closed form unless the machine has a swap
+// tier. Tracing (armed after New, as the CLIs do), fault plans,
+// watermarks and multi-driver machines do not change the path.
 func TestBatchChargingPredicate(t *testing.T) {
-	base := func() Config {
-		return Config{Cost: sim.XeonGold6130(), SingleDriver: true}
-	}
 	cases := []struct {
 		name string
-		cfg  func() Config
+		cfg  Config
+		arm  func(*Machine)
 		want bool
 	}{
-		{"single-driver default", base, true},
-		{"multi-driver", func() Config {
-			c := base()
-			c.SingleDriver = false
-			return c
-		}, false},
-		{"exact-charging override", func() Config {
-			c := base()
-			c.ExactCharging = true
-			return c
-		}, false},
-		{"armed watermarks", func() Config {
-			c := base()
-			c.PhysBytes = 1 << 24
-			c.Watermarks = mem.Watermarks{Min: 8, Low: 16, High: 32}
-			return c
-		}, false},
-		{"fault plan", func() Config {
-			c := base()
-			c.Fault = fault.New(1, fault.Uniform(0.5))
-			return c
-		}, false},
-		{"swap tier", func() Config {
-			c := base()
-			c.PhysBytes = 1 << 24
-			c.Swap = swaptier.Config{ZpoolBytes: 1 << 20}
-			return c
-		}, false},
+		{name: "single-driver default", cfg: Config{SingleDriver: true}, want: true},
+		{name: "multi-driver", cfg: Config{}, want: true},
+		{name: "tracer armed after New", cfg: Config{SingleDriver: true},
+			arm: func(m *Machine) { m.EnableTracing(16) }, want: true},
+		{name: "fault plan", cfg: Config{SingleDriver: true,
+			Fault: fault.New(1, fault.Uniform(0.5))}, want: true},
+		{name: "armed watermarks", cfg: Config{SingleDriver: true, PhysBytes: 1 << 24,
+			Watermarks: mem.Watermarks{Min: 8, Low: 16, High: 32}}, want: true},
+		{name: "swap tier", cfg: Config{SingleDriver: true, PhysBytes: 1 << 24,
+			Swap: swaptier.Config{ZpoolBytes: 1 << 20}}, want: false},
 	}
 	for _, tc := range cases {
-		m := MustNew(tc.cfg())
-		if got := m.BatchedCharging(); got != tc.want {
-			t.Errorf("%s: BatchedCharging() = %v, want %v", tc.name, got, tc.want)
+		tc.cfg.Cost = sim.XeonGold6130()
+		m := MustNew(tc.cfg)
+		if tc.arm != nil {
+			tc.arm(m)
 		}
 		if got := m.NewContext(0).Env.Batch; got != tc.want {
 			t.Errorf("%s: context Env.Batch = %v, want %v", tc.name, got, tc.want)
@@ -64,48 +44,86 @@ func TestBatchChargingPredicate(t *testing.T) {
 	}
 }
 
-// TestTracingDisablesBatching: arming a tracer after New must flip
-// contexts created from then on to the exact path — the predicate is
-// evaluated per context, not frozen at construction.
-func TestTracingDisablesBatching(t *testing.T) {
-	m := MustNew(Config{Cost: sim.XeonGold6130(), SingleDriver: true})
-	before := m.NewContext(0)
-	if !before.Env.Batch {
-		t.Fatal("context before tracing should batch")
+// chargeSequence drives the same ChargeRun/ReadRun/WriteRun mix on a
+// fresh context of m and returns the context and the words it read.
+func chargeSequence(t *testing.T, m *Machine) (*Context, []uint64) {
+	t.Helper()
+	as := m.NewAddressSpace()
+	if err := as.Map(mmu.MmapBase, 8); err != nil {
+		t.Fatal(err)
 	}
-	m.EnableTracing(16)
-	if m.BatchedCharging() {
-		t.Error("BatchedCharging() still true with a tracer armed")
+	ctx := m.NewContext(0)
+	src := make([]uint64, 700)
+	for i := range src {
+		src[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
-	if after := m.NewContext(0); after.Env.Batch {
-		t.Error("context created after EnableTracing still batches")
+	if err := as.WriteRun(&ctx.Env, mmu.MmapBase+64, src); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []mmu.Run{
+		{VA: mmu.MmapBase, Words: 900, Write: true},
+		{VA: mmu.MmapBase + 16, Stride: 72, Words: 333},
+		{VA: mmu.MmapBase + 4096, Words: 1, Write: true},
+	} {
+		if err := ctx.ChargeRun(as, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]uint64, 1200)
+	if err := as.ReadRun(&ctx.Env, mmu.MmapBase+8, dst); err != nil {
+		t.Fatal(err)
+	}
+	return ctx, dst
+}
+
+// TestObservabilityDoesNotPerturbCharging: a traced, watermarked machine
+// settles the same run sequence to the identical clock, Perf and data as
+// a plain one.
+func TestObservabilityDoesNotPerturbCharging(t *testing.T) {
+	plain, plainData := chargeSequence(t, MustNew(Config{Cost: sim.XeonGold6130(), SingleDriver: true}))
+	om := MustNew(Config{Cost: sim.XeonGold6130(), SingleDriver: true, PhysBytes: 1 << 24,
+		Watermarks: mem.Watermarks{Min: 8, Low: 16, High: 32}})
+	om.EnableTracing(64)
+	observed, observedData := chargeSequence(t, om)
+	if observed.Trace == nil {
+		t.Fatal("observed machine's context is not traced")
+	}
+
+	if got, want := observed.Clock.Now(), plain.Clock.Now(); got != want {
+		t.Errorf("clock diverges: observed %v, plain %v", got, want)
+	}
+	if *observed.Perf != *plain.Perf {
+		t.Errorf("perf diverges:\nobserved: %+v\nplain:    %+v", *observed.Perf, *plain.Perf)
+	}
+	for i := range plainData {
+		if observedData[i] != plainData[i] {
+			t.Fatalf("data diverges at word %d: %#x vs %#x", i, observedData[i], plainData[i])
+		}
 	}
 }
 
 // TestContextChargeRunParity is the machine-level behavioural parity
-// check: the same run sequence on a batching machine and on an
-// ExactCharging machine must land on identical clocks and counters
-// (modulo the fallback count), through the public Context.ChargeRun
-// entry and the machine-owned LLC/TLB/bus wiring.
+// check: the same run sequence settled in closed form and forced down the
+// per-word path must land on identical clocks and counters (modulo the
+// fallback count), through the public Context.ChargeRun entry and the
+// machine-owned LLC/TLB/bus wiring.
 func TestContextChargeRunParity(t *testing.T) {
-	build := func(exact bool) (*Context, *mmu.AddressSpace) {
-		m := MustNew(Config{Cost: sim.XeonGold6130(), SingleDriver: true, ExactCharging: exact})
+	build := func() (*Context, *mmu.AddressSpace) {
+		m := MustNew(Config{Cost: sim.XeonGold6130(), SingleDriver: true})
 		as := m.NewAddressSpace()
 		if err := as.Map(mmu.MmapBase, 8); err != nil {
 			t.Fatal(err)
 		}
 		return m.NewContext(0), as
 	}
-	ctxB, asB := build(false)
-	ctxE, asE := build(true)
-	if !ctxB.Env.Batch || ctxE.Env.Batch {
-		t.Fatalf("fixtures miswired: batch=%v exact=%v", ctxB.Env.Batch, ctxE.Env.Batch)
-	}
+	ctxB, asB := build()
+	ctxE, asE := build()
+	ctxE.Env.Batch = false
 	runs := []mmu.Run{
 		{VA: mmu.MmapBase, Words: 900, Write: true},
 		{VA: mmu.MmapBase + 128, Words: 900},
 		{VA: mmu.MmapBase + 16, Stride: 72, Words: 333},
-		{VA: mmu.MmapBase + 16, Stride: 72, Words: 333, Hot: true}, // hot re-scan (MRU skip on the SingleDriver LLC)
+		{VA: mmu.MmapBase + 16, Stride: 72, Words: 333}, // warm re-scan
 		{VA: mmu.MmapBase + 4096, Words: 1, Write: true},
 	}
 	for _, r := range runs {

@@ -73,13 +73,6 @@ type Config struct {
 	// bit-identical simulated results. Leave unset for machines shared
 	// across host goroutines.
 	SingleDriver bool
-
-	// ExactCharging forces declared access runs (Context.ChargeRun and
-	// the mmu Read/WriteRun entries) down the exact per-word path even
-	// where batched settlement would apply. Results are bit-identical
-	// either way — the flag exists for the parity suite and for
-	// debugging, not for correctness.
-	ExactCharging bool
 }
 
 // Machine is the simulated computer.
@@ -105,13 +98,6 @@ type Machine struct {
 
 	// tracer, when non-nil, hands each new context an event buffer.
 	tracer *trace.Tracer
-
-	// Inputs to the batched-charging fallback predicate (see
-	// batchCharging): how the machine is driven and which observability
-	// planes are armed.
-	singleDriver  bool
-	exactCharging bool
-	watermarked   bool
 
 	// fault, when non-nil, is the armed fault-injection plane shared by
 	// every context.
@@ -178,10 +164,6 @@ func New(cfg Config) (*Machine, error) {
 		numaPolicy: cfg.NUMAPolicy,
 		numaBind:   cfg.NUMABind,
 		fault:      cfg.Fault,
-
-		singleDriver:  cfg.SingleDriver,
-		exactCharging: cfg.ExactCharging,
-		watermarked:   cfg.Watermarks.Enabled(),
 	}
 	m.Phys.SetNodes(topo.Sockets())
 	if cfg.Swap.Enabled() {
@@ -195,7 +177,6 @@ func New(cfg Config) (*Machine, error) {
 			// The reclaimer is driven by the watermarks; arm the Linux
 			// default ratios when the caller didn't choose their own.
 			cfg.Watermarks = mem.DefaultWatermarks(int(cfg.PhysBytes >> mem.PageShift))
-			m.watermarked = true
 		}
 		m.swap = swaptier.New(cfg.Swap, cfg.Cost)
 		m.reclaimer = swaptier.NewReclaimer(m.swap, m.Phys)
@@ -324,26 +305,6 @@ func (m *Machine) Tracer() *trace.Tracer { return m.tracer }
 // machine.
 func (m *Machine) FaultInjector() *fault.Injector { return m.fault }
 
-// batchCharging is the fallback predicate for epoch-batched settlement:
-// runs settle in closed form only when nothing on the machine needs
-// per-access observability or cross-goroutine safety. A tracer wants
-// every event, a fault plan rolls per access, armed watermarks react to
-// individual allocations' pressure, a swap tier needs every page touch
-// observed (demand faults, Accessed bits), and a multi-driver machine
-// has contended shared state — each of those forces the exact per-word
-// path. The simulated figures are bit-identical either way; only host
-// speed differs.
-func (m *Machine) batchCharging() bool {
-	return m.singleDriver && !m.exactCharging && !m.watermarked &&
-		m.tracer == nil && m.fault == nil && m.swap == nil
-}
-
-// BatchedCharging reports whether contexts created now settle declared
-// runs in closed form. Exposed so harnesses (and the README's
-// explanation of when batching silently disables itself) can be checked
-// against reality.
-func (m *Machine) BatchedCharging() bool { return m.batchCharging() }
-
 // Context is the execution context of one simulated thread: its clock and
 // counters, the core it currently runs on, and the charged-memory-access
 // environment derived from them. Contexts are cheap; collectors create one
@@ -397,17 +358,18 @@ func (m *Machine) NewContext(coreID int) *Context {
 			buf: ctx.Trace, inj: m.fault}
 		ctx.Env.NUMA = ctx.NUMAView
 	}
-	// Evaluated per context, not per machine, because EnableTracing runs
-	// after New: contexts created once a tracer (or anything else the
-	// predicate watches) is armed must fall back to exact charging.
-	ctx.Env.Batch = m.batchCharging()
+	// Closed-form settlement is bit-identical to the per-word path, so
+	// tracing, fault plans, watermarks and shared drivers all batch. A
+	// swap tier keeps the per-word path only because recorded benchmark
+	// digests hash Perf.RunFallbacks (see mmu.Env.Batch).
+	ctx.Env.Batch = m.swap == nil
 	return ctx
 }
 
-// ChargeRun declares a strided access run on as and settles its cost —
-// in closed form when the machine's fallback predicate allows, else by
-// the bit-identical per-word path. This is the epoch-batched charging
-// entry workloads use for accesses whose data lives host-side.
+// ChargeRun declares a strided access run on as and settles its cost in
+// closed form (per word on a swap-armed machine; the charges are
+// identical). This is the epoch-batched charging entry workloads use for
+// accesses whose data lives host-side.
 func (ctx *Context) ChargeRun(as *mmu.AddressSpace, r mmu.Run) error {
 	return as.ChargeRun(&ctx.Env, r)
 }

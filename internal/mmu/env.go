@@ -29,12 +29,12 @@ type Env struct {
 	NUMA NUMA
 	// Batch enables epoch-batched settlement of declared access runs
 	// (ChargeRun/ReadRun/WriteRun integrate each run in closed form
-	// instead of charging word by word). The machine layer sets it from
-	// its fallback predicate: it stays false — forcing the exact per-word
-	// path — whenever a tracer, a fault plan, or armed watermarks demand
-	// per-access observability, or when multiple host goroutines may
-	// drive the machine. Settlement is bit-identical either way; the flag
-	// only selects how fast the same numbers are produced.
+	// instead of charging word by word). Settlement is bit-identical
+	// either way. The machine layer sets it on every context except on a
+	// swap-armed machine, which keeps the per-word path (counted in
+	// Perf.RunFallbacks) only because recorded benchmark digests hash
+	// that counter; the flag, the per-word path and the counter go once
+	// those digests are regenerated.
 	Batch bool
 	// Trace is the context's event ring (nil when tracing is off —
 	// trace.Buffer methods are nil-safe). The swapper emits fault-in and

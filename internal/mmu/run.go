@@ -16,8 +16,8 @@ import (
 // page segment. The contract is bit-exactness: a settled run leaves the
 // clock, the perf counters, the TLB and the cache in exactly the state the
 // equivalent per-word call sequence would, so figures are byte-identical
-// whichever path executes (see Env.Batch for when the exact path is
-// forced).
+// whichever path executes (see Env.Batch for when the per-word path
+// runs).
 type Run struct {
 	// VA is the address of the first word; must be 8-byte aligned.
 	VA uint64
@@ -29,21 +29,6 @@ type Run struct {
 	// Write marks the run as store traffic (allocate-on-write caching,
 	// NVM write multiplier).
 	Write bool
-	// Hot hints that the run's working set is expected cache-resident.
-	// Advisory: it never changes what is charged, only how — strided
-	// settlement probes the LLC through cache.AccessHot, which skips the
-	// probe for lines it can prove already hit (the set's MRU way). A
-	// wrong hint costs nothing; hit/miss results and all charges are
-	// bit-identical either way.
-	Hot bool
-	// Cold hints that the run expects to miss every line — first-touch
-	// sweeps on a fresh machine, post-InvalidateAll streams. Advisory
-	// like Hot (with which it is mutually exclusive): settlement probes
-	// the LLC through cache.AccessCold/AccessRangeCold, which install
-	// lines in closed form for sets the model can prove empty and fall
-	// back to the full probe everywhere else. Results and charges are
-	// bit-identical either way.
-	Cold bool
 }
 
 func (r Run) stride() int {
@@ -57,9 +42,6 @@ func (r Run) validate() error {
 	if r.VA%8 != 0 || r.Words < 0 || r.stride() < 8 || r.stride()%8 != 0 {
 		return fmt.Errorf("mmu: invalid run %+v (VA must be 8-aligned, stride a positive multiple of 8)", r)
 	}
-	if r.Hot && r.Cold {
-		return fmt.Errorf("mmu: invalid run %+v (Hot and Cold are mutually exclusive hints)", r)
-	}
 	return nil
 }
 
@@ -72,7 +54,7 @@ func (as *AddressSpace) ChargeRun(env *Env, r Run) error {
 	}
 	env.Perf.ChargeRuns++
 	env.Perf.RunWords += uint64(r.Words)
-	return as.settleRun(env, r.VA, r.stride(), r.Words, r.Write, r.Hot, r.Cold, nil)
+	return as.settleRun(env, r.VA, r.stride(), r.Words, r.Write, nil)
 }
 
 // ReadRun performs len(dst) charged dense word loads starting at va,
@@ -83,7 +65,7 @@ func (as *AddressSpace) ReadRun(env *Env, va uint64, dst []uint64) error {
 	}
 	env.Perf.ChargeRuns++
 	env.Perf.RunWords += uint64(len(dst))
-	return as.settleRun(env, va, 8, len(dst), false, false, false, dst)
+	return as.settleRun(env, va, 8, len(dst), false, dst)
 }
 
 // WriteRun performs len(src) charged dense word stores starting at va.
@@ -95,7 +77,7 @@ func (as *AddressSpace) WriteRun(env *Env, va uint64, src []uint64) error {
 	}
 	env.Perf.ChargeRuns++
 	env.Perf.RunWords += uint64(len(src))
-	return as.settleRun(env, va, 8, len(src), true, false, false, src)
+	return as.settleRun(env, va, 8, len(src), true, src)
 }
 
 // settleRun charges (and, when data is non-nil, moves) the run's words.
@@ -107,7 +89,7 @@ func (as *AddressSpace) WriteRun(env *Env, va uint64, src []uint64) error {
 // construction, and per-line cache probes are shared with the per-word
 // path (cache.AccessRange's set-level integration), so word-level hits
 // are exactly words minus line misses.
-func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write, hot, cold bool, data []uint64) error {
+func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write bool, data []uint64) error {
 	if words == 0 {
 		return nil
 	}
@@ -152,38 +134,9 @@ func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write,
 			case stride == 8:
 				// Dense: every line probed once; within a line, words
 				// after the first are repeat-line hits. Word-level misses
-				// are therefore exactly the line misses. Cold-hinted runs
-				// take the range-miss fast path (closed-form installs for
-				// provably empty sets, full probe elsewhere).
-				var lineMisses int
-				if cold {
-					_, lineMisses = env.Cache.AccessRangeCold(pa, 8*k)
-				} else {
-					_, lineMisses = env.Cache.AccessRange(pa, 8*k)
-				}
+				// are therefore exactly the line misses.
+				_, lineMisses := env.Cache.AccessRange(pa, 8*k)
 				hits, misses = k-lineMisses, lineMisses
-			case hot:
-				// Hot-hinted strided probes skip the set scan for lines the
-				// LLC can prove all-hit (the set's MRU way) — same results,
-				// same charges, a fraction of the host work.
-				for i := 0; i < k; i++ {
-					if env.Cache.AccessHot(pa + uint64(i*stride)) {
-						hits++
-					} else {
-						misses++
-					}
-				}
-			case cold:
-				// Cold-hinted strided probes install lines in closed form
-				// for sets the LLC can prove empty and fall back to the
-				// full probe everywhere else.
-				for i := 0; i < k; i++ {
-					if env.Cache.AccessCold(pa + uint64(i*stride)) {
-						hits++
-					} else {
-						misses++
-					}
-				}
 			default:
 				for i := 0; i < k; i++ {
 					if env.Cache.Access(pa + uint64(i*stride)) {

@@ -42,8 +42,8 @@ func runOps() []runOp {
 		{run: Run{VA: MmapBase + 64, Words: 700}},              // re-read: mixed hits
 		{run: Run{VA: MmapBase, Stride: 64, Words: 200}},       // line-strided, 4 pages
 		{run: Run{VA: MmapBase + 8, Stride: 136, Words: 77, Write: true}},
-		{run: Run{VA: MmapBase, Stride: 64, Words: 200, Hot: true}}, // hot re-scan of warm lines
-		{run: Run{VA: MmapBase + 16, Stride: 72, Words: 150, Hot: true, Write: true}},
+		{run: Run{VA: MmapBase, Stride: 64, Words: 200}}, // re-scan of warm lines
+		{run: Run{VA: MmapBase + 16, Stride: 72, Words: 150, Write: true}},
 		{run: Run{VA: MmapBase + 2*64, Words: 1}},
 		{run: Run{VA: MmapBase, Words: 0}},
 		{run: Run{VA: MmapBase, Words: 6000, Write: true}, data: true}, // wraps the LLC
@@ -81,11 +81,58 @@ func applyOps(t *testing.T, as *AddressSpace, env *Env, ops []runOp) []uint64 {
 	return observed
 }
 
-// normalizePathCounters zeroes the counters that legitimately differ
-// between the batched and exact settlement paths (only the fallback
-// count; everything else must match bit for bit).
-func normalizePathCounters(p *sim.Perf) {
-	p.RunFallbacks = 0
+// settleFixture is one side of a parity comparison: a fixture after an
+// op sequence, with the words its data-moving reads observed.
+type settleFixture struct {
+	as  *AddressSpace
+	env *Env
+	obs []uint64
+}
+
+// checkSettleParity asserts that a batched and an exact fixture ended in
+// the same state: the clock, every counter except RunFallbacks (the one
+// that says which path ran), the observed data, and the cache and TLB
+// state as seen by a follow-up per-word probe sweep.
+func checkSettleParity(t *testing.T, b, e settleFixture) {
+	t.Helper()
+	if got, want := b.env.Clock.Now(), e.env.Clock.Now(); got != want {
+		t.Errorf("clock diverges: batched %v, exact %v (delta %g)", got, want, float64(got-want))
+	}
+	if len(b.obs) != len(e.obs) {
+		t.Fatalf("observed %d words batched, %d exact", len(b.obs), len(e.obs))
+	}
+	for i := range b.obs {
+		if b.obs[i] != e.obs[i] {
+			t.Fatalf("data diverges at word %d: %#x vs %#x", i, b.obs[i], e.obs[i])
+		}
+	}
+	pB, pE := *b.env.Perf, *e.env.Perf
+	pB.RunFallbacks, pE.RunFallbacks = 0, 0
+	if pB != pE {
+		t.Errorf("perf diverges:\nbatched: %+v\nexact:   %+v", pB, pE)
+	}
+
+	// The cache and TLB must have evolved identically too: a fresh
+	// per-word probe sequence must see the same hits on both fixtures.
+	for i := 0; i < 512; i++ {
+		va := MmapBase + uint64(i*104)&^7
+		paB, err := b.as.Translate(b.env, va)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paE, err := e.as.Translate(e.env, va)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hb, he := b.env.Cache.Access(paB), e.env.Cache.Access(paE); hb != he {
+			t.Fatalf("cache state diverges at probe %d (va %#x): batched hit=%v, exact hit=%v",
+				i, va, hb, he)
+		}
+	}
+	if b.env.Perf.TLBMisses != e.env.Perf.TLBMisses {
+		t.Errorf("TLB state diverges: %d vs %d misses after probing",
+			b.env.Perf.TLBMisses, e.env.Perf.TLBMisses)
+	}
 }
 
 // TestRunBatchedMatchesExact is the core parity property: the same run
@@ -95,236 +142,65 @@ func normalizePathCounters(p *sim.Perf) {
 func TestRunBatchedMatchesExact(t *testing.T) {
 	asB, envB := runFixture(t, true)
 	asE, envE := runFixture(t, false)
-
 	obsB := applyOps(t, asB, envB, runOps())
 	obsE := applyOps(t, asE, envE, runOps())
-
-	if got, want := envB.Clock.Now(), envE.Clock.Now(); got != want {
-		t.Errorf("clock diverges: batched %v, exact %v (delta %g)", got, want, float64(got-want))
-	}
-	if len(obsB) != len(obsE) {
-		t.Fatalf("observed %d words batched, %d exact", len(obsB), len(obsE))
-	}
-	for i := range obsB {
-		if obsB[i] != obsE[i] {
-			t.Fatalf("data diverges at word %d: %#x vs %#x", i, obsB[i], obsE[i])
-		}
-	}
 	if envE.Perf.RunFallbacks == 0 || envB.Perf.RunFallbacks != 0 {
 		t.Errorf("fallback counting wrong: exact %d (want >0), batched %d (want 0)",
 			envE.Perf.RunFallbacks, envB.Perf.RunFallbacks)
 	}
-	pB, pE := *envB.Perf, *envE.Perf
-	normalizePathCounters(&pB)
-	normalizePathCounters(&pE)
-	if pB != pE {
-		t.Errorf("perf diverges:\nbatched: %+v\nexact:   %+v", pB, pE)
-	}
-
-	// The cache and TLB must have evolved identically too: a fresh
-	// per-word probe sequence must see the same hits on both fixtures.
-	for i := 0; i < 512; i++ {
-		va := MmapBase + uint64(i*104)&^7
-		paB, err := asB.Translate(envB, va)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paE, err := asE.Translate(envE, va)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hb, he := envB.Cache.Access(paB), envE.Cache.Access(paE); hb != he {
-			t.Fatalf("cache state diverges at probe %d (va %#x): batched hit=%v, exact hit=%v",
-				i, va, hb, he)
-		}
-	}
-	if envB.Perf.TLBMisses != envE.Perf.TLBMisses {
-		t.Errorf("TLB state diverges: %d vs %d misses after probing",
-			envB.Perf.TLBMisses, envE.Perf.TLBMisses)
-	}
+	checkSettleParity(t, settleFixture{asB, envB, obsB}, settleFixture{asE, envE, obsE})
 }
 
-// TestHotRunBatchedMatchesExactExclusive pins the Hot fast path: on an
-// exclusive (single-driver) cache the MRU probe skip actually engages,
-// and the batched hot settlement must still leave the identical clock,
-// counters and future cache behaviour as the exact per-word path, which
-// ignores the hint entirely. Includes a wrong hint (hot run over evicted
-// lines), which must only cost the probes it tried to save.
-func TestHotRunBatchedMatchesExactExclusive(t *testing.T) {
-	asB, envB := runFixture(t, true)
-	asE, envE := runFixture(t, false)
-	envB.Cache.SetExclusive(true)
-	envE.Cache.SetExclusive(true)
-	ops := []runOp{
-		{run: Run{VA: MmapBase, Stride: 64, Words: 256, Write: true}}, // warm the lines
-		{run: Run{VA: MmapBase, Stride: 64, Words: 256, Hot: true}},   // all-MRU re-scan
-		{run: Run{VA: MmapBase + 8, Stride: 136, Words: 90, Hot: true}},
-		{run: Run{VA: MmapBase, Words: 6000, Write: true}},          // wrap and evict
-		{run: Run{VA: MmapBase, Stride: 64, Words: 256, Hot: true}}, // wrong hint: cold
-		{run: Run{VA: MmapBase, Stride: 64, Words: 256}},
-	}
-	applyOps(t, asB, envB, ops)
-	applyOps(t, asE, envE, ops)
-	if got, want := envB.Clock.Now(), envE.Clock.Now(); got != want {
-		t.Errorf("clock diverges: batched-hot %v, exact %v (delta %g)", got, want, float64(got-want))
-	}
-	pB, pE := *envB.Perf, *envE.Perf
-	normalizePathCounters(&pB)
-	normalizePathCounters(&pE)
-	if pB != pE {
-		t.Errorf("perf diverges:\nbatched-hot: %+v\nexact:       %+v", pB, pE)
-	}
-	// Identical subsequent behaviour: a fresh probe sequence must see the
-	// same hits on both fixtures even though the hot path skipped probes.
-	for i := 0; i < 512; i++ {
-		va := MmapBase + uint64(i*104)&^7
-		paB, err := asB.Translate(envB, va)
-		if err != nil {
-			t.Fatal(err)
+// fuzzOpBytes is the encoded size of one FuzzSettleRun op.
+const fuzzOpBytes = 6
+
+// decodeFuzzOps turns fuzz input into a run sequence over runFixture's
+// mapped span. Each op is six bytes: flags (bit 0 strided, bit 1 write,
+// bit 2 data-moving), a 16-bit VA offset, a stride multiple, and a 16-bit
+// word count, each reduced modulo what fits in the span. Data-moving ops
+// are dense, because ReadRun/WriteRun are.
+func decodeFuzzOps(data []byte) []runOp {
+	const span = 16 * 4096 // runFixture's mapped bytes
+	var ops []runOp
+	for ; len(data) >= fuzzOpBytes && len(ops) < 64; data = data[fuzzOpBytes:] {
+		flags := data[0]
+		off := int(uint16(data[1])|uint16(data[2])<<8) % (span / 2) &^ 7
+		r := Run{VA: MmapBase + uint64(off), Write: flags&2 != 0}
+		if flags&1 != 0 {
+			r.Stride = 8 * (1 + int(data[3]%32))
 		}
-		paE, err := asE.Translate(envE, va)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hb, he := envB.Cache.Access(paB), envE.Cache.Access(paE); hb != he {
-			t.Fatalf("cache state diverges at probe %d (va %#x): batched-hot hit=%v, exact hit=%v",
-				i, va, hb, he)
-		}
+		r.Words = int(uint16(data[4])|uint16(data[5])<<8) % ((span-off)/r.stride() + 1)
+		ops = append(ops, runOp{run: r, data: r.Stride == 0 && flags&4 != 0})
 	}
+	return ops
 }
 
-// TestColdRunBatchedMatchesExactExclusive pins the Cold fast path, the
-// all-miss dual of the hot test above: on an exclusive cache the
-// closed-form install actually engages for provably-empty sets, and the
-// batched cold settlement must leave the identical clock, counters and
-// future cache behaviour as the exact per-word path, which ignores the
-// hint. Includes wrong hints (cold runs over warmed sets) and an
-// InvalidateAll that re-arms the cold proof mid-sequence.
-func TestColdRunBatchedMatchesExactExclusive(t *testing.T) {
-	asB, envB := runFixture(t, true)
-	asE, envE := runFixture(t, false)
-	envB.Cache.SetExclusive(true)
-	envE.Cache.SetExclusive(true)
-	ops := []runOp{
-		{run: Run{VA: MmapBase, Words: 700, Write: true, Cold: true}, data: true}, // dense first touch, wraps the 64 sets
-		{run: Run{VA: MmapBase + 8192, Stride: 128, Words: 40, Cold: true}},       // strided, mixed cold/warm sets
-		{run: Run{VA: MmapBase, Words: 700, Cold: true}},                          // wrong hint: everything warm
-		{run: Run{VA: MmapBase, Words: 6000, Write: true}},                        // unhinted wrap-and-evict
-		{run: Run{VA: MmapBase + 16384, Words: 512, Cold: true}, data: true},      // wrong hint after the wrap
-	}
-	applyOps(t, asB, envB, ops)
-	applyOps(t, asE, envE, ops)
-	// Re-arm the proof: after InvalidateAll every set's tick is zero
-	// again, so the next cold runs take the closed-form install.
-	envB.Cache.InvalidateAll()
-	envE.Cache.InvalidateAll()
-	applyOps(t, asB, envB, []runOp{
-		{run: Run{VA: MmapBase, Stride: 192, Words: 60, Cold: true}},
-		{run: Run{VA: MmapBase + 64, Words: 900, Cold: true, Write: true}, data: true},
-	})
-	applyOps(t, asE, envE, []runOp{
-		{run: Run{VA: MmapBase, Stride: 192, Words: 60, Cold: true}},
-		{run: Run{VA: MmapBase + 64, Words: 900, Cold: true, Write: true}, data: true},
-	})
-	if got, want := envB.Clock.Now(), envE.Clock.Now(); got != want {
-		t.Errorf("clock diverges: batched-cold %v, exact %v (delta %g)", got, want, float64(got-want))
-	}
-	pB, pE := *envB.Perf, *envE.Perf
-	normalizePathCounters(&pB)
-	normalizePathCounters(&pE)
-	if pB != pE {
-		t.Errorf("perf diverges:\nbatched-cold: %+v\nexact:        %+v", pB, pE)
-	}
-	for i := 0; i < 512; i++ {
-		va := MmapBase + uint64(i*104)&^7
-		paB, err := asB.Translate(envB, va)
-		if err != nil {
-			t.Fatal(err)
+// FuzzSettleRun checks closed-form settlement against the per-word path
+// on arbitrary op sequences: dense and strided, charge-only and
+// data-moving, on exclusive and shared caches, with and without remote
+// NUMA pages. The first input byte selects the cache mode (bit 0) and the
+// NUMA view (bit 1); the rest decodes as ops (decodeFuzzOps).
+func FuzzSettleRun(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
 		}
-		paE, err := asE.Translate(envE, va)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hb, he := envB.Cache.Access(paB), envE.Cache.Access(paE); hb != he {
-			t.Fatalf("cache state diverges at probe %d (va %#x): batched-cold hit=%v, exact hit=%v",
-				i, va, hb, he)
-		}
-	}
-}
-
-// TestRunHintRandomizedParity is the randomized property the ISSUE asks
-// for: arbitrary stride/length/hint combinations — dense and strided,
-// Hot, Cold and unhinted, charge-only and data-moving, on exclusive and
-// shared caches — settled batched and exact must agree on the clock,
-// every counter and all future cache behaviour. The seed is logged so a
-// failure reproduces.
-func TestRunHintRandomizedParity(t *testing.T) {
-	seed := time.Now().UnixNano()
-	rng := rand.New(rand.NewSource(seed))
-	const span = 16 * 4096 // the fixture's mapped bytes
-	for trial := 0; trial < 6; trial++ {
-		exclusive := trial%2 == 0
+		mode, ops := data[0], decodeFuzzOps(data[1:])
 		asB, envB := runFixture(t, true)
 		asE, envE := runFixture(t, false)
-		envB.Cache.SetExclusive(exclusive)
-		envE.Cache.SetExclusive(exclusive)
-		var ops []runOp
-		for i := 0; i < 50; i++ {
-			r := Run{VA: MmapBase + uint64(rng.Intn(span/2))&^7}
-			if rng.Intn(2) == 1 {
-				r.Stride = 8 * (1 + rng.Intn(32))
-			}
-			step := r.Stride
-			if step == 0 {
-				step = 8
-			}
-			if max := (span - int(r.VA-MmapBase)) / step; max > 0 {
-				r.Words = rng.Intn(max + 1)
-			}
-			switch rng.Intn(4) {
-			case 0:
-				r.Hot = true
-			case 1:
-				r.Cold = true
-			}
-			r.Write = rng.Intn(2) == 0
-			// ReadRun/WriteRun are dense-only; data ops keep stride 0.
-			ops = append(ops, runOp{run: r, data: r.Stride == 0 && rng.Intn(3) == 0})
+		envB.Cache.SetExclusive(mode&1 != 0)
+		envE.Cache.SetExclusive(mode&1 != 0)
+		numaB, numaE := &fakeNUMA{}, &fakeNUMA{}
+		if mode&2 != 0 {
+			envB.NUMA, envE.NUMA = numaB, numaE
 		}
 		obsB := applyOps(t, asB, envB, ops)
 		obsE := applyOps(t, asE, envE, ops)
-		if got, want := envB.Clock.Now(), envE.Clock.Now(); got != want {
-			t.Errorf("seed=%d trial %d (exclusive=%v): clock diverges: batched %v, exact %v",
-				seed, trial, exclusive, got, want)
+		checkSettleParity(t, settleFixture{asB, envB, obsB}, settleFixture{asE, envE, obsE})
+		if *numaB != *numaE {
+			t.Errorf("NUMA view counts diverge: batched %+v, exact %+v", *numaB, *numaE)
 		}
-		for i := range obsB {
-			if obsB[i] != obsE[i] {
-				t.Fatalf("seed=%d trial %d: data diverges at word %d", seed, trial, i)
-			}
-		}
-		pB, pE := *envB.Perf, *envE.Perf
-		normalizePathCounters(&pB)
-		normalizePathCounters(&pE)
-		if pB != pE {
-			t.Errorf("seed=%d trial %d (exclusive=%v): perf diverges:\nbatched: %+v\nexact:   %+v",
-				seed, trial, exclusive, pB, pE)
-		}
-		for i := 0; i < 256; i++ {
-			va := MmapBase + uint64(i*232)&^7
-			paB, err := asB.Translate(envB, va)
-			if err != nil {
-				t.Fatal(err)
-			}
-			paE, err := asE.Translate(envE, va)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hb, he := envB.Cache.Access(paB), envE.Cache.Access(paE); hb != he {
-				t.Fatalf("seed=%d trial %d: cache state diverges at probe %d (va %#x)",
-					seed, trial, i, va)
-			}
-		}
-	}
+	})
 }
 
 // TestRunSplitPointsProperty: settling one long run in arbitrary
@@ -411,26 +287,12 @@ func TestRunNUMARemoteFallsBackPerWord(t *testing.T) {
 	}
 	obsB := applyOps(t, asB, envB, ops)
 	obsE := applyOps(t, asE, envE, ops)
-
-	if got, want := envB.Clock.Now(), envE.Clock.Now(); got != want {
-		t.Errorf("clock diverges under NUMA: batched %v, exact %v", got, want)
-	}
-	pB, pE := *envB.Perf, *envE.Perf
-	normalizePathCounters(&pB)
-	normalizePathCounters(&pE)
-	if pB != pE {
-		t.Errorf("perf diverges under NUMA:\nbatched: %+v\nexact:   %+v", pB, pE)
-	}
-	if *numaB != *numaE {
-		t.Errorf("NUMA view counts diverge: batched %+v, exact %+v", *numaB, *numaE)
-	}
 	if numaB.remote == 0 {
 		t.Error("test never exercised the remote fallback (no remote accesses)")
 	}
-	for i := range obsB {
-		if obsB[i] != obsE[i] {
-			t.Fatalf("data diverges at word %d", i)
-		}
+	checkSettleParity(t, settleFixture{asB, envB, obsB}, settleFixture{asE, envE, obsE})
+	if *numaB != *numaE {
+		t.Errorf("NUMA view counts diverge: batched %+v, exact %+v", *numaB, *numaE)
 	}
 }
 
@@ -486,9 +348,6 @@ func BenchmarkChargeRun(b *testing.B) {
 	})
 	b.Run("strided", func(b *testing.B) {
 		bench(b, Run{VA: MmapBase, Stride: 64, Words: 512})
-	})
-	b.Run("hot", func(b *testing.B) {
-		bench(b, Run{VA: MmapBase, Stride: 64, Words: 512, Hot: true})
 	})
 }
 

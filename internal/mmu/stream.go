@@ -18,8 +18,9 @@ import (
 // (ChargeStream) for movement the host performs elsewhere, and (c) an
 // advisory cold hint: segments expected to miss every line probe the LLC
 // through cache.AccessRangeCold, which installs lines in closed form for
-// sets the model can prove empty. The hint is honoured only under batched
-// settlement (Env.Batch) and never changes results, only host work.
+// sets the model can prove empty. The hint is honoured wherever runs
+// settle in closed form (Env.Batch: every machine without a swap tier)
+// and never changes results, only host work.
 
 // streamPerf counts one declared stream of n bytes.
 func streamPerf(env *Env, n int) {

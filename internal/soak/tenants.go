@@ -87,7 +87,7 @@ func runTenants(cfg Config) (*Result, error) {
 	}
 
 	// No SingleDriver: each tenant's goroutine drives its own JVM, so the
-	// machine must take the concurrent (locked, exact-charging) paths.
+	// machine must keep its shared LLC's per-set locks.
 	m, err := machine.New(machine.Config{Cost: sim.XeonGold6130()})
 	if err != nil {
 		return nil, err
