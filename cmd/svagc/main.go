@@ -72,7 +72,7 @@ func main() {
 		zpool     = flag.Int64("zpool", 0, "compressed-RAM zpool budget in MiB in front of the far tier")
 		farLat    = flag.Int64("far-lat", 0, "far-device access latency in ns (0 = default 10000)")
 		physMiB   = flag.Int64("phys", 0, "bound the simulated machine's physical RAM in MiB (0 = unbounded; required with the swap-tier knobs in workload mode — the soak loop sizes its own pool)")
-		tenants   = flag.Int("tenants", 0, "tenant count: replicas for -smr, concurrent capped tenants for -soak (0 = single-tenant)")
+		tenants   = flag.Int("tenants", 0, "tenant count: replicas for -smr, capped tenants churning in turn for -soak (0 = single-tenant)")
 		tenantCap = flag.Int64("tenant-cap", 0, "per-tenant memory cap in MiB; in workload mode the JVM runs as a capped tenant with its own pressure ladder (0 = uncapped)")
 		gcArb     = flag.Int("gc-arbiter", 0, "arm the machine-wide GC arbiter with this concurrent-collection bound (0 = unarbitrated)")
 		smrHeap   = flag.Int64("smr", 0, "run the raft-style SMR cluster workload with this replica heap size in MiB instead of a -bench workload (uses -gc, -gcworkers, -seed, -tenants, -tenant-cap, -gc-arbiter)")
@@ -241,7 +241,7 @@ func main() {
 			}
 		}
 		mc := machine.Config{Cost: cost, Sockets: *sockets, NUMAPolicy: policy,
-			NUMABind: bind, PhysBytes: *physMiB << 20, Swap: swapCfg, SingleDriver: true}
+			NUMABind: bind, PhysBytes: *physMiB << 20, Swap: swapCfg}
 		runMany(benches, *parallel, mc, *jvms, *seed, newFault, cfgFor, report)
 		return
 	}
@@ -252,14 +252,13 @@ func main() {
 		os.Exit(2)
 	}
 	m, err := machine.New(machine.Config{
-		Cost:         cost,
-		Sockets:      *sockets,
-		NUMAPolicy:   policy,
-		NUMABind:     bind,
-		PhysBytes:    *physMiB << 20,
-		Swap:         swapCfg,
-		SingleDriver: true,
-		Fault:        newFault(),
+		Cost:       cost,
+		Sockets:    *sockets,
+		NUMAPolicy: policy,
+		NUMABind:   bind,
+		PhysBytes:  *physMiB << 20,
+		Swap:       swapCfg,
+		Fault:      newFault(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "svagc:", err)
@@ -379,9 +378,8 @@ func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
 		faultSd = seed
 	}
 	m, err := machine.New(machine.Config{
-		Cost:         cost,
-		SingleDriver: true,
-		Fault:        fault.New(faultSd, faultPlan),
+		Cost:  cost,
+		Fault: fault.New(faultSd, faultPlan),
 	})
 	if err != nil {
 		return err

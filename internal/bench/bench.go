@@ -138,10 +138,6 @@ func (o Options) machineConfig() machine.Config {
 		Sockets:    o.sockets(),
 		NUMAPolicy: o.NUMAPolicy,
 		NUMABind:   o.NUMABind,
-		// Each workload run is driven by exactly one host goroutine (the
-		// prefetch worker or the assembling figure), so the machine's
-		// shared-LLC locks can be elided.
-		SingleDriver: true,
 	}
 }
 

@@ -149,7 +149,7 @@ func Ext3HugePages(opt Options) (*Result, error) {
 	cost := opt.cost()
 	for _, mib := range sizesMiB {
 		pages := mib << 8 // MiB -> 4 KiB pages
-		m, err := machine.New(machine.Config{Cost: cost, SingleDriver: true})
+		m, err := machine.New(machine.Config{Cost: cost})
 		if err != nil {
 			return nil, err
 		}

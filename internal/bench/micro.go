@@ -21,7 +21,7 @@ type microFixture struct {
 }
 
 func newMicroFixture(cost *sim.CostModel, pages int) (*microFixture, error) {
-	m, err := machine.New(machine.Config{Cost: cost, SingleDriver: true})
+	m, err := machine.New(machine.Config{Cost: cost})
 	if err != nil {
 		return nil, err
 	}

@@ -37,10 +37,9 @@ type oomRun struct {
 // runs one full collection under the named collector.
 func oomOne(opt Options, collector string, occ float64) (*oomRun, error) {
 	m, err := machine.New(machine.Config{
-		Cost:         opt.cost(),
-		PhysBytes:    oomPhysFrames << mem.PageShift,
-		Watermarks:   oomWatermarks,
-		SingleDriver: true,
+		Cost:       opt.cost(),
+		PhysBytes:  oomPhysFrames << mem.PageShift,
+		Watermarks: oomWatermarks,
 	})
 	if err != nil {
 		return nil, err

@@ -78,11 +78,10 @@ func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
 		return nil, err
 	}
 	m, err := machine.New(machine.Config{
-		Cost:         opt.cost(),
-		PhysBytes:    ovPhysBytes,
-		Swap:         ovSwapConfig(opt),
-		Fault:        fi,
-		SingleDriver: true,
+		Cost:      opt.cost(),
+		PhysBytes: ovPhysBytes,
+		Swap:      ovSwapConfig(opt),
+		Fault:     fi,
 	})
 	if err != nil {
 		return nil, err

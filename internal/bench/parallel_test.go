@@ -119,11 +119,9 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 // flag: every experiment's quick output must be byte-identical whether
 // the sweep runs serially or fanned out over 8 host workers — and so must
 // every memoised run's full Perf snapshot, counter for counter. The
-// snapshot comparison is what keeps counters honest: TLBMisses once
-// varied with host scheduling (a reader racing a seqlock writer degraded
-// to a miss), which rendered output could not detect because misses only
-// surface in table3. Only TLBSeqlockRetries may differ between the two
-// sweeps — it counts those benign races by design.
+// snapshot comparison is what keeps counters honest: a counter that varied
+// with host scheduling would slip past rendered output whenever the figure
+// does not print it (TLB misses, say, surface only in table3).
 func TestParallelParityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick sweep twice")
@@ -136,9 +134,7 @@ func TestParallelParityQuick(t *testing.T) {
 			if call.r == nil {
 				continue
 			}
-			p := call.r.Perf
-			p.TLBSeqlockRetries = 0
-			out[key] = p
+			out[key] = call.r.Perf
 		}
 		return out
 	}
@@ -191,9 +187,9 @@ func TestParallelParityQuick(t *testing.T) {
 // TestConcurrentFiguresShareCache drives figures that share baseline runs
 // (fig12 and fig13 sweep identical workloads) through the run cache from
 // concurrent goroutines, each itself prefetching in parallel — the -race
-// exercise for the singleflight slots, the seqlock TLB and the per-set
-// cache locks underneath. The shared runs must be executed once, not per
-// figure.
+// exercise for the singleflight slots, and for machines staying private
+// to the goroutine that runs them. The shared runs must be executed once,
+// not per figure.
 func TestConcurrentFiguresShareCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two figure sweeps")
@@ -239,10 +235,10 @@ func TestConcurrentFiguresShareCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracedMachines exercises the lock-free TLB and per-set
-// cache locks under genuinely concurrent traced machines: two workload
-// runs with OnMachine hooks execute in parallel goroutines (the hook path
-// bypasses the cache, so both really run).
+// TestConcurrentTracedMachines runs two traced machines at once: two
+// workload runs with OnMachine hooks execute in parallel goroutines (the
+// hook path bypasses the cache, so both really run). Under -race it checks
+// that no state leaks between machines.
 func TestConcurrentTracedMachines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two workloads")

@@ -32,9 +32,8 @@ func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, error)
 		return nil, err
 	}
 	m, err := machine.New(machine.Config{
-		Cost:         opt.cost(),
-		Fault:        fi,
-		SingleDriver: true,
+		Cost:  opt.cost(),
+		Fault: fi,
 	})
 	if err != nil {
 		return nil, err

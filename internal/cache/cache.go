@@ -5,36 +5,21 @@
 // Table III (cache-miss percentages of memmove- vs SwapVA-based GC).
 package cache
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Cache is a set-associative tag store with LRU replacement. It is shared
-// by all simulated cores (an LLC), so probes must be goroutine-safe — but
-// a probe is also the single hottest operation in the whole simulator
-// (every charged word and every line of every bulk transfer lands here),
-// so instead of one cache-wide mutex each set carries its own one-word
-// spinlock. The common case — a single goroutine driving a machine, or
-// concurrent goroutines touching different sets — acquires an uncontended
-// CAS and releases with a store, with no allocation and no cross-set
-// false sharing on the lock word.
+// by all simulated cores (an LLC) and driven, like the rest of its
+// machine, by one host goroutine. A probe is the single hottest operation
+// in the whole simulator: every charged word and every line of every bulk
+// transfer lands here.
 type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
 	setMask   uint64
-	locks     []atomic.Uint32 // one per set; 0 = free
-	tags      []uint64        // sets*ways entries; 0 = invalid
-	age       []uint64        // per-entry LRU timestamps
-	ticks     []uint64        // per-set LRU clocks (padded stride below)
-
-	// exclusive elides the set locks: a machine driven by a single host
-	// goroutine (the harness's virtual-parallelism contract — every bench
-	// and CLI run) pays no atomics on the probe path. Set only via
-	// SetExclusive before concurrent use; the default is the locked,
-	// goroutine-safe behaviour.
-	exclusive bool
+	tags      []uint64 // sets*ways entries; 0 = invalid
+	age       []uint64 // per-entry LRU timestamps
+	ticks     []uint64 // per-set LRU clocks
 
 	// mru caches each set's most-recently-used way for a first-probe
 	// short-circuit; purely an accelerator, hit/miss decisions and LRU
@@ -42,23 +27,14 @@ type Cache struct {
 	mru []uint8
 
 	// lastLine is line+1 of the cache's most recent access (0 = none): a
-	// one-entry filter in front of the set locks. A repeat of the very
-	// last line is necessarily a hit, and bumping an already-MRU way does
-	// not change the set's LRU order, so the repeat can skip the lock and
-	// the probe entirely — word-sequential charge loops (8 words per line)
-	// take the fast path 7 times out of 8. Single-goroutine behaviour is
-	// exactly the unfiltered behaviour; concurrent goroutines may observe
-	// a just-evicted line as one extra hit, equivalent to an adjacent
-	// legal interleaving (the same latitude the seqlock TLB takes).
-	// Accessed through lastLineLoad/lastLineStore, which use atomics only
-	// when the cache is shared — the exclusive (single-driver) probe path
-	// would otherwise pay an XCHG on every single access.
+	// one-entry filter in front of the probe. A repeat of the very last
+	// line is necessarily a hit, and bumping an already-MRU way does not
+	// change the set's LRU order, so the repeat can skip the probe
+	// entirely — word-sequential charge loops (8 words per line) take the
+	// fast path 7 times out of 8, with results exactly those of the
+	// unfiltered cache.
 	lastLine uint64
 }
-
-// tickStride spaces the per-set LRU clocks eight words apart so adjacent
-// sets' clocks do not share a cache line on the host.
-const tickStride = 8
 
 // New builds a cache of the given total size in bytes with the given
 // associativity and line size. Size must divide evenly into sets of a
@@ -85,10 +61,9 @@ func New(sizeBytes, ways, lineSize int) (*Cache, error) {
 		ways:      ways,
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
-		locks:     make([]atomic.Uint32, sets),
 		tags:      make([]uint64, sets*ways),
 		age:       make([]uint64, sets*ways),
-		ticks:     make([]uint64, sets*tickStride),
+		ticks:     make([]uint64, sets),
 		mru:       make([]uint8, sets),
 	}, nil
 }
@@ -105,53 +80,20 @@ func MustNew(sizeBytes, ways, lineSize int) *Cache {
 // LineSize returns the cache line size in bytes.
 func (c *Cache) LineSize() int { return 1 << c.lineShift }
 
-// SetExclusive declares that exactly one goroutine will drive this cache
-// from now on, eliding the per-set locks. Callers that share a machine
-// across host goroutines (the public Machine API default) must leave it
-// unset.
-func (c *Cache) SetExclusive(on bool) { c.exclusive = on }
-
-// lockSet spins until it owns set's lock. Critical sections are a
-// ways-long scan, so spinning beats parking even under contention.
-func (c *Cache) lockSet(set int) {
-	if c.exclusive {
-		return
-	}
-	for !c.locks[set].CompareAndSwap(0, 1) {
-	}
-}
-
-func (c *Cache) unlockSet(set int) {
-	if c.exclusive {
-		return
-	}
-	c.locks[set].Store(0)
-}
-
-func (c *Cache) lastLineLoad() uint64 {
-	if c.exclusive {
-		return c.lastLine
-	}
-	return atomic.LoadUint64(&c.lastLine)
-}
-
-func (c *Cache) lastLineStore(v uint64) {
-	if c.exclusive {
-		c.lastLine = v
-		return
-	}
-	atomic.StoreUint64(&c.lastLine, v)
-}
+// SetExclusive has no effect: every cache is driven by one goroutine.
+//
+// Deprecated: caches are single-owner; there is nothing to declare.
+func (c *Cache) SetExclusive(bool) {}
 
 // probe touches one line (identified by its line number) within its set
-// and reports whether it hit; the caller holds the set lock. On a miss
-// the line is installed, evicting the set's LRU entry.
+// and reports whether it hit. On a miss the line is installed, evicting
+// the set's LRU entry.
 func (c *Cache) probe(line uint64) bool {
 	tag := line + 1 // +1 so tag 0 stays "invalid"
 	set := int(line & c.setMask)
 	base := set * c.ways
-	c.ticks[set*tickStride]++
-	tick := c.ticks[set*tickStride]
+	c.ticks[set]++
+	tick := c.ticks[set]
 	if m := base + int(c.mru[set]); c.tags[m] == tag {
 		c.age[m] = tick
 		return true
@@ -185,33 +127,29 @@ func (c *Cache) probe(line uint64) bool {
 // entry. Writes and reads are treated alike (allocate-on-write).
 func (c *Cache) Access(pa uint64) bool {
 	line := pa >> c.lineShift
-	if c.lastLineLoad() == line+1 {
+	if c.lastLine == line+1 {
 		return true
 	}
-	set := int(line & c.setMask)
-	c.lockSet(set)
 	hit := c.probe(line)
-	c.unlockSet(set)
-	c.lastLineStore(line + 1)
+	c.lastLine = line + 1
 	return hit
 }
 
 // coldSet reports whether set has provably never been probed (and never
 // re-probed since the last InvalidateAll): its LRU tick is still zero.
 // Every probe unconditionally increments the set's tick first, so a zero
-// tick implies every way is invalid and any access must miss. Callers
-// must hold the set exclusively (c.exclusive).
+// tick implies every way is invalid and any access must miss.
 func (c *Cache) coldSet(set int) bool {
-	return c.ticks[set*tickStride] == 0
+	return c.ticks[set] == 0
 }
 
 // installCold installs line into its provably-empty set in closed form,
 // producing exactly the state a full probe would: the probe would bump
 // the tick to 1, find no tag, pick way 0 as victim (all ages are zero and
 // the scan takes the first smallest), and install with age 1 and MRU 0.
-// Callers must have checked coldSet and hold the set exclusively.
+// Callers must have checked coldSet.
 func (c *Cache) installCold(set int, line uint64) {
-	c.ticks[set*tickStride] = 1
+	c.ticks[set] = 1
 	c.tags[set*c.ways] = line + 1
 	c.age[set*c.ways] = 1
 	c.mru[set] = 0
@@ -219,8 +157,7 @@ func (c *Cache) installCold(set int, line uint64) {
 
 // AccessRange touches every line in [pa, pa+n) and returns the number of
 // hits and misses. It is the bulk-transfer entry point used by streaming
-// copies; consecutive lines map to consecutive sets, so each iteration
-// takes exactly one set lock.
+// copies.
 func (c *Cache) AccessRange(pa uint64, n int) (hits, misses int) {
 	if n <= 0 {
 		return 0, 0
@@ -231,22 +168,18 @@ func (c *Cache) AccessRange(pa uint64, n int) (hits, misses int) {
 	// the loop's own probes intervene, and a wrapping range (longer than
 	// the cache's set span) could even have evicted a filtered line.
 	line := first
-	if c.lastLineLoad() == first+1 {
+	if c.lastLine == first+1 {
 		hits++
 		line++
 	}
 	for ; line <= last; line++ {
-		set := int(line & c.setMask)
-		c.lockSet(set)
-		hit := c.probe(line)
-		c.unlockSet(set)
-		if hit {
+		if c.probe(line) {
 			hits++
 		} else {
 			misses++
 		}
 	}
-	c.lastLineStore(last + 1)
+	c.lastLine = last + 1
 	return hits, misses
 }
 
@@ -256,13 +189,8 @@ func (c *Cache) AccessRange(pa uint64, n int) (hits, misses int) {
 // without the tag scan; warm sets take the ordinary probe. Hit/miss
 // counts and the final tag/age/MRU/tick state are bit-identical to
 // AccessRange — the repeat filter applies to the opening line only and
-// the filter word ends at last+1, exactly as there. Shared (non-
-// exclusive) caches delegate wholesale, since the cold check reads
-// per-set state unlocked.
+// the filter word ends at last+1, exactly as there.
 func (c *Cache) AccessRangeCold(pa uint64, n int) (hits, misses int) {
-	if !c.exclusive {
-		return c.AccessRange(pa, n)
-	}
 	if n <= 0 {
 		return 0, 0
 	}
@@ -293,17 +221,15 @@ func (c *Cache) AccessRangeCold(pa uint64, n int) (hits, misses int) {
 // InvalidateAll empties the cache.
 func (c *Cache) InvalidateAll() {
 	for set := 0; set < c.sets; set++ {
-		c.lockSet(set)
 		base := set * c.ways
 		for i := base; i < base+c.ways; i++ {
 			c.tags[i] = 0
 			c.age[i] = 0
 		}
-		c.ticks[set*tickStride] = 0
+		c.ticks[set] = 0
 		c.mru[set] = 0
-		c.unlockSet(set)
 	}
-	c.lastLineStore(0)
+	c.lastLine = 0
 }
 
 // Sets and Ways expose the geometry for tests.

@@ -133,14 +133,10 @@ func stateEqual(t *testing.T, a, b *Cache, label string) {
 	}
 }
 
-// coldTwins builds an identical exclusive (cache, reference) pair: 16
-// sets of the given associativity, 64-byte lines.
+// coldTwins builds an identical (cache, reference) pair: 16 sets of the
+// given associativity, 64-byte lines.
 func coldTwins(ways int) (*Cache, *Cache) {
-	a := MustNew(16*ways*64, ways, 64)
-	b := MustNew(16*ways*64, ways, 64)
-	a.SetExclusive(true)
-	b.SetExclusive(true)
-	return a, b
+	return MustNew(16*ways*64, ways, 64), MustNew(16*ways*64, ways, 64)
 }
 
 // TestAccessRangeColdMatchesAccessRange: same twin discipline for the
@@ -180,10 +176,10 @@ func TestAccessRangeColdMatchesAccessRange(t *testing.T) {
 	}
 }
 
-// TestColdHintSharedCacheDelegates: on a shared (non-exclusive) cache
-// the cold range entry must delegate wholesale — same results and same
-// state (the closed-form install never fires without the exclusivity
-// guarantee).
+// TestColdHintSharedCacheDelegates: on a cache whose sets are a mix of
+// warm and cold, the cold range entry installs the cold sets in closed
+// form and probes the warm ones, with the same results and the same state
+// as AccessRange.
 func TestColdHintSharedCacheDelegates(t *testing.T) {
 	a := MustNew(8192, 8, 64)
 	b := MustNew(8192, 8, 64)
@@ -195,9 +191,9 @@ func TestColdHintSharedCacheDelegates(t *testing.T) {
 	ha, ma := a.AccessRangeCold(0, 4096)
 	hb, mb := b.AccessRange(0, 4096)
 	if ha != hb || ma != mb {
-		t.Fatalf("range: cold %d/%d vs exact %d/%d on shared cache", ha, ma, hb, mb)
+		t.Fatalf("range: cold %d/%d vs exact %d/%d on a mixed cache", ha, ma, hb, mb)
 	}
-	stateEqual(t, a, b, "shared delegation")
+	stateEqual(t, a, b, "mixed warm and cold sets")
 }
 
 // Property: a working set no larger than one set's ways never misses after

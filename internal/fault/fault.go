@@ -32,14 +32,10 @@
 //     allocation ladder re-reads and retries, charging a small fixed
 //     re-check cost.
 //
-// Determinism contract: per-site sequence numbers are atomics, so the
-// decision *stream* per site is fixed by the seed, and any execution that
-// issues site queries in a deterministic order (the single-driver
-// simulated machine does) observes the identical fault sequence.
-// Host-concurrent executions (-race tests driving one machine from many
-// goroutines) remain safe but may interleave the per-site stream
-// differently — the same rule the determinism section of DESIGN.md §9
-// spells out for clock attribution.
+// Determinism contract: each site has its own sequence number, so the
+// decision *stream* per site is fixed by the seed, and the machine's one
+// driving goroutine issues site queries in a deterministic order, so a
+// seed replays the identical fault sequence.
 package fault
 
 import (
@@ -47,7 +43,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -227,13 +222,12 @@ func (t Tunables) withDefaults() Tunables {
 
 // Injector schedules faults for one simulated machine. A nil *Injector is
 // the disabled plane: every method is nil-safe and the query path is a
-// single predicted branch. Per-site sequence counters are atomics so
-// host-concurrent contexts may query the injector freely.
+// single predicted branch.
 type Injector struct {
 	seed uint64
 	plan Plan
 	tun  Tunables
-	seq  [trace.NumFaultSites]atomic.Uint64
+	seq  [trace.NumFaultSites]uint64
 }
 
 // New builds an injector for the given seed and plan with default
@@ -274,8 +268,8 @@ func (i *Injector) Fire(s Site) bool {
 	if r <= 0 {
 		return false
 	}
-	n := i.seq[s].Add(1)
-	return roll(i.seed, s, n) < r
+	i.seq[s]++
+	return roll(i.seed, s, i.seq[s]) < r
 }
 
 // FramePoisoned reports whether a physical frame is ECC-bad. The decision

@@ -7,7 +7,6 @@ package gc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/heap"
 	"repro/internal/machine"
@@ -62,14 +61,11 @@ type Root struct {
 
 // RootSet is the set of live roots for one runtime instance.
 type RootSet struct {
-	mu    sync.Mutex
 	roots []*Root
 }
 
 // Add registers a new root holding o and returns its handle.
 func (rs *RootSet) Add(o heap.Object) *Root {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	r := &Root{Obj: o, idx: len(rs.roots)}
 	rs.roots = append(rs.roots, r)
 	return r
@@ -77,8 +73,6 @@ func (rs *RootSet) Add(o heap.Object) *Root {
 
 // Remove drops a root. Removing an already removed root is a no-op.
 func (rs *RootSet) Remove(r *Root) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	if r.idx < 0 || r.idx >= len(rs.roots) || rs.roots[r.idx] != r {
 		return
 	}
@@ -92,15 +86,11 @@ func (rs *RootSet) Remove(r *Root) {
 // Snapshot returns the current roots (a copy of the slice; the *Root
 // handles are shared so the collector can rewrite them).
 func (rs *RootSet) Snapshot() []*Root {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	return append([]*Root(nil), rs.roots...)
 }
 
 // Len returns the root count.
 func (rs *RootSet) Len() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	return len(rs.roots)
 }
 

@@ -2,7 +2,6 @@ package heap
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -44,14 +43,13 @@ type Heap struct {
 
 	start, end uint64
 
-	mu          sync.Mutex
 	top         uint64
 	softLimit   uint64 // 0 = none; generational collectors model eden with it
 	tlabBytes   int
 	zeroOnAlloc bool
 	tlabs       []*TLAB // outstanding TLABs, retired in bulk before GC
 
-	// Allocation statistics (guarded by mu).
+	// Allocation statistics.
 	allocatedBytes   uint64
 	allocatedObjects uint64
 }
@@ -90,16 +88,12 @@ func (h *Heap) End() uint64 { return h.end }
 
 // Top returns the current allocation frontier.
 func (h *Heap) Top() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.top
 }
 
 // SetTop resets the allocation frontier — used by compaction after
 // sliding the live objects down.
 func (h *Heap) SetTop(top uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if top < h.start || top > h.end {
 		panic(fmt.Sprintf("heap: SetTop(%#x) outside [%#x,%#x]", top, h.start, h.end))
 	}
@@ -115,8 +109,6 @@ func (h *Heap) Capacity() int { return int(h.end - h.start) }
 // eden: a fresh ceiling is installed after every collection. Zero removes
 // the limit. Values are clamped to the heap range.
 func (h *Heap) SetSoftLimit(limit uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if limit != 0 {
 		if limit < h.top {
 			limit = h.top
@@ -130,12 +122,10 @@ func (h *Heap) SetSoftLimit(limit uint64) {
 
 // SoftLimit returns the current ceiling (0 = none).
 func (h *Heap) SoftLimit() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.softLimit
 }
 
-// allocEnd returns the effective allocation ceiling; callers hold h.mu.
+// allocEnd returns the effective allocation ceiling.
 func (h *Heap) allocEnd() uint64 {
 	if h.softLimit != 0 && h.softLimit < h.end {
 		return h.softLimit
@@ -156,8 +146,6 @@ func (h *Heap) Occupancy() float64 {
 
 // AllocStats reports cumulative allocation counters.
 func (h *Heap) AllocStats() (objects, bytes uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.allocatedObjects, h.allocatedBytes
 }
 
@@ -218,10 +206,8 @@ func (h *Heap) initObject(ctx *machine.Context, va uint64, spec AllocSpec) (Obje
 	if err := h.zeroRange(ctx, va+HeaderBytes, n); err != nil {
 		return 0, err
 	}
-	h.mu.Lock()
 	h.allocatedObjects++
 	h.allocatedBytes += uint64(spec.TotalBytes())
-	h.mu.Unlock()
 	return Object(va), nil
 }
 
@@ -236,10 +222,8 @@ func (h *Heap) AllocShared(ctx *machine.Context, spec AllocSpec) (Object, error)
 	}
 	size := spec.TotalBytes()
 
-	h.mu.Lock()
 	newTop := h.Policy.IfSwapAlign(size, h.top)
 	if newTop+uint64(size) > h.allocEnd() {
-		h.mu.Unlock()
 		return 0, ErrHeapFull
 	}
 	gapBefore := int(newTop - h.top)
@@ -251,7 +235,6 @@ func (h *Heap) AllocShared(ctx *machine.Context, spec AllocSpec) (Object, error)
 	}
 	gapAfter := int(alignedAfter - afterObj)
 	h.top = alignedAfter
-	h.mu.Unlock()
 
 	if err := h.WriteFiller(ctx, objVA-uint64(gapBefore), gapBefore); err != nil {
 		return 0, err

@@ -32,19 +32,16 @@ func (h *Heap) RefillTLAB(ctx *machine.Context, t *TLAB) error {
 	if t.valid {
 		return fmt.Errorf("heap: refilling an unretired TLAB")
 	}
-	h.mu.Lock()
 	// Start TLABs page-aligned so the downward large-object area can use
 	// page alignment without leaking out of the buffer.
 	base := (h.top + mem.PageMask) &^ uint64(mem.PageMask)
 	limit := base + uint64(h.tlabBytes)
 	if limit > h.allocEnd() {
-		h.mu.Unlock()
 		return ErrHeapFull
 	}
 	gap := int(base - h.top)
 	h.top = limit
 	h.tlabs = append(h.tlabs, t)
-	h.mu.Unlock()
 
 	if err := h.WriteFiller(ctx, base-uint64(gap), gap); err != nil {
 		return err
@@ -104,14 +101,12 @@ func (t *TLAB) Retire(h *Heap, ctx *machine.Context) error {
 	t.Wasted += uint64(gap)
 	t.valid = false
 
-	h.mu.Lock()
 	for i, other := range h.tlabs {
 		if other == t {
 			h.tlabs = append(h.tlabs[:i], h.tlabs[i+1:]...)
 			break
 		}
 	}
-	h.mu.Unlock()
 	return nil
 }
 
@@ -121,9 +116,7 @@ func (t *TLAB) Valid() bool { return t.valid }
 // RetireAllTLABs retires every outstanding TLAB — called at the GC
 // safepoint so the whole heap below Top parses.
 func (h *Heap) RetireAllTLABs(ctx *machine.Context) error {
-	h.mu.Lock()
 	outstanding := append([]*TLAB(nil), h.tlabs...)
-	h.mu.Unlock()
 	for _, t := range outstanding {
 		if err := t.Retire(h, ctx); err != nil {
 			return err

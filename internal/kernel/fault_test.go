@@ -3,7 +3,6 @@ package kernel
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -310,13 +309,13 @@ func TestShootdownAckTimeoutsResend(t *testing.T) {
 	}
 }
 
-// TestConcurrentSwapsWithInjectedFaults drives concurrent SwapVA traffic
-// with transients and lock stalls firing (run with -race). Every failed
-// request rolls back under the same table locks the forward pass took, so
-// the test asserts the two invariants rollback must preserve under
-// interleaving: no deadlock (the test finishes) and, at every page
-// offset, the pair of ranges still holds the original pair of pages in
-// some order — no page is lost or duplicated by a half-undone exchange.
+// TestConcurrentSwapsWithInjectedFaults interleaves SwapVA traffic from
+// three contexts round-robin over the same page pairs, one of them in the
+// opposite direction, with transients and lock stalls firing. Every failed
+// request rolls back, so the test asserts the invariant rollback must
+// preserve under interleaving: at every page offset, the pair of ranges
+// still holds the original pair of pages in some order — no page is lost
+// or duplicated by a half-undone exchange.
 func TestConcurrentSwapsWithInjectedFaults(t *testing.T) {
 	var plan fault.Plan
 	plan.Rate[trace.FaultSwapTransient] = 0.3
@@ -335,34 +334,21 @@ func TestConcurrentSwapsWithInjectedFaults(t *testing.T) {
 	opts.Flush = FlushNone // isolate PTE transactions from TLB coherence
 
 	const iters = 150
-	var wg sync.WaitGroup
-	errc := make(chan error, 3)
 	ctxs := make([]*machine.Context, 3)
-	for g := 0; g < 3; g++ {
+	for g := range ctxs {
 		ctxs[g] = f.m.NewContext(g % f.m.NumCores())
 	}
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ctx := ctxs[g]
-			for i := 0; i < iters; i++ {
-				off := uint64((i*7+g*13)%(pages-4)) << mem.PageShift
-				x, y := a+off, b+off
-				if g == 1 {
-					x, y = y, x // opposite direction over the same pairs
-				}
-				if err := f.k.SwapVA(ctx, f.as, x, y, 4, opts); err != nil && !errors.Is(err, ErrAgain) {
-					errc <- err
-					return
-				}
+	for i := 0; i < iters; i++ {
+		for g, ctx := range ctxs {
+			off := uint64((i*7+g*13)%(pages-4)) << mem.PageShift
+			x, y := a+off, b+off
+			if g == 1 {
+				x, y = y, x // opposite direction over the same pairs
 			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
+			if err := f.k.SwapVA(ctx, f.as, x, y, 4, opts); err != nil && !errors.Is(err, ErrAgain) {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	gotA := f.snapshot(t, a, pages)

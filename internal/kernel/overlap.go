@@ -64,8 +64,8 @@ func findSwapPlace(i, d, pages int) int {
 	return i - d
 }
 
-// loadFrame reads the frame of slot idx (relative to base) under its PTE
-// lock.
+// loadFrame reads the frame of slot idx (relative to base) under its
+// (simulated) PTE lock.
 func (k *Kernel) loadFrame(ctx *machine.Context, as *mmu.AddressSpace,
 	base uint64, idx int, pc *mmu.PMDCache, opts Options) (mem.FrameID, error) {
 
@@ -77,8 +77,6 @@ func (k *Kernel) loadFrame(ctx *machine.Context, as *mmu.AddressSpace,
 	stallPTELock(ctx, va)
 	ctx.Clock.Advance(ctx.Cost.PTELockNs)
 	recordLockWait(ctx, pt, nil)
-	pt.Lock()
-	defer pt.Unlock()
 	e := pt.Entry(i)
 	if !e.Present {
 		return mem.NilFrame, notMapped(va)
@@ -104,15 +102,12 @@ func (k *Kernel) exchangeFrame(ctx *machine.Context, as *mmu.AddressSpace,
 	stallPTELock(ctx, va)
 	ctx.Clock.Advance(ctx.Cost.PTELockNs)
 	recordLockWait(ctx, pt, nil)
-	pt.Lock()
 	e := pt.Entry(i)
 	if !e.Present {
-		pt.Unlock()
 		return mem.NilFrame, notMapped(va)
 	}
 	prev := e.Frame
 	if err := checkPoison(ctx, frame, prev, va, va); err != nil {
-		pt.Unlock()
 		return mem.NilFrame, err
 	}
 	e.Frame = frame
@@ -123,7 +118,6 @@ func (k *Kernel) exchangeFrame(ctx *machine.Context, as *mmu.AddressSpace,
 			uint64(frame)<<mem.PageShift, uint64(prev)<<mem.PageShift))
 	}
 	markLockBusy(ctx, pt, nil)
-	pt.Unlock()
 	if opts.PerPageFlush {
 		ctx.FlushPageLocal(as.ASID, mmu.VPN(va))
 	}

@@ -221,15 +221,9 @@ func (k *Kernel) swapBody(ctx *machine.Context, as *mmu.AddressSpace,
 	return nil
 }
 
-// swapPTEs exchanges two mapped PTEs under their table locks. Either
-// side may be resident, demand-zero, or swapped out — the exchange
-// moves the full PTE struct, so every combination is correct. Distinct
-// tables are acquired in a global order keyed by their allocation IDs —
-// a per-table identity that travels with the table when SwapPMDEntries
-// reparents it. Ordering by virtual address is NOT safe here: after a
-// concurrent huge swap reparents PTE tables, VA order no longer implies a
-// consistent table order, so two swaps could acquire the same pair of
-// tables in opposite (ABBA) order and deadlock.
+// swapPTEs exchanges two mapped PTEs under their (simulated) table
+// locks. Either side may be resident, demand-zero, or swapped out — the
+// exchange moves the full PTE struct, so every combination is correct.
 func swapPTEs(ctx *machine.Context, pt1 *mmu.PTETable, idx1 int,
 	pt2 *mmu.PTETable, idx2 int, va1, va2 uint64, tx *txn) error {
 
@@ -237,19 +231,6 @@ func swapPTEs(ctx *machine.Context, pt1 *mmu.PTETable, idx1 int,
 	ctx.Clock.Advance(2 * ctx.Cost.PTELockNs)
 	lockStart := ctx.Clock.Now()
 	recordLockWait(ctx, pt1, pt2)
-	if pt1 == pt2 {
-		pt1.Lock()
-		defer pt1.Unlock()
-	} else {
-		first, second := pt1, pt2
-		if first.ID() > second.ID() {
-			first, second = second, first
-		}
-		first.Lock()
-		second.Lock()
-		defer first.Unlock()
-		defer second.Unlock()
-	}
 	e1, e2 := pt1.Entry(idx1), pt2.Entry(idx2)
 	if !e1.Mapped() {
 		return notMapped(va1)

@@ -12,11 +12,10 @@ import (
 // unmapped page, an injected transient fault, a poisoned frame) rolls the
 // request back to its pre-call mapping instead of leaving PTEs
 // half-exchanged. The log stores resolved table pointers, not virtual
-// addresses: a concurrent huge swap may reparent a PTE table between the
-// forward exchange and the rollback, and undoing through the table identity
-// re-swaps exactly the entries the forward pass touched wherever they live
-// now — the same reasoning that makes lock ordering by table ID (not VA)
-// correct in swapPTEs.
+// addresses: a later huge swap in the same request may reparent a PTE table
+// between the forward exchange and the rollback, and undoing through the
+// table identity re-swaps exactly the entries the forward pass touched
+// wherever they live now.
 
 // undoKind discriminates the three mutation shapes a swap body performs.
 type undoKind uint8
@@ -80,23 +79,8 @@ func (k *Kernel) rollback(ctx *machine.Context, as *mmu.AddressSpace, t *txn, re
 			// Re-swap the full PTE structs, mirroring the forward
 			// exchange — swap state and tier slot roll back with the
 			// frame.
-			first, second := op.pt1, op.pt2
-			if first == second {
-				first.Lock()
-				e1, e2 := first.Entry(op.idx1), first.Entry(op.idx2)
-				*e1, *e2 = *e2, *e1
-				first.Unlock()
-			} else {
-				if first.ID() > second.ID() {
-					first, second = second, first
-				}
-				first.Lock()
-				second.Lock()
-				e1, e2 := op.pt1.Entry(op.idx1), op.pt2.Entry(op.idx2)
-				*e1, *e2 = *e2, *e1
-				second.Unlock()
-				first.Unlock()
-			}
+			e1, e2 := op.pt1.Entry(op.idx1), op.pt2.Entry(op.idx2)
+			*e1, *e2 = *e2, *e1
 			ctx.Clock.Advance(2 * ctx.Cost.PTEUpdateNs)
 		case undoPMD:
 			ctx.Clock.Advance(2*ctx.Cost.PTELockNs + 2*ctx.Cost.PTEUpdateNs)
@@ -106,9 +90,7 @@ func (k *Kernel) rollback(ctx *machine.Context, as *mmu.AddressSpace, t *txn, re
 			_ = as.SwapPMDEntries(op.va1, op.va2)
 		case undoSlot:
 			ctx.Clock.Advance(ctx.Cost.PTELockNs)
-			op.pt1.Lock()
 			op.pt1.Entry(op.idx1).Frame = op.frame
-			op.pt1.Unlock()
 			ctx.Clock.Advance(ctx.Cost.PTEUpdateNs)
 		}
 	}

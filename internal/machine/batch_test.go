@@ -12,8 +12,8 @@ import (
 
 // TestBatchChargingPredicate pins the one charging rule: every context
 // settles declared runs in closed form unless the machine has a swap
-// tier. Tracing (armed after New, as the CLIs do), fault plans,
-// watermarks and multi-driver machines do not change the path.
+// tier. Tracing (armed after New, as the CLIs do), fault plans and
+// watermarks do not change the path.
 func TestBatchChargingPredicate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -21,15 +21,13 @@ func TestBatchChargingPredicate(t *testing.T) {
 		arm  func(*Machine)
 		want bool
 	}{
-		{name: "single-driver default", cfg: Config{SingleDriver: true}, want: true},
-		{name: "multi-driver", cfg: Config{}, want: true},
-		{name: "tracer armed after New", cfg: Config{SingleDriver: true},
+		{name: "default", cfg: Config{}, want: true},
+		{name: "tracer armed after New", cfg: Config{},
 			arm: func(m *Machine) { m.EnableTracing(16) }, want: true},
-		{name: "fault plan", cfg: Config{SingleDriver: true,
-			Fault: fault.New(1, fault.Uniform(0.5))}, want: true},
-		{name: "armed watermarks", cfg: Config{SingleDriver: true, PhysBytes: 1 << 24,
+		{name: "fault plan", cfg: Config{Fault: fault.New(1, fault.Uniform(0.5))}, want: true},
+		{name: "armed watermarks", cfg: Config{PhysBytes: 1 << 24,
 			Watermarks: mem.Watermarks{Min: 8, Low: 16, High: 32}}, want: true},
-		{name: "swap tier", cfg: Config{SingleDriver: true, PhysBytes: 1 << 24,
+		{name: "swap tier", cfg: Config{PhysBytes: 1 << 24,
 			Swap: swaptier.Config{ZpoolBytes: 1 << 20}}, want: false},
 	}
 	for _, tc := range cases {
@@ -80,8 +78,8 @@ func chargeSequence(t *testing.T, m *Machine) (*Context, []uint64) {
 // settles the same run sequence to the identical clock, Perf and data as
 // a plain one.
 func TestObservabilityDoesNotPerturbCharging(t *testing.T) {
-	plain, plainData := chargeSequence(t, MustNew(Config{Cost: sim.XeonGold6130(), SingleDriver: true}))
-	om := MustNew(Config{Cost: sim.XeonGold6130(), SingleDriver: true, PhysBytes: 1 << 24,
+	plain, plainData := chargeSequence(t, MustNew(Config{Cost: sim.XeonGold6130()}))
+	om := MustNew(Config{Cost: sim.XeonGold6130(), PhysBytes: 1 << 24,
 		Watermarks: mem.Watermarks{Min: 8, Low: 16, High: 32}})
 	om.EnableTracing(64)
 	observed, observedData := chargeSequence(t, om)
@@ -109,7 +107,7 @@ func TestObservabilityDoesNotPerturbCharging(t *testing.T) {
 // machine-owned LLC/TLB/bus wiring.
 func TestContextChargeRunParity(t *testing.T) {
 	build := func() (*Context, *mmu.AddressSpace) {
-		m := MustNew(Config{Cost: sim.XeonGold6130(), SingleDriver: true})
+		m := MustNew(Config{Cost: sim.XeonGold6130()})
 		as := m.NewAddressSpace()
 		if err := as.Map(mmu.MmapBase, 8); err != nil {
 			t.Fatal(err)

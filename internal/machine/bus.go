@@ -2,7 +2,6 @@ package machine
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -22,8 +21,8 @@ import (
 // deterministic.
 type Bus struct {
 	cost    *sim.CostModel
-	streams atomic.Int64
-	jvms    atomic.Int64
+	streams int
+	jvms    int
 }
 
 // maxLatencyFactor caps how much queueing can inflate a random access.
@@ -31,42 +30,44 @@ const maxLatencyFactor = 8.0
 
 func (b *Bus) init(cost *sim.CostModel) {
 	b.cost = cost
-	b.jvms.Store(1)
+	b.jvms = 1
 }
 
 // AddStreams registers n additional active memory streams (n may be
 // negative to unregister). It returns the new count.
 func (b *Bus) AddStreams(n int) int {
-	v := b.streams.Add(int64(n))
-	if v < 0 {
+	b.streams += n
+	if b.streams < 0 {
 		panic("machine: bus stream count went negative")
 	}
-	return int(v)
+	return b.streams
 }
 
 // SetStreams sets the absolute active stream count, returning the old
 // value. Experiment drivers use it for deterministic virtual parallelism.
 func (b *Bus) SetStreams(n int) int {
-	return int(b.streams.Swap(int64(n)))
+	old := b.streams
+	b.streams = n
+	return old
 }
 
 // Streams returns the current per-JVM stream count.
-func (b *Bus) Streams() int { return int(b.streams.Load()) }
+func (b *Bus) Streams() int { return b.streams }
 
 // SetActiveJVMs sets the co-running JVM multiplier (>= 1).
 func (b *Bus) SetActiveJVMs(n int) {
 	if n < 1 {
 		n = 1
 	}
-	b.jvms.Store(int64(n))
+	b.jvms = n
 }
 
 // ActiveJVMs returns the JVM multiplier.
-func (b *Bus) ActiveJVMs() int { return int(b.jvms.Load()) }
+func (b *Bus) ActiveJVMs() int { return b.jvms }
 
 // oversubscription returns total streams / channels, at least 1.
 func (b *Bus) oversubscription() float64 {
-	total := b.streams.Load() * b.jvms.Load()
+	total := b.streams * b.jvms
 	if total < 1 {
 		total = 1
 	}

@@ -4,12 +4,16 @@
 // TLB shootdowns. It also defines Context, the per-simulated-thread handle
 // that all higher layers (kernel, heap, collectors, workloads) execute
 // through.
+//
+// A Machine is single-owner: one host goroutine drives it and everything
+// it owns, and its simulated cores advance by virtual parallelism on that
+// goroutine. Contention between simulated threads lives on the sim clock
+// (PTE-lock busy-until marks, bus streams, the GC arbiter), never in host
+// locks. Host parallelism exists only across machines.
 package machine
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/fault"
@@ -66,12 +70,10 @@ type Config struct {
 	// Nil (or a zero-rate plan) is the default healthy machine.
 	Fault *fault.Injector
 
-	// SingleDriver declares that exactly one host goroutine will drive
-	// the machine (the harness's virtual-parallelism contract: all
-	// simulated cores advance on the calling goroutine). The shared-LLC
-	// locks are elided in that case — a pure host-side speedup with
-	// bit-identical simulated results. Leave unset for machines shared
-	// across host goroutines.
+	// SingleDriver has no effect: every machine is driven by exactly one
+	// host goroutine.
+	//
+	// Deprecated: machines are single-owner; leave it unset.
 	SingleDriver bool
 }
 
@@ -88,13 +90,8 @@ type Machine struct {
 	numaPolicy topology.Policy
 	numaBind   int
 
-	asidNext atomic.Uint32
-
-	// shootdownMu serialises shootdown state mutation across concurrently
-	// driven contexts (experiments are usually single-goroutine, but the
-	// machine stays safe if they are not).
-	shootdownMu sync.Mutex
-	shootdowns  atomic.Uint64 // broadcasts since boot, all ASIDs
+	asidNext   uint32 // ASID of the most recently created address space
+	shootdowns uint64 // broadcasts since boot, all ASIDs
 
 	// tracer, when non-nil, hands each new context an event buffer.
 	tracer *trace.Tracer
@@ -103,16 +100,13 @@ type Machine struct {
 	// every context.
 	fault *fault.Injector
 
-	// asMu guards spaces, the registry of live address spaces used by
+	// spaces is the registry of live address spaces used by
 	// memory-pressure diagnostics to attribute frame usage per consumer.
-	asMu   sync.Mutex
 	spaces []*mmu.AddressSpace
 
-	// tenantMu guards tenants, the registry of per-tenant memory
-	// controllers for MemReport attribution. Registration order is the
-	// report order, so single-driver runs render tenants deterministically.
-	tenantMu sync.Mutex
-	tenants  []*mem.Tenant
+	// tenants is the registry of per-tenant memory controllers for
+	// MemReport attribution. Registration order is the report order.
+	tenants []*mem.Tenant
 
 	// Far-memory plane (nil/zero when Config.Swap is disabled).
 	swap      *swaptier.Tier
@@ -143,9 +137,6 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.SingleDriver {
-		llc.SetExclusive(true)
-	}
 	tlbEntries := cfg.TLBEntries
 	if tlbEntries <= 0 {
 		tlbEntries = mmu.DefaultTLBEntries
@@ -164,6 +155,7 @@ func New(cfg Config) (*Machine, error) {
 		numaPolicy: cfg.NUMAPolicy,
 		numaBind:   cfg.NUMABind,
 		fault:      cfg.Fault,
+		asidNext:   1,
 	}
 	m.Phys.SetNodes(topo.Sockets())
 	if cfg.Swap.Enabled() {
@@ -192,7 +184,6 @@ func New(cfg Config) (*Machine, error) {
 	for i := range m.buses {
 		m.buses[i].init(cfg.Cost)
 	}
-	m.asidNext.Store(1)
 	return m, nil
 }
 
@@ -253,7 +244,8 @@ func (m *Machine) NewAddressSpace() *mmu.AddressSpace {
 // tenant's cap (NewTenant). A nil tenant is the uncapped default,
 // bit-identical to NewAddressSpace.
 func (m *Machine) NewAddressSpaceFor(t *mem.Tenant) *mmu.AddressSpace {
-	as := mmu.NewAddressSpace(m.asidNext.Add(1), m.Phys)
+	m.asidNext++
+	as := mmu.NewAddressSpace(m.asidNext, m.Phys)
 	as.SetPlacement(mmu.Placement{
 		Policy: m.numaPolicy,
 		Bind:   m.numaBind,
@@ -265,9 +257,7 @@ func (m *Machine) NewAddressSpaceFor(t *mem.Tenant) *mmu.AddressSpace {
 	if t != nil {
 		as.SetAccounter(t)
 	}
-	m.asMu.Lock()
 	m.spaces = append(m.spaces, as)
-	m.asMu.Unlock()
 	return as
 }
 
@@ -279,14 +269,12 @@ func (m *Machine) NewTenant(name string, capFrames int) (*mem.Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.tenantMu.Lock()
 	m.tenants = append(m.tenants, t)
-	m.tenantMu.Unlock()
 	return t, nil
 }
 
 // Shootdowns reports the number of TLB-shootdown broadcasts since boot.
-func (m *Machine) Shootdowns() uint64 { return m.shootdowns.Load() }
+func (m *Machine) Shootdowns() uint64 { return m.shootdowns }
 
 // EnableTracing installs an event tracer on the machine; every context
 // created afterwards records structured events into a per-context ring
@@ -359,9 +347,9 @@ func (m *Machine) NewContext(coreID int) *Context {
 		ctx.Env.NUMA = ctx.NUMAView
 	}
 	// Closed-form settlement is bit-identical to the per-word path, so
-	// tracing, fault plans, watermarks and shared drivers all batch. A
-	// swap tier keeps the per-word path only because recorded benchmark
-	// digests hash Perf.RunFallbacks (see mmu.Env.Batch).
+	// tracing, fault plans and watermarks all batch. A swap tier keeps
+	// the per-word path only because recorded benchmark digests hash
+	// Perf.RunFallbacks (see mmu.Env.Batch).
 	ctx.Env.Batch = m.swap == nil
 	return ctx
 }
@@ -436,12 +424,10 @@ func (ctx *Context) FlushPageLocal(asid uint32, vpn uint64) {
 func (ctx *Context) ShootdownAll(asid uint32) {
 	m := ctx.M
 	start := ctx.Clock.Now()
-	m.shootdownMu.Lock()
 	for _, c := range m.cores {
 		c.TLB.FlushASID(asid)
 	}
-	m.shootdownMu.Unlock()
-	m.shootdowns.Add(1)
+	m.shootdowns++
 	_, inter := m.topo.Fanout(ctx.Core.Socket)
 	ctx.Clock.Advance(ctx.Cost.TLBFlushLocalNs +
 		m.topo.ShootdownNs(ctx.Cost, ctx.Core.Socket))

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/mem"
-	"repro/internal/mmu"
 	"repro/internal/swaptier"
 )
 
@@ -43,26 +42,12 @@ func (m *Machine) MemReport() MemReport {
 		r.Swap = m.swap.Stats()
 		r.SwapEnabled = true
 	}
-	// Snapshot the registry first, then query each space unlocked:
-	// MappedPages takes the space's mapping lock, and holding asMu across
-	// that acquisition would order asMu before every mapMu — a lock-order
-	// hazard against concurrent NewAddressSpace callers that already hold
-	// their space's lock (and a needless stall of AS churn while a
-	// pressure report formats).
-	m.asMu.Lock()
-	spaces := make([]*mmu.AddressSpace, len(m.spaces))
-	copy(spaces, m.spaces)
-	m.asMu.Unlock()
-	for _, as := range spaces {
+	for _, as := range m.spaces {
 		if p := as.MappedPages(); p > 0 {
 			r.Top = append(r.Top, ASUsage{ASID: as.ASID, Pages: p})
 		}
 	}
-	m.tenantMu.Lock()
-	tenants := make([]*mem.Tenant, len(m.tenants))
-	copy(tenants, m.tenants)
-	m.tenantMu.Unlock()
-	for _, t := range tenants {
+	for _, t := range m.tenants {
 		r.Tenants = append(r.Tenants, t.Usage())
 	}
 	sort.Slice(r.Top, func(i, j int) bool {

@@ -19,8 +19,7 @@ import (
 // from.
 //
 // Like sim.Perf and trace.Buffer, a NUMAView is owned by one simulated
-// thread; the machine state it reads (frame→node table, bus stream
-// counts) is lock-free.
+// thread.
 type NUMAView struct {
 	m      *Machine
 	socket int

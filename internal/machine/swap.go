@@ -37,56 +37,42 @@ func (s *machineSwapper) PageIn(env *mmu.Env, as *mmu.AddressSpace, va uint64) (
 	if err != nil {
 		return mem.NilFrame, false, nil // nothing mapped here: a real fault
 	}
-	for {
-		pt.Lock()
-		e := pt.Entry(idx)
-		if e.Present {
-			f := e.Frame
-			pt.Unlock()
-			return f, true, nil // another faulter won the race
-		}
-		state, slotID := e.State, e.Slot
-		pt.Unlock()
-		if state == mmu.SwapNone {
-			return mem.NilFrame, false, nil
-		}
-		f, err := m.faultAllocFrame(env, as)
-		if err != nil {
-			return mem.NilFrame, false, err
-		}
-		t0 := env.Clock.Now()
-		env.Clock.Advance(env.Cost.SyscallNs + env.Cost.PTEUpdateNs)
-		frame := m.Phys.Frame(f)
-		if state == mmu.SwapSlot {
-			m.swap.PageIn(env, slotID, frame[:])
-		} else {
-			// Demand-zero minor fault: the kernel clears the page at
-			// streaming bandwidth before handing it out.
-			env.Clock.Advance(sim.CopyNs(mem.PageSize, env.Cost.StreamBWGBs))
-		}
-		pt.Lock()
-		e = pt.Entry(idx)
-		if e.Present || e.State != state || e.Slot != slotID {
-			// The entry changed while we were filling (another faulter,
-			// an unmap, a SwapVA): drop our frame and re-examine.
-			pt.Unlock()
-			m.Phys.FreeFrame(f)
-			continue
-		}
-		// Accessed is set on install: the page was just touched, so the
-		// reclaimer's clock must give it a full second chance.
-		*e = mmu.PTE{Frame: f, Present: true, Accessed: true}
-		pt.Unlock()
-		if state == mmu.SwapSlot {
-			// Only now that the install committed is the tier copy dead.
-			m.swap.Free(slotID)
-			env.Perf.SwapInPages++
-			env.Trace.Emit(trace.KindSwapIn, "swap:in", t0, env.Clock.Since(t0), 1, va)
-		} else {
-			env.Perf.ZeroFillPages++
-		}
-		return f, true, nil
+	e := pt.Entry(idx)
+	if e.Present {
+		return e.Frame, true, nil
 	}
+	state, slotID := e.State, e.Slot
+	if state == mmu.SwapNone {
+		return mem.NilFrame, false, nil
+	}
+	// Reclaim inside faultAllocFrame evicts resident pages only, so this
+	// non-resident entry is unchanged when the frame arrives.
+	f, err := m.faultAllocFrame(env, as)
+	if err != nil {
+		return mem.NilFrame, false, err
+	}
+	t0 := env.Clock.Now()
+	env.Clock.Advance(env.Cost.SyscallNs + env.Cost.PTEUpdateNs)
+	frame := m.Phys.Frame(f)
+	if state == mmu.SwapSlot {
+		m.swap.PageIn(env, slotID, frame[:])
+	} else {
+		// Demand-zero minor fault: the kernel clears the page at
+		// streaming bandwidth before handing it out.
+		env.Clock.Advance(sim.CopyNs(mem.PageSize, env.Cost.StreamBWGBs))
+	}
+	// Accessed is set on install: the page was just touched, so the
+	// reclaimer's clock must give it a full second chance.
+	*e = mmu.PTE{Frame: f, Present: true, Accessed: true}
+	if state == mmu.SwapSlot {
+		// Only now that the install committed is the tier copy dead.
+		m.swap.Free(slotID)
+		env.Perf.SwapInPages++
+		env.Trace.Emit(trace.KindSwapIn, "swap:in", t0, env.Clock.Since(t0), 1, va)
+	} else {
+		env.Perf.ZeroFillPages++
+	}
+	return f, true, nil
 }
 
 func (s *machineSwapper) FreeSlot(slot uint32) { s.m.swap.Free(slot) }
@@ -177,7 +163,7 @@ func (m *Machine) runReclaim(env *mmu.Env, target int) int {
 		Fault:     m.fault,
 		Shootdown: func(asid uint32) { m.reclaimShootdown(env, asid) },
 	}
-	return m.reclaimer.Reclaim(rc, m.spacesSnapshot(), target)
+	return m.reclaimer.Reclaim(rc, m.spaces, target)
 }
 
 // reclaimShootdown invalidates every core's translations for asid before
@@ -188,12 +174,10 @@ func (m *Machine) runReclaim(env *mmu.Env, target int) int {
 // syscall-path broadcast only.
 func (m *Machine) reclaimShootdown(env *mmu.Env, asid uint32) {
 	start := env.Clock.Now()
-	m.shootdownMu.Lock()
 	for _, c := range m.cores {
 		c.TLB.FlushASID(asid)
 	}
-	m.shootdownMu.Unlock()
-	m.shootdowns.Add(1)
+	m.shootdowns++
 	_, inter := m.topo.Fanout(0)
 	env.Clock.Advance(env.Cost.TLBFlushLocalNs + m.topo.ShootdownNs(env.Cost, 0))
 	env.Perf.TLBFlushLocal++
@@ -202,15 +186,6 @@ func (m *Machine) reclaimShootdown(env *mmu.Env, asid uint32) {
 	env.Perf.IPIsRemote += uint64(inter)
 	env.Trace.Emit(trace.KindShootdown, "tlb-shootdown", start,
 		env.Clock.Now()-start, uint64(m.NumCores()-1), uint64(inter))
-}
-
-// spacesSnapshot copies the live address-space registry. Spaces are
-// appended at creation in ASID order, so the snapshot's order — and with
-// it the reclaimer's scan order — is deterministic.
-func (m *Machine) spacesSnapshot() []*mmu.AddressSpace {
-	m.asMu.Lock()
-	defer m.asMu.Unlock()
-	return append([]*mmu.AddressSpace(nil), m.spaces...)
 }
 
 // SwapEnabled reports whether the far-memory plane is armed.
@@ -263,7 +238,6 @@ func (ctx *Context) DiscardPages(as *mmu.AddressSpace, va uint64, pages int) int
 		if err != nil {
 			continue
 		}
-		pt.Lock()
 		e := pt.Entry(idx)
 		switch {
 		case e.Present:
@@ -273,13 +247,10 @@ func (ctx *Context) DiscardPages(as *mmu.AddressSpace, va uint64, pages int) int
 		case e.State == mmu.SwapSlot:
 			slot := e.Slot
 			*e = mmu.PTE{State: mmu.SwapZero}
-			pt.Unlock()
 			m.swap.Free(slot)
 			slots++
 			ctx.Clock.Advance(ctx.Cost.PTEUpdateNs)
-			continue
 		}
-		pt.Unlock()
 	}
 	if len(frames) > 0 {
 		ctx.ShootdownAll(as.ASID)
@@ -312,10 +283,7 @@ func (ctx *Context) DrainSwapped(as *mmu.AddressSpace, va uint64, pages, keepFre
 		if err != nil {
 			continue
 		}
-		pt.Lock()
-		state := pt.Entry(idx).State
-		pt.Unlock()
-		if state != mmu.SwapSlot {
+		if pt.Entry(idx).State != mmu.SwapSlot {
 			continue
 		}
 		if m.Phys.FreeFrames() <= keepFree {

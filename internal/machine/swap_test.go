@@ -17,10 +17,9 @@ import (
 func TestSwapZeroValueParity(t *testing.T) {
 	build := func(withField bool) (*Context, *mmu.AddressSpace) {
 		cfg := Config{
-			Cost:         sim.XeonGold6130(),
-			PhysBytes:    1 << 24,
-			Watermarks:   mem.Watermarks{Min: 8, Low: 16, High: 32},
-			SingleDriver: true,
+			Cost:       sim.XeonGold6130(),
+			PhysBytes:  1 << 24,
+			Watermarks: mem.Watermarks{Min: 8, Low: 16, High: 32},
 		}
 		if withField {
 			cfg.Swap = swaptier.Config{} // the zero value: disabled
@@ -70,10 +69,9 @@ func TestSwapZeroValueParity(t *testing.T) {
 func swapFixture(t *testing.T) (*Machine, *Context, *mmu.AddressSpace) {
 	t.Helper()
 	m := MustNew(Config{
-		Cost:         sim.XeonGold6130(),
-		PhysBytes:    64 << mem.PageShift,
-		Swap:         swaptier.Config{ZpoolBytes: 4 << 20},
-		SingleDriver: true,
+		Cost:      sim.XeonGold6130(),
+		PhysBytes: 64 << mem.PageShift,
+		Swap:      swaptier.Config{ZpoolBytes: 4 << 20},
 	})
 	return m, m.NewContext(0), m.NewAddressSpace()
 }

@@ -7,8 +7,6 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 const (
@@ -111,9 +109,8 @@ func (p Pressure) String() string {
 	}
 }
 
-// PhysMem is the simulated physical memory. Allocation is mutex-protected;
-// Frame lookups are lock-free (the frame table is replaced atomically when
-// it grows) so translated accesses never contend with the allocator.
+// PhysMem is the simulated physical memory of one machine, driven by the
+// machine's one host goroutine.
 //
 // The pool is optionally partitioned into NUMA nodes: each frame is tagged
 // with the node it was placed on at allocation time, freed frames return
@@ -130,17 +127,16 @@ func (p Pressure) String() string {
 // here, and with watermarks disabled (the default) behaviour is
 // bit-identical to the unwatermarked allocator.
 type PhysMem struct {
-	mu      sync.Mutex
-	table   atomic.Pointer[[]*[PageSize]byte] // index 0 unused (NilFrame)
-	nodeTab atomic.Pointer[[]uint8]           // node tag per frame, parallel to table
-	free    [][]FrameID                       // per-node free lists
+	table   []*[PageSize]byte // index 0 unused (NilFrame)
+	nodeTab []uint8           // node tag per frame, parallel to table
+	free    [][]FrameID       // per-node free lists
 	nodes   int
 	limit   int // maximum number of frames, 0 = unlimited
 	inUse   int
 
 	wm       Watermarks
-	wmOn     atomic.Bool // mirrors wm.Enabled() for lock-free fast paths
-	reserved int         // frames promised to reservation holders, not yet drawn
+	wmOn     bool // mirrors wm.Enabled() for the allocation fast path
+	reserved int  // frames promised to reservation holders, not yet drawn
 }
 
 // NewPhysMem creates a physical memory able to hold up to totalBytes of
@@ -151,12 +147,13 @@ func NewPhysMem(totalBytes int64) *PhysMem {
 	if totalBytes > 0 {
 		limit = int(totalBytes >> PageShift)
 	}
-	pm := &PhysMem{limit: limit, nodes: 1, free: make([][]FrameID, 1)}
-	initial := make([]*[PageSize]byte, 1, 1024) // slot 0 = NilFrame
-	pm.table.Store(&initial)
-	nodeInit := make([]uint8, 1, 1024)
-	pm.nodeTab.Store(&nodeInit)
-	return pm
+	return &PhysMem{
+		table:   make([]*[PageSize]byte, 1, 1024), // slot 0 = NilFrame
+		nodeTab: make([]uint8, 1, 1024),
+		free:    make([][]FrameID, 1),
+		nodes:   1,
+		limit:   limit,
+	}
 }
 
 // SetNodes partitions the pool into n NUMA nodes. Call it before any
@@ -166,8 +163,6 @@ func (pm *PhysMem) SetNodes(n int) {
 	if n < 1 {
 		n = 1
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	pm.nodes = n
 	for len(pm.free) < n {
 		pm.free = append(pm.free, nil)
@@ -176,41 +171,31 @@ func (pm *PhysMem) SetNodes(n int) {
 
 // Nodes returns the NUMA node count.
 func (pm *PhysMem) Nodes() int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	return pm.nodes
 }
 
-// NodeOf returns the NUMA node a frame was placed on. Lock-free, like
-// Frame, so placement-aware access charging never contends with the
-// allocator.
+// NodeOf returns the NUMA node a frame was placed on.
 func (pm *PhysMem) NodeOf(id FrameID) int {
-	tab := *pm.nodeTab.Load()
-	if int(id) >= len(tab) {
+	if int(id) >= len(pm.nodeTab) {
 		return 0
 	}
-	return int(tab[id])
+	return int(pm.nodeTab[id])
 }
 
 // SetWatermarks arms (or, with a zero value, disarms) the min/low/high
 // thresholds. Watermarks require a bounded pool. Call it before the
-// pressure-sensitive workload starts; arming is not synchronised with
-// in-flight allocations beyond the allocator lock.
+// pressure-sensitive workload starts.
 func (pm *PhysMem) SetWatermarks(w Watermarks) error {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	if err := w.validate(pm.limit); err != nil {
 		return err
 	}
 	pm.wm = w
-	pm.wmOn.Store(w.Enabled())
+	pm.wmOn = w.Enabled()
 	return nil
 }
 
 // Watermarks returns the armed thresholds (zero value when disabled).
 func (pm *PhysMem) Watermarks() Watermarks {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	return pm.wm
 }
 
@@ -218,13 +203,6 @@ func (pm *PhysMem) Watermarks() Watermarks {
 // limit minus live frames minus outstanding reservations. It returns -1
 // for an unbounded pool.
 func (pm *PhysMem) FreeFrames() int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return pm.availLocked()
-}
-
-// availLocked is FreeFrames with pm.mu held.
-func (pm *PhysMem) availLocked() int {
 	if pm.limit <= 0 {
 		return -1
 	}
@@ -232,16 +210,13 @@ func (pm *PhysMem) availLocked() int {
 }
 
 // PressureLevel reports the current backpressure level. The disabled path
-// (no watermarks armed — the default) is a single atomic load, so
-// per-allocation polling by the runtime costs nothing on zero-pressure
-// machines.
+// (no watermarks armed — the default) is a single load, so per-allocation
+// polling by the runtime costs nothing on zero-pressure machines.
 func (pm *PhysMem) PressureLevel() Pressure {
-	if !pm.wmOn.Load() {
+	if !pm.wmOn {
 		return PressureNone
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	avail := pm.availLocked()
+	avail := pm.FreeFrames()
 	switch {
 	case avail <= pm.wm.Min:
 		return PressureMin
@@ -262,8 +237,6 @@ func (pm *PhysMem) Reserve(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	if pm.limit > 0 && pm.inUse+pm.reserved+n > pm.limit {
 		return fmt.Errorf("mem: cannot reserve %d frames (%d in use, %d already reserved, limit %d): %w",
 			n, pm.inUse, pm.reserved, pm.limit, ErrNoMemory)
@@ -277,8 +250,6 @@ func (pm *PhysMem) ReleaseReserve(n int) {
 	if n <= 0 {
 		return
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	pm.reserved -= n
 	if pm.reserved < 0 {
 		pm.reserved = 0
@@ -287,8 +258,6 @@ func (pm *PhysMem) ReleaseReserve(n int) {
 
 // Reserved reports the outstanding (undrawn) reservation count.
 func (pm *PhysMem) Reserved() int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	return pm.reserved
 }
 
@@ -304,9 +273,7 @@ func (pm *PhysMem) AllocFrame() (FrameID, error) { return pm.AllocFrameOn(0) }
 // armed the allocation additionally refuses (ErrWatermark) to leave fewer
 // than Min frames available.
 func (pm *PhysMem) AllocFrameOn(node int) (FrameID, error) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return pm.allocLocked(node, false)
+	return pm.alloc(node, false)
 }
 
 // AllocFrameReserved draws one frame against an outstanding reservation:
@@ -314,12 +281,10 @@ func (pm *PhysMem) AllocFrameOn(node int) (FrameID, error) {
 // aside) and decrements the reservation count. Without an outstanding
 // reservation it behaves exactly like AllocFrameOn.
 func (pm *PhysMem) AllocFrameReserved(node int) (FrameID, error) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	if pm.reserved <= 0 {
-		return pm.allocLocked(node, false)
+		return pm.alloc(node, false)
 	}
-	id, err := pm.allocLocked(node, true)
+	id, err := pm.alloc(node, true)
 	if err == nil {
 		pm.reserved--
 	}
@@ -333,65 +298,49 @@ func (pm *PhysMem) FreeFrameToReserve(id FrameID) {
 	if id == NilFrame {
 		return
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	pm.freeLocked(id)
+	pm.release(id)
 	pm.reserved++
 }
 
-// allocLocked is the allocator core; callers hold mu. reserved draws skip
-// the watermark gate but never the hard limit.
-func (pm *PhysMem) allocLocked(node int, reserved bool) (FrameID, error) {
+// alloc is the allocator core. reserved draws skip the watermark gate but
+// never the hard limit.
+func (pm *PhysMem) alloc(node int, reserved bool) (FrameID, error) {
 	if node < 0 || node >= pm.nodes {
 		node = 0
 	}
-	if !reserved && pm.limit > 0 && pm.wmOn.Load() {
+	if !reserved && pm.limit > 0 && pm.wmOn {
 		// Gate before touching any free list: granting this frame must
 		// leave at least Min frames available to reservation holders.
-		if pm.availLocked()-1 < pm.wm.Min {
+		if pm.FreeFrames()-1 < pm.wm.Min {
 			return NilFrame, fmt.Errorf(
 				"mem: %w (min %d, %d available, %d reserved, %d/%d frames in use)",
-				ErrWatermark, pm.wm.Min, pm.availLocked(), pm.reserved, pm.inUse, pm.limit)
+				ErrWatermark, pm.wm.Min, pm.FreeFrames(), pm.reserved, pm.inUse, pm.limit)
 		}
 	}
-	cur := *pm.table.Load()
 	if id, ok := pm.popFree(node); ok {
-		*cur[id] = [PageSize]byte{}
+		*pm.table[id] = [PageSize]byte{}
 		pm.inUse++
 		return id, nil
 	}
-	if pm.limit > 0 && len(cur)-1 >= pm.limit {
+	if pm.limit > 0 && len(pm.table)-1 >= pm.limit {
 		// The pool is fully grown: spill over the other nodes' free lists
 		// (Linux's zonelist fallback) before declaring exhaustion.
 		for i := 1; i < pm.nodes; i++ {
 			if id, ok := pm.popFree((node + i) % pm.nodes); ok {
-				*cur[id] = [PageSize]byte{}
+				*pm.table[id] = [PageSize]byte{}
 				pm.inUse++
 				return id, nil
 			}
 		}
 		return NilFrame, fmt.Errorf("mem: %w (%d frames)", ErrNoMemory, pm.limit)
 	}
-	next := cur
-	if len(cur) == cap(cur) {
-		next = make([]*[PageSize]byte, len(cur), 2*cap(cur))
-		copy(next, cur)
-	}
-	next = append(next, new([PageSize]byte))
-	pm.table.Store(&next)
-	nodeCur := *pm.nodeTab.Load()
-	nodeNext := nodeCur
-	if len(nodeCur) == cap(nodeCur) {
-		nodeNext = make([]uint8, len(nodeCur), 2*cap(nodeCur))
-		copy(nodeNext, nodeCur)
-	}
-	nodeNext = append(nodeNext, uint8(node))
-	pm.nodeTab.Store(&nodeNext)
+	pm.table = append(pm.table, new([PageSize]byte))
+	pm.nodeTab = append(pm.nodeTab, uint8(node))
 	pm.inUse++
-	return FrameID(len(next) - 1), nil
+	return FrameID(len(pm.table) - 1), nil
 }
 
-// popFree pops the youngest free frame of a node; callers hold mu.
+// popFree pops the youngest free frame of a node.
 func (pm *PhysMem) popFree(node int) (FrameID, bool) {
 	l := pm.free[node]
 	if len(l) == 0 {
@@ -432,16 +381,14 @@ func (pm *PhysMem) FreeFrame(id FrameID) {
 	if id == NilFrame {
 		return
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	pm.freeLocked(id)
+	pm.release(id)
 }
 
-// freeLocked returns a frame to its node's free list; callers hold mu.
-func (pm *PhysMem) freeLocked(id FrameID) {
+// release returns a frame to its node's free list.
+func (pm *PhysMem) release(id FrameID) {
 	node := 0
-	if tab := *pm.nodeTab.Load(); int(id) < len(tab) {
-		node = int(tab[id])
+	if int(id) < len(pm.nodeTab) {
+		node = int(pm.nodeTab[id])
 	}
 	if node >= len(pm.free) {
 		node = 0
@@ -453,17 +400,14 @@ func (pm *PhysMem) freeLocked(id FrameID) {
 // Frame returns the byte storage of a frame. It panics on NilFrame or an
 // out-of-range ID, which always indicates a translation bug.
 func (pm *PhysMem) Frame(id FrameID) *[PageSize]byte {
-	cur := *pm.table.Load()
-	if id == NilFrame || int(id) >= len(cur) {
+	if id == NilFrame || int(id) >= len(pm.table) {
 		panic(fmt.Sprintf("mem: invalid frame %d", id))
 	}
-	return cur[id]
+	return pm.table[id]
 }
 
 // FramesInUse reports the number of live frames.
 func (pm *PhysMem) FramesInUse() int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	return pm.inUse
 }
 
@@ -490,16 +434,14 @@ type Usage struct {
 	Nodes      []NodeUsage
 }
 
-// Usage snapshots the allocator state under one lock acquisition.
+// Usage snapshots the allocator state.
 func (pm *PhysMem) Usage() Usage {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	u := Usage{
 		Limit:      pm.limit,
-		Grown:      len(*pm.table.Load()) - 1,
+		Grown:      len(pm.table) - 1,
 		InUse:      pm.inUse,
 		Reserved:   pm.reserved,
-		Available:  pm.availLocked(),
+		Available:  pm.FreeFrames(),
 		Watermarks: pm.wm,
 		Nodes:      make([]NodeUsage, pm.nodes),
 	}
@@ -514,7 +456,7 @@ func (pm *PhysMem) Usage() Usage {
 	for n := range u.Nodes {
 		u.Nodes[n] = NodeUsage{Node: n, Free: len(pm.free[n])}
 	}
-	for _, tag := range (*pm.nodeTab.Load())[1:] {
+	for _, tag := range pm.nodeTab[1:] {
 		if int(tag) < len(u.Nodes) {
 			u.Nodes[tag].Grown++
 		}

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -92,31 +91,6 @@ func TestInvalidFramePanics(t *testing.T) {
 			}()
 			pm.Frame(id)
 		}()
-	}
-}
-
-func TestConcurrentAllocAndAccess(t *testing.T) {
-	pm := NewPhysMem(0)
-	seed, _ := pm.AllocFrame()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				f, err := pm.AllocFrame()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				pm.Frame(f)[0] = byte(g)
-				_ = pm.Frame(seed)[0] // concurrent read while table grows
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := pm.FramesInUse(); got != 1+8*200 {
-		t.Errorf("FramesInUse = %d, want %d", got, 1+8*200)
 	}
 }
 

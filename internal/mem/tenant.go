@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ErrTenantCap wraps ErrNoMemory for allocations refused because they would
 // push one tenant past its own cap, not because the machine is out of
@@ -46,11 +43,10 @@ type TenantUsage struct {
 // scaled from the cap exactly like the machine-wide plane scales from the
 // physical pool. Mapping charges pages against the cap before any frame is
 // allocated, so an over-cap tenant is refused without disturbing the
-// machine-wide allocator, and unmapping uncharges symmetrically. All
-// methods are goroutine-safe; a nil *Tenant disables every check.
+// machine-wide allocator, and unmapping uncharges symmetrically. A nil
+// *Tenant disables every check.
 type Tenant struct {
 	name string
-	mu   sync.Mutex
 	cap  int // frames; the hard limit
 	wm   Watermarks
 	used int // pages currently charged
@@ -95,8 +91,6 @@ func (t *Tenant) ChargePages(n int) error {
 	if t == nil || n <= 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.used+n > t.cap {
 		return &CapError{Tenant: t.name, CapFrames: t.cap, Charged: t.used, Need: n}
 	}
@@ -114,12 +108,10 @@ func (t *Tenant) UnchargePages(n int) {
 	if t == nil || n <= 0 {
 		return
 	}
-	t.mu.Lock()
 	t.used -= n
 	if t.used < 0 {
 		t.used = 0
 	}
-	t.mu.Unlock()
 }
 
 // PressureLevel maps the tenant's remaining budget onto the watermark
@@ -130,9 +122,7 @@ func (t *Tenant) PressureLevel() Pressure {
 	if t == nil {
 		return PressureNone
 	}
-	t.mu.Lock()
 	avail := t.cap - t.used
-	t.mu.Unlock()
 	switch {
 	case avail <= t.wm.Min:
 		return PressureMin
@@ -150,8 +140,6 @@ func (t *Tenant) AboveHigh() bool {
 	if t == nil {
 		return true
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.cap-t.used > t.wm.High
 }
 
@@ -168,10 +156,8 @@ func (t *Tenant) Usage() TenantUsage {
 	if t == nil {
 		return TenantUsage{}
 	}
-	t.mu.Lock()
 	u := TenantUsage{Name: t.name, CapFrames: t.cap, Charged: t.used, Peak: t.peak}
 	avail := t.cap - t.used
-	t.mu.Unlock()
 	switch {
 	case avail <= t.wm.Min:
 		u.Pressure = PressureMin

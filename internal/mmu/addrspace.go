@@ -3,8 +3,6 @@ package mmu
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/topology"
@@ -18,13 +16,12 @@ type AddressSpace struct {
 	ASID uint32
 	Phys *mem.PhysMem
 
-	mapMu       sync.Mutex
 	root        pgd
 	vaNext      uint64
 	mappedPages int
 
 	place     Placement
-	placeNext int // interleave cursor; guarded by mapMu
+	placeNext int // interleave cursor
 
 	// swapper, when non-nil, arms the far-memory plane: Map creates
 	// demand-zero PTEs instead of allocating frames eagerly, and
@@ -54,8 +51,6 @@ type Accounter interface {
 // any mapping is created; a nil accounter (the default) keeps the address
 // space bit-identical to the unaccounted simulator.
 func (as *AddressSpace) SetAccounter(a Accounter) {
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
 	as.acct = a
 }
 
@@ -86,8 +81,6 @@ type Swapper interface {
 // mapping is created; a nil swapper (the default) keeps the address
 // space bit-identical to the pre-swap simulator.
 func (as *AddressSpace) SetSwapper(s Swapper) {
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
 	as.swapper = s
 }
 
@@ -114,8 +107,6 @@ type Placement struct {
 
 // SetPlacement installs the placement policy for subsequent Map calls.
 func (as *AddressSpace) SetPlacement(p Placement) {
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
 	if p.Nodes < 1 {
 		p.Nodes = 1
 	}
@@ -127,19 +118,15 @@ func (as *AddressSpace) SetPlacement(p Placement) {
 // rest of the policy; callers set it before mapping a region on behalf of
 // a thread with a known socket.
 func (as *AddressSpace) SetHome(node int) {
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
 	as.place.Home = node
 }
 
 // Placement returns the active placement policy.
 func (as *AddressSpace) Placement() Placement {
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
 	return as.place
 }
 
-// placeNode picks the node for the next mapped page; callers hold mapMu.
+// placeNode picks the node for the next mapped page.
 func (as *AddressSpace) placeNode() int {
 	switch as.place.Policy {
 	case topology.PolicyInterleave:
@@ -163,8 +150,6 @@ func (as *AddressSpace) placeNode() int {
 // materialised lazily by faults spreads across nodes exactly like one
 // populated eagerly.
 func (as *AddressSpace) PlaceNextNode() int {
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
 	return as.placeNode()
 }
 
@@ -186,12 +171,10 @@ func (as *AddressSpace) Map(va uint64, pages int) error {
 	if va&mem.PageMask != 0 {
 		return fmt.Errorf("mmu: Map: va %#x not page-aligned", va)
 	}
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
 	// Tenant quota gate: the whole range is charged before any frame is
 	// allocated, so an over-cap tenant is refused without disturbing the
 	// machine-wide allocator. The rollback paths below uncharge through
-	// unmapLocked for the pages already mapped, plus the remainder here.
+	// Unmap for the pages already mapped, plus the remainder here.
 	if as.acct != nil {
 		if err := as.acct.ChargePages(pages); err != nil {
 			return err
@@ -203,31 +186,27 @@ func (as *AddressSpace) Map(va uint64, pages int) error {
 		e := pt.Entry(PTEIndex(addr))
 		if e.Mapped() {
 			// Roll back this call's mappings before failing.
-			as.unmapLocked(va, i, true)
+			as.Unmap(va, i, true)
 			if as.acct != nil {
 				as.acct.UnchargePages(pages - i)
 			}
 			return fmt.Errorf("mmu: Map: va %#x already mapped", addr)
 		}
 		if as.swapper != nil {
-			pt.Lock()
 			e.Frame = mem.NilFrame
 			e.State = SwapZero
-			pt.Unlock()
 			continue
 		}
 		f, err := as.Phys.AllocFrameOn(as.placeNode())
 		if err != nil {
-			as.unmapLocked(va, i, true)
+			as.Unmap(va, i, true)
 			if as.acct != nil {
 				as.acct.UnchargePages(pages - i)
 			}
 			return err
 		}
-		pt.Lock()
 		e.Frame = f
 		e.Present = true
-		pt.Unlock()
 	}
 	as.mappedPages += pages
 	return nil
@@ -237,10 +216,8 @@ func (as *AddressSpace) Map(va uint64, pages int) error {
 // returning its base VA. An extra unmapped guard page is left between
 // regions so out-of-bounds accesses fault.
 func (as *AddressSpace) MapRegion(pages int) (uint64, error) {
-	as.mapMu.Lock()
 	va := as.vaNext
 	as.vaNext += uint64(pages+1) << mem.PageShift
-	as.mapMu.Unlock()
 	if err := as.Map(va, pages); err != nil {
 		return 0, err
 	}
@@ -250,12 +227,6 @@ func (as *AddressSpace) MapRegion(pages int) (uint64, error) {
 // Unmap removes the mappings for [va, va+pages*PageSize); when freeFrames
 // is true the backing frames are returned to physical memory.
 func (as *AddressSpace) Unmap(va uint64, pages int, freeFrames bool) {
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
-	as.unmapLocked(va, pages, freeFrames)
-}
-
-func (as *AddressSpace) unmapLocked(va uint64, pages int, freeFrames bool) {
 	unmapped := 0
 	for i := 0; i < pages; i++ {
 		addr := va + uint64(i)<<mem.PageShift
@@ -267,11 +238,9 @@ func (as *AddressSpace) unmapLocked(va uint64, pages int, freeFrames bool) {
 		if !e.Mapped() {
 			continue
 		}
-		pt.Lock()
 		f, present := e.Frame, e.Present
 		slot, state := e.Slot, e.State
 		*e = PTE{Frame: mem.NilFrame}
-		pt.Unlock()
 		if present && freeFrames {
 			as.Phys.FreeFrame(f)
 		}
@@ -288,8 +257,6 @@ func (as *AddressSpace) unmapLocked(va uint64, pages int, freeFrames bool) {
 
 // MappedPages reports how many pages are currently mapped.
 func (as *AddressSpace) MappedPages() int {
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
 	return as.mappedPages
 }
 
@@ -307,15 +274,12 @@ func (as *AddressSpace) PTETableFor(va uint64) (*PTETable, int, error) {
 // SwapPMDEntries exchanges the two page-table (PMD) entries covering va1
 // and va2 — relocating 512 pages (2 MiB) in one pointer swap, the
 // huge-swap extension of SwapVA. Both addresses must be 2 MiB aligned and
-// their PMD entries present. The address-space mapping lock serialises
-// the exchange against mapping changes; the caller is responsible for TLB
-// coherence, exactly as with PTE swaps.
+// their PMD entries present. The caller is responsible for TLB coherence,
+// exactly as with PTE swaps.
 func (as *AddressSpace) SwapPMDEntries(va1, va2 uint64) error {
 	if va1%PMDSpan != 0 || va2%PMDSpan != 0 {
 		return fmt.Errorf("mmu: SwapPMDEntries: %#x/%#x not 2MiB-aligned", va1, va2)
 	}
-	as.mapMu.Lock()
-	defer as.mapMu.Unlock()
 	s1, err := as.pmdSlot(va1)
 	if err != nil {
 		return err
@@ -324,15 +288,12 @@ func (as *AddressSpace) SwapPMDEntries(va1, va2 uint64) error {
 	if err != nil {
 		return err
 	}
-	t1, t2 := s1.Load(), s2.Load()
-	s1.Store(t2)
-	s2.Store(t1)
+	*s1, *s2 = *s2, *s1
 	return nil
 }
 
-// pmdSlot returns the PMD entry (the atomic *PTETable slot) covering va;
-// callers hold mapMu.
-func (as *AddressSpace) pmdSlot(va uint64) (*atomic.Pointer[PTETable], error) {
+// pmdSlot returns the PMD entry (the *PTETable slot) covering va.
+func (as *AddressSpace) pmdSlot(va uint64) (**PTETable, error) {
 	pu := as.root.puds[pgdIndex(va)]
 	if pu == nil {
 		return nil, badVA("pmdSlot", va)
@@ -342,7 +303,7 @@ func (as *AddressSpace) pmdSlot(va uint64) (*atomic.Pointer[PTETable], error) {
 		return nil, badVA("pmdSlot", va)
 	}
 	slot := &pm.tables[pmdIndex(va)]
-	if slot.Load() == nil {
+	if *slot == nil {
 		return nil, badVA("pmdSlot", va)
 	}
 	return slot, nil
@@ -374,8 +335,7 @@ func (as *AddressSpace) Translate(env *Env, va uint64) (uint64, error) {
 func (as *AddressSpace) translatePage(env *Env, va uint64) (mem.FrameID, error) {
 	vpn := VPN(va)
 	env.Perf.TLBLookups++
-	f, ok, retries := env.TLB.LookupCounted(as.ASID, vpn)
-	env.Perf.TLBSeqlockRetries += retries
+	f, ok := env.TLB.Lookup(as.ASID, vpn)
 	if ok {
 		env.Clock.Advance(env.Cost.TLBHitNs)
 		return f, nil
@@ -406,11 +366,7 @@ func (as *AddressSpace) translatePage(env *Env, va uint64) (mem.FrameID, error) 
 
 // markAccessed sets the clock-algorithm reference bit on va's PTE. Only
 // called with a swap tier armed, on the TLB-miss (page-table walk) path
-// — the same visibility real hardware gives the Accessed bit. The
-// unlocked bool store races only with the reclaimer's clearing pass,
-// and either outcome is a legal clock state; under the single-driver
-// machine (the only configuration that arms swap) there is no host
-// concurrency at all.
+// — the same visibility real hardware gives the Accessed bit.
 func (as *AddressSpace) markAccessed(va uint64) {
 	if pt := as.root.walk(va, false); pt != nil {
 		pt.Entry(PTEIndex(va)).Accessed = true
@@ -590,10 +546,8 @@ func (as *AddressSpace) RawWrite(va uint64, p []byte) error {
 			if !ok {
 				return fmt.Errorf("mmu: RawWrite: va %#x: swap tier full", va)
 			}
-			pt.Lock()
 			e.Slot = slot
 			e.State = SwapSlot
-			pt.Unlock()
 		default:
 			return badVA("RawWrite", va)
 		}
@@ -614,10 +568,7 @@ func allZero(p []byte) bool {
 
 // ForEachTable visits every allocated PTE table in ascending VA order,
 // calling fn with the table and the base VA of its 2 MiB span, until fn
-// returns false. The walk takes no locks — like Lookup it relies on
-// directory pointers being published before any PTE in them goes live —
-// so the reclaimer can scan for victims without stalling mutators that
-// hold the mapping lock.
+// returns false. The reclaimer scans for victims with it.
 func (as *AddressSpace) ForEachTable(fn func(baseVA uint64, pt *PTETable) bool) {
 	for gi, pu := range as.root.puds {
 		if pu == nil {
@@ -628,7 +579,7 @@ func (as *AddressSpace) ForEachTable(fn func(baseVA uint64, pt *PTETable) bool) 
 				continue
 			}
 			for mi := range pm.tables {
-				pt := pm.tables[mi].Load()
+				pt := pm.tables[mi]
 				if pt == nil {
 					continue
 				}

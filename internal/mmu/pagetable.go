@@ -7,8 +7,6 @@ package mmu
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/mem"
 )
@@ -67,67 +65,47 @@ type PTE struct {
 // state: resident, demand-zero, or swapped out.
 func (e *PTE) Mapped() bool { return e.Present || e.State != SwapNone }
 
-// PTETable is the last level of the tree: 512 PTEs guarded by one lock,
-// mirroring Linux's split page-table locks (pte_offset_map_lock locks the
-// page that holds the PTEs). Each table carries a unique allocation ID:
-// the stable identity lock-ordering protocols must use, because a table's
-// covering virtual range is NOT stable — SwapPMDEntries reparents whole
-// tables between PMD slots.
+// PTETable is the last level of the tree: 512 PTEs covered by one split
+// page-table lock in the modelled kernel (pte_offset_map_lock locks the
+// page that holds the PTEs). The lock is simulated, not taken: the kernel
+// charges each acquisition on the sim clock and records hold times in
+// busyUntil.
 type PTETable struct {
 	id uint64
-	mu sync.Mutex
 	// busyUntil is the simulated time at which the most recent critical
 	// section on this table ends — the queueing-delay bookkeeping behind
 	// sim.Perf's PTELockWaits. It is observational only: kernel lock paths
 	// read it to attribute wait time but never advance a clock from it, so
-	// arming or ignoring it cannot change any simulated outcome. Atomic
-	// because tables are read by host-concurrent contexts under -race.
-	busyUntil atomic.Int64
+	// arming or ignoring it cannot change any simulated outcome.
+	busyUntil int64
 	ptes      [entriesPerLevel]PTE
 }
 
-// ID returns the table's allocation ID. IDs are unique per address space
-// for the lifetime of the process and travel with the table when
-// SwapPMDEntries moves it, which makes them a deadlock-safe lock order
-// (a page-table operation only ever locks tables of one address space).
-// They are handed out deterministically — the n'th table an address space
-// creates always gets ID n — so traces replay bit-identically across
-// processes and across machines within one process.
+// ID returns the table's allocation ID, the identity the swap trace event
+// records. IDs are unique per address space and travel with the table
+// when SwapPMDEntries moves it, so they name a table even though its
+// covering virtual range is not stable. They are handed out
+// deterministically — the n'th table an address space creates always
+// gets ID n — so traces replay bit-identically across processes and
+// across machines within one process.
 func (t *PTETable) ID() uint64 { return t.id }
 
-// Lock acquires the table's PTE lock (pte_offset_map_lock).
-func (t *PTETable) Lock() { t.mu.Lock() }
-
-// Unlock releases the table's PTE lock (pte_unmap_unlock).
-func (t *PTETable) Unlock() { t.mu.Unlock() }
-
-// Entry returns a pointer to the idx'th PTE. The caller must hold the
-// table lock when mutating through it.
+// Entry returns a pointer to the idx'th PTE.
 func (t *PTETable) Entry(idx int) *PTE { return &t.ptes[idx] }
 
 // BusyUntil returns the simulated end time of the latest critical section
 // recorded on this table (0 if none).
-func (t *PTETable) BusyUntil() int64 { return t.busyUntil.Load() }
+func (t *PTETable) BusyUntil() int64 { return t.busyUntil }
 
 // MarkBusyUntil records that a critical section on this table ran until
 // the given simulated time. Monotonic: an earlier end never overwrites a
 // later one, so overlapping recorders keep the farthest horizon.
-func (t *PTETable) MarkBusyUntil(end int64) {
-	for {
-		cur := t.busyUntil.Load()
-		if end <= cur || t.busyUntil.CompareAndSwap(cur, end) {
-			return
-		}
-	}
-}
+func (t *PTETable) MarkBusyUntil(end int64) { t.busyUntil = max(t.busyUntil, end) }
 
-// pmd is one page middle directory. Its slots are atomic pointers because
-// SwapPMDEntries exchanges two slots (under the address-space mapping
-// lock) while lock-free walkers may be resolving PTE tables concurrently;
-// each reader then sees either the old or the new table, never a torn
-// pointer.
+// pmd is one page middle directory; SwapPMDEntries exchanges two of its
+// slots.
 type pmd struct {
-	tables [entriesPerLevel]atomic.Pointer[PTETable]
+	tables [entriesPerLevel]*PTETable
 }
 
 type pud struct {
@@ -136,9 +114,8 @@ type pud struct {
 
 type pgd struct {
 	puds [entriesPerLevel]*pud
-	// tableSeq hands out PTETable allocation IDs, starting at 1. Creation
-	// runs under the address-space mapping lock, so a plain counter is
-	// enough, and per-space numbering keeps the IDs replay-deterministic.
+	// tableSeq hands out PTETable allocation IDs, starting at 1; per-space
+	// numbering keeps the IDs replay-deterministic.
 	tableSeq uint64
 }
 
@@ -153,9 +130,7 @@ func PTEIndex(va uint64) int { return int(va>>pteShift) & levelMask }
 func VPN(va uint64) uint64 { return va >> mem.PageShift }
 
 // walk descends the tree to the PTE table covering va, optionally creating
-// missing directories. Directory creation is guarded by the address-space
-// mapping lock in callers; lock-free readers are safe because directory
-// pointers are written once before any PTE in them becomes Present.
+// missing directories.
 func (r *pgd) walk(va uint64, create bool) *PTETable {
 	pu := r.puds[pgdIndex(va)]
 	if pu == nil {
@@ -173,14 +148,14 @@ func (r *pgd) walk(va uint64, create bool) *PTETable {
 		pm = &pmd{}
 		pu.pmds[pudIndex(va)] = pm
 	}
-	pt := pm.tables[pmdIndex(va)].Load()
+	pt := pm.tables[pmdIndex(va)]
 	if pt == nil {
 		if !create {
 			return nil
 		}
 		r.tableSeq++
 		pt = &PTETable{id: r.tableSeq}
-		pm.tables[pmdIndex(va)].Store(pt)
+		pm.tables[pmdIndex(va)] = pt
 	}
 	return pt
 }

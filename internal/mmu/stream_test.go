@@ -121,13 +121,11 @@ func TestChargeStreamMatchesReadWrite(t *testing.T) {
 // TestStreamColdHintParity: the cold hint on stream entries is advisory
 // — with it and without it, the clock, the counters and all future
 // cache behaviour must be identical, whether the hint can engage
-// (exclusive cache, batched env) or is ignored (Batch off).
+// (batched env) or is ignored (Batch off).
 func TestStreamColdHintParity(t *testing.T) {
 	for _, batch := range []bool{true, false} {
 		asC, envC := runFixture(t, batch)
 		asP, envP := runFixture(t, batch)
-		envC.Cache.SetExclusive(true)
-		envP.Cache.SetExclusive(true)
 
 		words := make([]uint64, 1200)
 		for i := range words {

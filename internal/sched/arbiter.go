@@ -20,8 +20,6 @@
 package sched
 
 import (
-	"sync"
-
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -88,10 +86,9 @@ type window struct {
 // Arbiter is the admission controller. A nil *Arbiter is the disabled
 // plane: every method is nil-safe and Admit grants immediately, so
 // zero-config runs are bit-identical to a simulator without the arbiter.
-// Methods are goroutine-safe for the -race harnesses; determinism holds
-// whenever the call order is deterministic (single-driver machines).
+// Like the machine whose tenants it arbitrates, an arbiter is driven by
+// one host goroutine.
 type Arbiter struct {
-	mu     sync.Mutex
 	maxCon int
 	aging  sim.Time
 	inj    *fault.Injector
@@ -126,9 +123,7 @@ func (a *Arbiter) DeclareDeadline(tenant string, at, slack sim.Time) {
 	if a == nil || slack <= 0 {
 		return
 	}
-	a.mu.Lock()
 	a.windows = append(a.windows, window{tenant: tenant, start: at, end: at + slack})
-	a.mu.Unlock()
 }
 
 // Admit asks permission for tenant to run a collection of the expected
@@ -146,9 +141,7 @@ func (a *Arbiter) Admit(tenant string, now, expected sim.Time) Grant {
 	if expected <= 0 {
 		expected = 1
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.pruneLocked(now)
+	a.prune(now)
 
 	g := Grant{Start: now}
 	if a.inj.Enabled(trace.FaultArbiterStall) && a.inj.Fire(trace.FaultArbiterStall) {
@@ -209,7 +202,6 @@ func (a *Arbiter) Release(tenant string, end sim.Time) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
 	for i := len(a.reservations) - 1; i >= 0; i-- {
 		r := &a.reservations[i]
 		if r.tenant == tenant {
@@ -219,7 +211,6 @@ func (a *Arbiter) Release(tenant string, end sim.Time) {
 			break
 		}
 	}
-	a.mu.Unlock()
 }
 
 // Stats snapshots the admission counters. Nil-safe.
@@ -227,14 +218,12 @@ func (a *Arbiter) Stats() Stats {
 	if a == nil {
 		return Stats{}
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.stats
 }
 
 // bookFullAt reports whether [t, t+d) already has MaxConcurrent foreign
 // reservations overlapping it; if so it returns the earliest overlapping
-// reservation end past t, the next candidate start. Callers hold mu.
+// reservation end past t, the next candidate start.
 func (a *Arbiter) bookFullAt(t, d sim.Time, tenant string) (sim.Time, bool) {
 	count := 0
 	var next sim.Time
@@ -254,7 +243,7 @@ func (a *Arbiter) bookFullAt(t, d sim.Time, tenant string) (sim.Time, bool) {
 }
 
 // windowAt reports whether a foreign deadline window overlaps [t, t+d);
-// if so it returns the earliest such window's end. Callers hold mu.
+// if so it returns the earliest such window's end.
 func (a *Arbiter) windowAt(t, d sim.Time, tenant string) (sim.Time, bool) {
 	var next sim.Time
 	blocked := false
@@ -270,9 +259,9 @@ func (a *Arbiter) windowAt(t, d sim.Time, tenant string) (sim.Time, bool) {
 	return next, blocked
 }
 
-// pruneLocked drops reservations and windows that virtual time has fully
-// passed. Callers hold mu.
-func (a *Arbiter) pruneLocked(now sim.Time) {
+// prune drops reservations and windows that virtual time has fully
+// passed.
+func (a *Arbiter) prune(now sim.Time) {
 	keepR := a.reservations[:0]
 	for _, r := range a.reservations {
 		if r.end > now {

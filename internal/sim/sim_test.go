@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -209,7 +211,20 @@ func TestPerfAddCommutes(t *testing.T) {
 		y.Add(&a)
 		return x == y
 	}
-	if err := quick.Check(f, nil); err != nil {
+	// testing/quick cannot set Perf's blank field, so fill the named
+	// counters here.
+	randomPerfs := func(args []reflect.Value, rng *rand.Rand) {
+		for i := range args {
+			v := reflect.New(reflect.TypeOf(Perf{})).Elem()
+			for j := 0; j < v.NumField(); j++ {
+				if v.Type().Field(j).Name != "_" {
+					v.Field(j).SetUint(rng.Uint64())
+				}
+			}
+			args[i] = v
+		}
+	}
+	if err := quick.Check(f, &quick.Config{Values: randomPerfs}); err != nil {
 		t.Error(err)
 	}
 }

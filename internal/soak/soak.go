@@ -74,10 +74,9 @@ type Config struct {
 	// heap's resident live prefix exactly. The zero value changes nothing.
 	Swap swaptier.Config
 	// Tenants, when > 1, selects the multi-tenant soak instead: that many
-	// capped tenant JVMs churn concurrently (one host goroutine each, so
-	// the machine runs its concurrent paths), with per-tenant charge
-	// baselines and cap-isolation probes checked every cycle. FailFasts
-	// then counts refused over-cap mappings.
+	// capped tenant JVMs churn in turn on the calling goroutine, with
+	// per-tenant charge baselines and cap-isolation probes checked every
+	// cycle. FailFasts then counts refused over-cap mappings.
 	Tenants int
 	// TenantCapFrames overrides the per-tenant cap in the multi-tenant
 	// soak (default: twice the heap plus slack).
@@ -135,11 +134,10 @@ func Run(cfg Config) (*Result, error) {
 
 	swapMode := cfg.Swap.Enabled()
 	m, err := machine.New(machine.Config{
-		Cost:         sim.XeonGold6130(),
-		PhysBytes:    soakPhysFrames << mem.PageShift,
-		Watermarks:   soakWatermarks,
-		Swap:         cfg.Swap,
-		SingleDriver: true,
+		Cost:       sim.XeonGold6130(),
+		PhysBytes:  soakPhysFrames << mem.PageShift,
+		Watermarks: soakWatermarks,
+		Swap:       cfg.Swap,
 	})
 	if err != nil {
 		return nil, err

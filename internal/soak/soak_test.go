@@ -1,6 +1,7 @@
 package soak
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -87,8 +88,8 @@ func TestSoakRejectsUnknownCollector(t *testing.T) {
 	}
 }
 
-// TestSoakMultiTenant runs the concurrent capped-tenant soak: several
-// tenant JVMs churning at once, per-tenant charge baselines flat every
+// TestSoakMultiTenant runs the capped-tenant soak: several tenant JVMs
+// churning in turn on one machine, per-tenant charge baselines flat every
 // cycle, and the over-cap isolation probe refused with the structured
 // cap error while neighbours keep allocating.
 func TestSoakMultiTenant(t *testing.T) {
@@ -121,5 +122,22 @@ func TestSoakMultiTenantCopyGC(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("multi-tenant soak failed: %v (after %+v)", err, res)
+	}
+}
+
+// TestSoakMultiTenantReplaysBySeed: the tenants churn on one goroutine, so
+// two same-seed soaks return identical results, simulated time included.
+func TestSoakMultiTenantReplaysBySeed(t *testing.T) {
+	cfg := Config{Tenants: 3, Duration: time.Nanosecond, Seed: 7}
+	a, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same-seed soaks diverged:\n%+v\n%+v", a, b)
 	}
 }

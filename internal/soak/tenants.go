@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/gc"
@@ -17,10 +16,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Multi-tenant soak: N capped tenants, each its own JVM driven by its
-// own host goroutine, churning concurrently on one machine. The machine
-// pool is unlimited — isolation comes from the per-tenant caps — and
-// the invariants are per-tenant: every cycle each tenant's charged
+// Multi-tenant soak: N capped tenants, each its own JVM, churning in turn
+// on one machine from the calling goroutine, so a seed replays the whole
+// soak. The machine pool is unlimited — isolation comes from the
+// per-tenant caps — and the invariants are per-tenant: every cycle each tenant's charged
 // pages return to its post-warm-up baseline, an over-cap mapping is
 // refused with the structured cap error while the neighbours keep
 // allocating, and the machine-wide frame/reservation/goroutine
@@ -42,7 +41,7 @@ type tenantRig struct {
 }
 
 // churn is one tenant's cycle: drop survivors, allocate a fresh set,
-// collect. Runs concurrently with the other tenants' churn.
+// collect. The tenants of a cycle churn one after another.
 func (r *tenantRig) churn(n int) error {
 	for _, root := range r.live {
 		r.j.Roots.Remove(root)
@@ -86,8 +85,6 @@ func runTenants(cfg Config) (*Result, error) {
 		capFrames = 2*int(soakHeapBytes>>mem.PageShift) + tenantCapSlack
 	}
 
-	// No SingleDriver: each tenant's goroutine drives its own JVM, so the
-	// machine must keep its shared LLC's per-set locks.
 	m, err := machine.New(machine.Config{Cost: sim.XeonGold6130()})
 	if err != nil {
 		return nil, err
@@ -120,17 +117,12 @@ func runTenants(cfg Config) (*Result, error) {
 	res := &Result{}
 
 	cycle := func(n int) error {
-		errs := make([]error, len(rigs))
-		var wg sync.WaitGroup
-		for i, r := range rigs {
-			wg.Add(1)
-			go func(i int, r *tenantRig) {
-				defer wg.Done()
-				errs[i] = r.churn(n)
-			}(i, r)
+		for _, r := range rigs {
+			if err := r.churn(n); err != nil {
+				return err
+			}
 		}
-		wg.Wait()
-		return errors.Join(errs...)
+		return nil
 	}
 
 	// Warm-up cycle, then pin the baselines.

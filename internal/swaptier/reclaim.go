@@ -36,8 +36,8 @@ type ReclaimContext struct {
 // (the tier preserves contents), only a cost.
 //
 // Determinism: the clock hand advances in virtual-address order through
-// a lock-free directory walk, all eviction decisions are pure functions
-// of PTE state, and the single-driver machine runs an entire activation
+// a directory walk, all eviction decisions are pure functions
+// of PTE state, and the single-owner machine runs an entire activation
 // without interleaving other simulated work — so the same workload
 // produces the identical eviction sequence, slot assignment, and cost
 // stream at any host parallelism.
@@ -139,16 +139,10 @@ func (r *Reclaimer) scanSpace(rc ReclaimContext, as *mmu.AddressSpace, want int)
 				e.Accessed = false
 				continue
 			}
-			t.pt.Lock()
-			if !e.Present || e.Accessed {
-				t.pt.Unlock()
-				continue
-			}
 			frame := e.Frame
 			page := r.phys.Frame(frame)
 			slot, zero, err := r.tier.pageOut(rc.Env, rc.Fault, page[:])
 			if err != nil {
-				t.pt.Unlock()
 				if errors.Is(err, ErrFarWrite) {
 					// Transient device failure: the page stays resident
 					// and a later pass retries it.
@@ -167,7 +161,6 @@ func (r *Reclaimer) scanSpace(rc ReclaimContext, as *mmu.AddressSpace, want int)
 				*e = mmu.PTE{State: mmu.SwapSlot, Slot: slot}
 				stored++
 			}
-			t.pt.Unlock()
 			evicted = append(evicted, frame)
 			r.hands[as.ASID] = va + mem.PageSize
 		}
@@ -204,8 +197,6 @@ func (t *Tier) wouldGoFar(page []byte) bool {
 	if cs == compressedHeaderBytes {
 		return false // all-zero pages are discarded, not stored
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return !(t.cfg.ZpoolBytes > 0 && t.zpUsed+int64(cs) <= t.cfg.ZpoolBytes) &&
 		t.cfg.FarBytes > 0
 }

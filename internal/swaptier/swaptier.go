@@ -33,7 +33,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/mmu"
@@ -128,15 +127,12 @@ type Stats struct {
 	ZeroPages  uint64 // write-backs discarded as all-zero
 }
 
-// Tier is one machine's swap backing store. Methods are mutex-protected
-// so host-concurrent contexts may fault through it; determinism comes
-// from the single-driver machine ordering the calls, exactly as with
-// the physical allocator.
+// Tier is one machine's swap backing store, driven by the machine's one
+// host goroutine like every other part of the machine.
 type Tier struct {
 	cfg  Config
 	cost *sim.CostModel
 
-	mu      sync.Mutex
 	slots   []slot // index 0 unused: slot IDs are 1-based
 	freeIDs []uint32
 	zpUsed  int64
@@ -188,12 +184,9 @@ func (t *Tier) PageOut(env *mmu.Env, page []byte) (id uint32, zero bool, err err
 	if cs == compressedHeaderBytes {
 		// Same-filled page: discard, don't store. The compressor still ran.
 		env.Clock.Advance(t.cost.CyclesNs(compressCyclesPerByte * mem.PageSize))
-		t.mu.Lock()
 		t.zeroPages++
-		t.mu.Unlock()
 		return 0, true, nil
 	}
-	t.mu.Lock()
 	far := false
 	switch {
 	case t.cfg.ZpoolBytes > 0 && t.zpUsed+int64(cs) <= t.cfg.ZpoolBytes:
@@ -202,23 +195,17 @@ func (t *Tier) PageOut(env *mmu.Env, page []byte) (id uint32, zero bool, err err
 		far = true
 		t.farUsed += mem.PageSize
 	default:
-		t.mu.Unlock()
 		return 0, false, ErrTierFull
 	}
-	id = t.takeSlotLocked()
+	id = t.takeSlot()
 	s := &t.slots[id]
 	s.data = append(s.data[:0], page...)
 	s.far = far
 	s.csize = cs
 	s.used = true
 	t.outPages++
-	wait := sim.Time(0)
 	if far {
-		wait = t.chargeFarLocked(env.Clock.Now())
-	}
-	t.mu.Unlock()
-	if far {
-		env.Clock.Advance(wait)
+		env.Clock.Advance(t.chargeFar(env.Clock.Now()))
 	} else {
 		env.Clock.Advance(t.cost.CyclesNs(compressCyclesPerByte * mem.PageSize))
 	}
@@ -230,28 +217,21 @@ func (t *Tier) PageOut(env *mmu.Env, page []byte) (id uint32, zero bool, err err
 // once the page is re-installed, so a failed install never loses the
 // only copy of the data.
 func (t *Tier) PageIn(env *mmu.Env, id uint32, dst []byte) {
-	t.mu.Lock()
 	s := t.slot(id)
 	copy(dst, s.data)
-	far := s.far
 	t.inPages++
-	wait := sim.Time(0)
-	if far {
-		wait = t.chargeFarLocked(env.Clock.Now())
-	}
-	t.mu.Unlock()
-	if far {
-		env.Clock.Advance(wait)
+	if s.far {
+		env.Clock.Advance(t.chargeFar(env.Clock.Now()))
 	} else {
 		env.Clock.Advance(t.cost.CyclesNs(decompressCyclesPerByte * mem.PageSize))
 	}
 }
 
-// chargeFarLocked models the single-queue far device: the transfer
-// starts when the device is free, runs for latency + PageSize at the
-// device bandwidth, and the caller waits until it completes. Returns
-// the wait to charge; callers hold t.mu.
-func (t *Tier) chargeFarLocked(now sim.Time) sim.Time {
+// chargeFar models the single-queue far device: the transfer starts
+// when the device is free, runs for latency + PageSize at the device
+// bandwidth, and the caller waits until it completes. Returns the wait
+// to charge.
+func (t *Tier) chargeFar(now sim.Time) sim.Time {
 	start := t.farBusy
 	if now > start {
 		start = now
@@ -263,22 +243,17 @@ func (t *Tier) chargeFarLocked(now sim.Time) sim.Time {
 
 // Free releases a slot without reading it (unmap, post-GC discard).
 func (t *Tier) Free(id uint32) {
-	t.mu.Lock()
-	t.releaseLocked(id)
-	t.mu.Unlock()
+	t.release(id)
 }
 
 // Peek copies len(p) bytes at off within the slot's page, uncharged.
 func (t *Tier) Peek(id uint32, off int, p []byte) {
-	t.mu.Lock()
 	copy(p, t.slot(id).data[off:])
-	t.mu.Unlock()
 }
 
 // Poke overwrites the slot's page at off, uncharged, re-deriving the
 // compressed size (the zpool budget tracks contents).
 func (t *Tier) Poke(id uint32, off int, p []byte) {
-	t.mu.Lock()
 	s := t.slot(id)
 	copy(s.data[off:], p)
 	if !s.far {
@@ -286,15 +261,12 @@ func (t *Tier) Poke(id uint32, off int, p []byte) {
 		t.zpUsed += int64(cs - s.csize)
 		s.csize = cs
 	}
-	t.mu.Unlock()
 }
 
 // Admit stores a full page uncharged (raw host-side plumbing: a
 // RawWrite landing on a demand-zero page). ok=false when full.
 func (t *Tier) Admit(page []byte) (uint32, bool) {
 	cs := csizeOf(page)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	far := false
 	switch {
 	case t.cfg.ZpoolBytes > 0 && t.zpUsed+int64(cs) <= t.cfg.ZpoolBytes:
@@ -305,7 +277,7 @@ func (t *Tier) Admit(page []byte) (uint32, bool) {
 	default:
 		return 0, false
 	}
-	id := t.takeSlotLocked()
+	id := t.takeSlot()
 	s := &t.slots[id]
 	s.data = append(s.data[:0], page...)
 	s.far = far
@@ -316,8 +288,6 @@ func (t *Tier) Admit(page []byte) (uint32, bool) {
 
 // Slots reports the live slot count — the machine's swapped-page count.
 func (t *Tier) Slots() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
 	for i := 1; i < len(t.slots); i++ {
 		if t.slots[i].used {
@@ -329,8 +299,6 @@ func (t *Tier) Slots() int {
 
 // Stats snapshots occupancy and traffic counters.
 func (t *Tier) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	st := Stats{
 		ZpoolUsed: t.zpUsed, FarUsed: t.farUsed,
 		OutPages: t.outPages, InPages: t.inPages, ZeroPages: t.zeroPages,
@@ -348,9 +316,9 @@ func (t *Tier) Stats() Stats {
 	return st
 }
 
-// takeSlotLocked hands out a slot ID, reusing freed ones youngest-first
+// takeSlot hands out a slot ID, reusing freed ones youngest-first
 // (deterministic: the free list is a LIFO fed by deterministic frees).
-func (t *Tier) takeSlotLocked() uint32 {
+func (t *Tier) takeSlot() uint32 {
 	if n := len(t.freeIDs); n > 0 {
 		id := t.freeIDs[n-1]
 		t.freeIDs = t.freeIDs[:n-1]
@@ -360,7 +328,7 @@ func (t *Tier) takeSlotLocked() uint32 {
 	return uint32(len(t.slots) - 1)
 }
 
-func (t *Tier) releaseLocked(id uint32) {
+func (t *Tier) release(id uint32) {
 	s := t.slot(id)
 	if s.far {
 		t.farUsed -= mem.PageSize

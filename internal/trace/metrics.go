@@ -71,7 +71,6 @@ type Snapshot struct {
 func SnapshotOf(tracers ...*Tracer) *Snapshot {
 	s := &Snapshot{EventsByKind: make(map[string]uint64)}
 	for _, t := range tracers {
-		t.mu.Lock()
 		for _, b := range t.bufs {
 			for k := 0; k < numKinds; k++ {
 				if c := b.m.kindCount[k]; c > 0 {
@@ -102,7 +101,6 @@ func SnapshotOf(tracers ...*Tracer) *Snapshot {
 			s.SwapInPages += b.m.swapInPages
 			s.ReclaimRuns += b.m.reclaimRuns
 		}
-		t.mu.Unlock()
 	}
 	return s
 }

@@ -3,15 +3,12 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"sync"
 )
 
 // spillSink is the shared streaming destination of a tracer's buffers.
-// Emission stays lock-free until a ring fills; only the flush of a full
-// ring takes the sink lock, so the cost is amortised over thousands of
-// events per acquisition.
+// Emission only reaches it when a ring fills, so the encoding cost is
+// amortised over thousands of events per flush.
 type spillSink struct {
-	mu  sync.Mutex
 	w   io.Writer
 	enc *json.Encoder
 	err error // first write error; later flushes become no-ops
@@ -24,8 +21,6 @@ type spillSink struct {
 // importer consume). Events carry the buffer's tid so interleaved flushes
 // from different contexts stay attributable.
 func (s *spillSink) write(events []Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.err != nil {
 		return
 	}
@@ -46,13 +41,6 @@ func (s *spillSink) write(events []Event) {
 	}
 }
 
-// Err returns the first error the sink's writer reported, if any.
-func (s *spillSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
 // SetSpill switches the tracer to streaming mode: when a context's ring
 // buffer fills, its events are flushed to w as Chrome-format JSON lines
 // instead of overwriting the oldest entries, so long runs keep every event
@@ -65,8 +53,6 @@ func (s *spillSink) Err() error {
 // earlier keep the ring-overwrite behaviour. Merge still returns whatever
 // remains unflushed in the rings (the tail of the run).
 func (t *Tracer) SetSpill(w io.Writer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.perBuf > DefaultEventsPerContext {
 		t.perBuf = DefaultEventsPerContext
 	}
@@ -76,24 +62,16 @@ func (t *Tracer) SetSpill(w io.Writer) {
 // SpillErr reports the first error encountered while streaming spilled
 // events, or nil (also when spilling is disabled).
 func (t *Tracer) SpillErr() error {
-	t.mu.Lock()
-	s := t.spill
-	t.mu.Unlock()
-	if s == nil {
+	if t.spill == nil {
 		return nil
 	}
-	return s.Err()
+	return t.spill.err
 }
 
 // Spilled reports how many events have been streamed out so far.
 func (t *Tracer) Spilled() uint64 {
-	t.mu.Lock()
-	s := t.spill
-	t.mu.Unlock()
-	if s == nil {
+	if t.spill == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushed
+	return t.spill.flushed
 }

@@ -24,7 +24,6 @@ package trace
 import (
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -266,8 +265,8 @@ const DefaultEventsPerContext = 8192
 
 // Buffer is the per-context event sink. A nil *Buffer is the disabled
 // tracer: every method is nil-safe and the emit path returns immediately.
-// A Buffer is owned by one simulated thread and is not goroutine-safe,
-// exactly like the context's sim.Perf counters.
+// A Buffer is owned by one simulated thread, exactly like the context's
+// sim.Perf counters.
 type Buffer struct {
 	tid  int
 	core int
@@ -374,10 +373,10 @@ func (b *Buffer) drain() []Event {
 }
 
 // Tracer is the machine-wide registry of per-context buffers. One Tracer
-// serves one simulated machine; merging and metric aggregation happen at
-// snapshot time so the emit path stays lock-free.
+// serves one simulated machine and, like it, is driven by one host
+// goroutine; merging and metric aggregation happen at snapshot time so the
+// emit path stays a ring append.
 type Tracer struct {
-	mu     sync.Mutex
 	perBuf int
 	bufs   []*Buffer
 	spill  *spillSink // nil unless SetSpill enabled streaming mode
@@ -393,10 +392,8 @@ func New(eventsPerContext int) *Tracer {
 }
 
 // NewBuffer registers and returns a buffer for a context running on the
-// given core. Called by machine.NewContext; safe for concurrent use.
+// given core. Called by machine.NewContext.
 func (t *Tracer) NewBuffer(core int) *Buffer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	b := &Buffer{tid: len(t.bufs) + 1, core: core, cap: t.perBuf, spill: t.spill}
 	t.bufs = append(t.bufs, b)
 	return b
@@ -404,18 +401,13 @@ func (t *Tracer) NewBuffer(core int) *Buffer {
 
 // Buffers returns the number of registered per-context buffers.
 func (t *Tracer) Buffers() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.bufs)
 }
 
 // Merge returns every buffered event across all contexts, ordered by
 // simulated timestamp (ties broken by TID, then per-buffer emission
-// order). Call it after the simulated work has completed; it must not run
-// concurrently with emission.
+// order). Call it after the simulated work has completed.
 func (t *Tracer) Merge() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var all []Event
 	for _, b := range t.bufs {
 		all = append(all, b.drain()...)

@@ -10,7 +10,7 @@ import (
 // run executes one cluster on a fresh machine with the given config.
 func run(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130(), SingleDriver: true})
+	m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130()})
 	res, err := Run(m, cfg)
 	if err != nil {
 		t.Fatalf("smr run: %v", err)
