@@ -141,9 +141,14 @@ func main() {
 	})
 	wall := time.Since(wallStart).Seconds()
 	runs, simNs := bench.HarnessStats()
+	// The width that ran: tracing forces a serial sweep whatever -parallel says.
+	width := *parallel
+	if width < 1 || opt.OnMachine != nil {
+		width = 1
+	}
 	fmt.Fprintf(os.Stderr,
 		"harness: %d workload runs, %.3fs simulated in %.1fs wall — %.0f sim-ns/host-ms, %.2f runs/s, parallel=%d\n",
-		runs, simNs.Seconds(), wall, float64(simNs)/(wall*1e3), float64(runs)/wall, *parallel)
+		runs, simNs.Seconds(), wall, float64(simNs)/(wall*1e3), float64(runs)/wall, width)
 
 	if *traceOut != "" {
 		if err := writeFile(*traceOut, trace.ChromeTraceOf(tracers...).Write); err != nil {

@@ -116,8 +116,12 @@ func main() {
 		return
 	}
 	if *smrHeap > 0 {
+		if *spillOut != "" {
+			fmt.Fprintln(os.Stderr, "svagc: -trace-spill needs a -bench workload, not -smr")
+			os.Exit(2)
+		}
 		if err := runSMR(*mach, *collector, *smrHeap<<20, *tenants, *workers,
-			*seed, *tenantCap, *gcArb, *faultPln, *faultRt, *faultSd, *traceOut, *traceBuf); err != nil {
+			*seed, *tenantCap, *gcArb, *faultPln, *faultRt, *faultSd, *traceOut, *metrics, *traceBuf); err != nil {
 			fmt.Fprintln(os.Stderr, "svagc: smr:", err)
 			os.Exit(1)
 		}
@@ -364,7 +368,7 @@ func main() {
 // -gc-arbiter is set, leader churn driven by GC pauses.
 func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
 	seed, tenantCapMiB int64, maxConcurrentGC int,
-	faultPln string, faultRt float64, faultSd int64, traceOut string, traceBuf int) error {
+	faultPln string, faultRt float64, faultSd int64, traceOut, metrics string, traceBuf int) error {
 
 	cost, err := sim.ModelByName(mach)
 	if err != nil {
@@ -385,7 +389,7 @@ func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
 		return err
 	}
 	var tr *trace.Tracer
-	if traceOut != "" {
+	if traceOut != "" || metrics != "" {
 		tr = m.EnableTracing(traceBuf)
 	}
 	capFrames := int(tenantCapMiB << 20 >> mem.PageShift)
@@ -426,6 +430,11 @@ func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
 	if traceOut != "" {
 		if err := writeFile(traceOut, tr.WriteChromeJSON); err != nil {
 			return fmt.Errorf("trace: %w", err)
+		}
+	}
+	if metrics != "" {
+		if err := writeFile(metrics, trace.SnapshotOf(tr).WritePrometheus); err != nil {
+			return fmt.Errorf("metrics: %w", err)
 		}
 	}
 	return nil

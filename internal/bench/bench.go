@@ -7,7 +7,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -343,21 +342,7 @@ var (
 	// The CLIs report them as the end-of-run simulation-rate line.
 	harnessRuns  atomic.Uint64
 	harnessSimNs atomic.Uint64
-
-	// microRuns / microSimNs are the microbenchmark analogue: each machine
-	// episode a micro figure drives (one clocked context, or one threshold
-	// sweep point) counts once. Kept apart from harnessRuns so workload
-	// simulation rates stay comparable across PRs regardless of which
-	// figures a sweep included.
-	microRuns  atomic.Uint64
-	microSimNs atomic.Uint64
 )
-
-// recordMicro accumulates one microbenchmark episode of simulated time t.
-func recordMicro(t sim.Time) {
-	microRuns.Add(1)
-	microSimNs.Add(uint64(t))
-}
 
 // cacheKey serialises every Options field that can change a runWorkload
 // result, plus the run coordinates. Checklist — when adding a field to
@@ -402,14 +387,6 @@ func ResetCache() {
 // summaries. Cache hits are not re-counted.
 func HarnessStats() (runs uint64, simulated sim.Time) {
 	return harnessRuns.Load(), sim.Time(harnessSimNs.Load())
-}
-
-// MicroStats reports the microbenchmark episodes driven and their
-// simulated time since process start — HarnessStats for the
-// system-call-level figures (fig6, fig8, fig9, fig10, ext1-ext3), which
-// bypass runWorkload.
-func MicroStats() (runs uint64, simulated sim.Time) {
-	return microRuns.Load(), sim.Time(microSimNs.Load())
 }
 
 // runWorkload executes (and memoises) one benchmark under one collector at
@@ -567,16 +544,4 @@ func benchList(opt Options) []string {
 		out = append(out, n)
 	}
 	return out
-}
-
-// sortedKeys is a test helper exposing cached run keys.
-func sortedKeys() []string {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	keys := make([]string, 0, len(runCache))
-	for k := range runCache {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -85,8 +85,8 @@ func TestRunWorkloadCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sortedKeys()) != 1 {
-		t.Fatalf("cache has %d entries", len(sortedKeys()))
+	if n := len(cachedRuns()); n != 1 {
+		t.Fatalf("cache has %d entries", n)
 	}
 	r2, err := runWorkload(opt, "svagc", "CryptoAES", 1.2, 1)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestRunWorkloadCaches(t *testing.T) {
 	if _, err := runWorkload(opt, "svagc", "CryptoAES", 2.0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(sortedKeys()) != 2 {
+	if len(cachedRuns()) != 2 {
 		t.Error("distinct factor not cached separately")
 	}
 	if _, err := runWorkload(opt, "zgc", "CryptoAES", 1.2, 1); err == nil {
@@ -123,21 +123,14 @@ func TestBenchListQuickVsFull(t *testing.T) {
 	}
 }
 
-// Every experiment must run to completion in Quick mode and produce rows.
+// Every experiment must complete in Quick mode and produce a well-formed
+// table.
 func TestAllExperimentsRunQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick experiment sweep is itself a long test")
-	}
-	ResetCache()
-	opt := Options{Quick: true}
-	for _, e := range Registry() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.Run(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.ID != e.ID {
+	s := sharedSweep(t)
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			res := s.result(t, id)
+			if res.ID != id {
 				t.Errorf("result ID %q", res.ID)
 			}
 			if len(res.Rows) == 0 {
@@ -151,58 +144,34 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 					t.Errorf("row %d has %d cells, header has %d", i, len(row), len(res.Header))
 				}
 			}
-			if res.Format() == "" {
-				t.Error("empty formatting")
-			}
 		})
 	}
 }
 
-// The headline shapes the reproduction must preserve, checked end to end
-// on the quick subset.
+// The headline shapes the reproduction must preserve, read from the quick
+// sweep's memoised runs.
 func TestHeadlineShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several workloads")
-	}
-	opt := Options{Quick: true}
+	s := sharedSweep(t)
 
 	t.Run("fig11-sigverify-wins-big", func(t *testing.T) {
-		base, err := runWorkload(opt, "svagc-memmove", "Sigverify", 1.2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sva, err := runWorkload(opt, "svagc", "Sigverify", 1.2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := s.run(t, "svagc-memmove", "Sigverify", 1.2, 1)
+		sva := s.run(t, "svagc", "Sigverify", 1.2, 1)
 		if ratio := float64(base.GCTotal) / float64(sva.GCTotal); ratio < 2 {
 			t.Errorf("Sigverify GC speedup %.2fx, want > 2x", ratio)
 		}
 	})
 
 	t.Run("fig12-ordering", func(t *testing.T) {
-		shen, err := runWorkload(opt, "shenandoah", "Sigverify", 1.2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sva, err := runWorkload(opt, "svagc", "Sigverify", 1.2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shen := s.run(t, "shenandoah", "Sigverify", 1.2, 1)
+		sva := s.run(t, "svagc", "Sigverify", 1.2, 1)
 		if !(sva.GCAvgFull < shen.GCAvgFull) {
 			t.Errorf("SVAGC avg full %v not below Shenandoah %v", sva.GCAvgFull, shen.GCAvgFull)
 		}
 	})
 
 	t.Run("fig14-gc-scales-better-than-app", func(t *testing.T) {
-		one, err := runWorkload(opt, "svagc", "LRUCache", 1.2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		many, err := runWorkload(opt, "svagc", "LRUCache", 1.2, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		one := s.run(t, "svagc", "LRUCache", 1.2, 1)
+		many := s.run(t, "svagc", "LRUCache", 1.2, 8)
 		gcGrowth := float64(many.GCTotal) / float64(one.GCTotal)
 		appGrowth := float64(many.AppTime) / float64(one.AppTime)
 		if gcGrowth >= appGrowth {
@@ -211,11 +180,7 @@ func TestHeadlineShapes(t *testing.T) {
 	})
 
 	t.Run("fig10-break-even-is-threshold", func(t *testing.T) {
-		e, _ := ByID("fig10")
-		res, err := e.Run(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := s.result(t, "fig10")
 		found := false
 		for _, n := range res.Notes {
 			if strings.Contains(n, "XeonGold6130 break-even: "+strconv.Itoa(10)) {
@@ -228,14 +193,8 @@ func TestHeadlineShapes(t *testing.T) {
 	})
 
 	t.Run("table3-swapva-reduces-misses", func(t *testing.T) {
-		base, err := runWorkload(opt, "svagc-memmove", "Sigverify", 1.2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sva, err := runWorkload(opt, "svagc", "Sigverify", 1.2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := s.run(t, "svagc-memmove", "Sigverify", 1.2, 1)
+		sva := s.run(t, "svagc", "Sigverify", 1.2, 1)
 		// Cache pollution reliably improves (Table III's first half); the
 		// DTLB direction is equivocal at laptop scale, where the ASID-wide
 		// flushes SwapVA needs weigh more than the translation traffic the

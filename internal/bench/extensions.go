@@ -176,9 +176,6 @@ func Ext3HugePages(opt Options) (*Result, error) {
 		if err := k.SwapVA(huge, as, a, b, pages, hugeOpts); err != nil {
 			return nil, err
 		}
-		recordMicro(move.Clock.Now())
-		recordMicro(pte.Clock.Now())
-		recordMicro(huge.Clock.Now())
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d MiB", mib),
 			move.Clock.Now().String(), pte.Clock.Now().String(), huge.Clock.Now().String(),

@@ -2,57 +2,169 @@ package bench
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden figure outputs")
+var update = flag.Bool("update", false, "rewrite the golden figure and run outputs")
 
-// goldenIDs are the experiments the CI benchmark-regression smoke pins:
-// the pure-kernel microbenchmark figures plus the NUMA extension — cheap
-// in quick mode, fully deterministic (fixed cost models, no workload
-// seeds), and together covering aggregation, PMD caching, shootdown
-// scaling, the threshold crossover, and the 2-socket surcharges. A diff
-// here means a cost-model or kernel-path change reached the paper's
-// figures; regenerate with `go test ./internal/bench -run TestGolden -update`
-// and justify the delta in the PR.
-// oversub1 rides along: its quick sweep (1.5x and 4x oversubscription,
-// three collectors) pins the whole swap plane — tier costs, reclaimer
-// victim order, fault-in charges — to the byte.
-// smr1 likewise pins the multi-tenant plane: per-tenant cap charging,
-// arbiter admission order, and the SMR failure detector are all
-// deterministic, so its quick sweep (32 and 64 MiB replicas, three
-// collectors) freezes leader-churn counts and commit-latency tails.
-var goldenIDs = []string{"fig6", "fig8", "fig9", "fig10", "numa1", "oversub1", "smr1"}
+// quickOpt is the one quick sweep every check in this package reads:
+// gcbench -exp all -quick's options, with Parallel fixed at 4 so the
+// host-concurrent path (experiment pool, per-figure prefetch, the run
+// cache's singleflight slots) is exercised on any host.
+var quickOpt = Options{Quick: true, GCWorkers: 4, Seed: 42, Parallel: 4}
 
+// quickSweep is what the sweep left behind: every experiment's result or
+// error by ID, every memoised run by cache key, and the dedup check's
+// verdict ("" when every distinct run executed exactly once).
+type quickSweep struct {
+	results map[string]*Result
+	errs    map[string]error
+	runs    map[string]*runResult
+	dedup   string
+}
+
+var (
+	sweepOnce sync.Once
+	sweep     quickSweep
+)
+
+// sharedSweep runs the quick sweep of every registered experiment once
+// per test process and returns it. The memoised runs are snapshotted
+// inside the Once, so a later ResetCache cannot drop them.
+func sharedSweep(t *testing.T) *quickSweep {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("reads the quick sweep of every experiment")
+	}
+	sweepOnce.Do(func() {
+		ResetCache()
+		before, _ := HarnessStats()
+		sweep.results = map[string]*Result{}
+		sweep.errs = map[string]error{}
+		exps := Registry()
+		RunExperiments(quickOpt, exps, func(i int, res *Result, err error, _ float64) {
+			sweep.results[exps[i].ID], sweep.errs[exps[i].ID] = res, err
+		})
+		after, _ := HarnessStats()
+		sweep.runs = cachedRuns()
+		if executed := after - before; executed != uint64(len(sweep.runs)) {
+			sweep.dedup = fmt.Sprintf("%d workload executions for %d distinct runs: singleflight dedup failed",
+				executed, len(sweep.runs))
+		}
+	})
+	return &sweep
+}
+
+// result returns experiment id's result from the sweep, failing the test
+// if the experiment errored.
+func (s *quickSweep) result(t *testing.T, id string) *Result {
+	t.Helper()
+	if err := s.errs[id]; err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	res, ok := s.results[id]
+	if !ok {
+		t.Fatalf("%s is not in the registry", id)
+	}
+	return res
+}
+
+// run returns one memoised run of the sweep, failing the test if no
+// figure performed it.
+func (s *quickSweep) run(t *testing.T, collector, bench string, factor float64, jvms int) *runResult {
+	t.Helper()
+	key := cacheKey(quickOpt, collector, bench, factor, jvms)
+	r, ok := s.runs[key]
+	if !ok {
+		t.Fatalf("run %q is not part of the quick sweep", key)
+	}
+	return r
+}
+
+// cachedRuns snapshots the successful memoised runs by cache key.
+func cachedRuns() map[string]*runResult {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	out := make(map[string]*runResult, len(runCache))
+	for key, call := range runCache {
+		if call.r != nil {
+			out[key] = call.r
+		}
+	}
+	return out
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update. A diff means a cost-model or code-path change reached the
+// paper's figures; regenerate with
+// `go test ./internal/bench -run TestGolden -update` and justify the delta.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from golden file %s:\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestGoldenQuickFigures pins every experiment's quick output to the byte.
+// Concatenated in registry order with a blank line after each, the
+// goldens are exactly `gcbench -exp all -quick` stdout.
 func TestGoldenQuickFigures(t *testing.T) {
-	for _, id := range goldenIDs {
+	s := sharedSweep(t)
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			e, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run(Options{Quick: true, GCWorkers: 4, Seed: 42})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := res.Format()
-			path := filepath.Join("testdata", id+".quick.golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create)", err)
-			}
-			if got != string(want) {
-				t.Errorf("%s quick output drifted from golden file %s:\n got:\n%s\nwant:\n%s",
-					id, path, got, want)
-			}
+			checkGolden(t, id+".quick.golden", s.result(t, id).Format())
 		})
 	}
+}
+
+// TestGoldenQuickRuns pins every memoised run of the sweep, one line per
+// cache key with every sim.Perf counter. Counters the figures never print
+// (TLB misses outside table3, say) are pinned too, so one that varied with
+// host scheduling or worker count would show here.
+func TestGoldenQuickRuns(t *testing.T) {
+	s := sharedSweep(t)
+	if s.dedup != "" {
+		t.Error(s.dedup)
+	}
+	checkGolden(t, "runs.quick.golden", formatRuns(s.runs))
+}
+
+// formatRuns renders runs sorted by cache key, each followed by its named
+// sim.Perf counters.
+func formatRuns(runs map[string]*runResult) string {
+	keys := make([]string, 0, len(runs))
+	for k := range runs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		b.WriteString(k)
+		v := reflect.ValueOf(runs[k].Perf)
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; name != "_" {
+				fmt.Fprintf(&b, " %s=%d", name, v.Field(i).Uint())
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -78,8 +78,6 @@ func Fig6Aggregation(opt Options) (*Result, error) {
 		if _, err := f.k.SwapVAVec(agg, f.as, reqs, kernel.DefaultOptions()); err != nil {
 			return nil, err
 		}
-		recordMicro(sep.Clock.Now())
-		recordMicro(agg.Clock.Now())
 		speedup := stats.Ratio(float64(sep.Clock.Now()), float64(agg.Clock.Now()))
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", pages), sep.Clock.Now().String(), agg.Clock.Now().String(), stats.X(speedup),
@@ -129,8 +127,6 @@ func Fig8PMDCaching(opt Options) (*Result, error) {
 		if err := f.k.SwapVA(on, f.as, f.va1, f.va2, pages, withOpts); err != nil {
 			return nil, err
 		}
-		recordMicro(off.Clock.Now())
-		recordMicro(on.Clock.Now())
 		impr := 1 - float64(on.Clock.Now())/float64(off.Clock.Now())
 		improvements = append(improvements, impr)
 		res.Rows = append(res.Rows, []string{
@@ -182,7 +178,6 @@ func Fig9MultiCore(opt Options) (*Result, error) {
 			if pinned {
 				ctx.Unpin()
 			}
-			recordMicro(ctx.Clock.Now())
 			return ctx.Clock.Now(), ctx.Perf.IPIsSent, nil
 		}
 		unopt, ipisU, err := run(false)
@@ -225,8 +220,6 @@ func Fig10Threshold(opt Options) (*Result, error) {
 			return nil, err
 		}
 		for _, p := range points {
-			recordMicro(p.SwapVANs)
-			recordMicro(p.MemmoveNs)
 			winner := "memmove"
 			if p.SwapVANs <= p.MemmoveNs {
 				winner = "swapva"

@@ -6,28 +6,21 @@ import (
 	"testing"
 )
 
-// TestOversubDeterminism re-runs the quick oversubscription sweep and
-// requires byte-identical output: the whole swap plane — reclaimer
-// victim order, tier slot handout, far-device queueing, kswapd wake
-// points — must be a pure function of the configuration. (The sweep also
-// rides TestParallelParityQuick and the golden files; this is the direct
-// in-process repeat, which catches host-state leaks the cache-keyed
-// paths cannot.)
+// TestOversubDeterminism repeats the quick oversubscription sweep once in
+// process and requires output byte-identical to the shared sweep's: the
+// whole swap plane — reclaimer victim order, tier slot handout,
+// far-device queueing, kswapd wake points — must be a pure function of the
+// configuration. oversub1 builds its machines directly, so this repeat
+// catches host-state leaks the cache-keyed paths cannot.
 func TestOversubDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick oversubscription sweep twice")
+	want := sharedSweep(t).result(t, "oversub1").Format()
+	res, err := OversubFarMemory(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func() string {
-		res, err := OversubFarMemory(Options{Quick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Format()
-	}
-	first, second := run(), run()
-	if first != second {
-		t.Errorf("oversub1 is not deterministic across repeats:\n--- first ---\n%s\n--- second ---\n%s",
-			first, second)
+	if got := res.Format(); got != want {
+		t.Errorf("oversub1 is not deterministic across repeats:\n--- sweep ---\n%s\n--- repeat ---\n%s",
+			want, got)
 	}
 }
 
@@ -36,13 +29,7 @@ func TestOversubDeterminism(t *testing.T) {
 // really swap, and SVAGC's full-GC pause beats the evacuating byte-copy
 // baseline once the heap is far past RAM.
 func TestOversubHeadlineShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick oversubscription sweep")
-	}
-	res, err := OversubFarMemory(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sharedSweep(t).result(t, "oversub1")
 	col := func(name string) int {
 		for i, h := range res.Header {
 			if h == name {

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -115,120 +113,39 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 	}
 }
 
-// TestParallelParityQuick is the determinism contract of the -parallel
-// flag: every experiment's quick output must be byte-identical whether
-// the sweep runs serially or fanned out over 8 host workers — and so must
-// every memoised run's full Perf snapshot, counter for counter. The
-// snapshot comparison is what keeps counters honest: a counter that varied
-// with host scheduling would slip past rendered output whenever the figure
-// does not print it (TLB misses, say, surface only in table3).
-func TestParallelParityQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full quick sweep twice")
-	}
-	snapshotPerfs := func() map[string]sim.Perf {
-		out := map[string]sim.Perf{}
-		cacheMu.Lock()
-		defer cacheMu.Unlock()
-		for key, call := range runCache {
-			if call.r == nil {
-				continue
-			}
-			out[key] = call.r.Perf
-		}
-		return out
-	}
-	render := func(parallel int) (map[string]string, map[string]sim.Perf) {
-		ResetCache()
-		defer ResetCache()
-		out := map[string]string{}
-		opt := Options{Quick: true, Parallel: parallel}
-		RunExperiments(opt, Registry(), func(i int, res *Result, err error, _ float64) {
-			if err != nil {
-				t.Fatalf("parallel=%d: %s: %v", parallel, Registry()[i].ID, err)
-			}
-			out[res.ID] = res.Format()
-		})
-		return out, snapshotPerfs()
-	}
-	serial, serialPerfs := render(1)
-	fanned, fannedPerfs := render(8)
-	for id, want := range serial {
-		if got := fanned[id]; got != want {
-			t.Errorf("%s differs between -parallel=1 and -parallel=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				id, want, got)
-		}
-	}
-	if len(serialPerfs) != len(fannedPerfs) {
-		t.Errorf("serial sweep memoised %d runs, parallel %d", len(serialPerfs), len(fannedPerfs))
-	}
-	for key, want := range serialPerfs {
-		if got, ok := fannedPerfs[key]; !ok {
-			t.Errorf("run %q missing from the parallel sweep", key)
-		} else if got != want {
-			t.Errorf("run %q Perf differs between -parallel=1 and -parallel=8:\nserial:   %+v\nparallel: %+v",
-				key, want, got)
-		}
-	}
-	// The fanned output must also still match the checked-in goldens —
-	// parity with a drifted serial run would hide a shared regression.
-	for _, id := range goldenIDs {
-		want, err := os.ReadFile(filepath.Join("testdata", id+".quick.golden"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fanned[id]; got != string(want) {
-			t.Errorf("%s at -parallel=8 drifted from its golden file:\n got:\n%s\nwant:\n%s",
-				id, got, want)
-		}
-	}
-}
-
-// TestConcurrentFiguresShareCache drives figures that share baseline runs
-// (fig12 and fig13 sweep identical workloads) through the run cache from
-// concurrent goroutines, each itself prefetching in parallel — the -race
-// exercise for the singleflight slots, and for machines staying private
-// to the goroutine that runs them. The shared runs must be executed once,
-// not per figure.
+// TestConcurrentFiguresShareCache prefetches the same runs from two
+// goroutines at once, each fanning out over its own worker pool — the
+// -race exercise for the singleflight slots, and for machines staying
+// private to the goroutine that runs them. Every shared run must execute
+// once, not once per caller.
 func TestConcurrentFiguresShareCache(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two figure sweeps")
+		t.Skip("runs workloads")
 	}
 	ResetCache()
 	defer ResetCache()
 	before, _ := HarnessStats()
 	opt := Options{Quick: true, Parallel: 4}
-	ids := []string{"fig12", "fig13"}
-	results := make([]*Result, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
+	var specs []runSpec
+	for _, bench := range []string{"CryptoAES", "Sigverify"} {
+		for _, c := range []string{"svagc", "svagc-memmove"} {
+			specs = append(specs, runSpec{c, bench, 1.2, 1})
 		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
 		wg.Add(1)
-		go func(i int, e *Experiment) {
+		go func() {
 			defer wg.Done()
-			res, err := e.Run(opt)
-			if err != nil {
-				t.Errorf("%s: %v", e.ID, err)
-				return
-			}
-			results[i] = res
-		}(i, e)
+			prefetch(opt, specs)
+		}()
 	}
 	wg.Wait()
-	for i, res := range results {
-		if res == nil {
-			t.Fatalf("%s produced no result", ids[i])
-		}
-		if len(res.Rows) == 0 {
-			t.Errorf("%s has no rows", ids[i])
-		}
-	}
 	after, _ := HarnessStats()
-	executed := after - before
-	cached := uint64(len(sortedKeys()))
+	executed, cached := after-before, uint64(len(cachedRuns()))
+	if cached != uint64(len(specs)) {
+		t.Errorf("%d runs memoised, want %d", cached, len(specs))
+	}
 	if executed != cached {
 		t.Errorf("%d workload executions for %d distinct runs: singleflight dedup failed",
 			executed, cached)
@@ -256,7 +173,7 @@ func TestConcurrentTracedMachines(t *testing.T) {
 				mu.Unlock()
 				m.EnableTracing(64)
 			}}
-			bench := []string{"CryptoAES", "Bisort"}[g]
+			bench := []string{"CryptoAES", "Sigverify"}[g]
 			if _, err := runWorkload(opt, "svagc", bench, 1.2, 1); err != nil {
 				t.Error(err)
 				return
