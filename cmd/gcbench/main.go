@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/swaptier"
 	"repro/internal/topology"
@@ -36,9 +35,9 @@ func main() {
 		mach     = flag.String("machine", "", "cost model override (gold6130, gold6240, i5-7600)")
 		workers  = flag.Int("gcworkers", 4, "GC threads per JVM")
 		seed     = flag.Int64("seed", 42, "workload seed")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "host worker pool for independent workload runs (1 = serial; -trace/-metrics force serial). Output is byte-identical at any setting")
-		traceOut = flag.String("trace", "", "write a combined Chrome trace_event JSON of every workload machine (disables run memoisation and host parallelism)")
-		metrics  = flag.String("metrics", "", "write a combined Prometheus text-format metrics snapshot (disables run memoisation and host parallelism)")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "host worker pool for independent workload runs (1 = serial). Output, -trace and -metrics are byte-identical at any setting")
+		traceOut = flag.String("trace", "", "write a combined Chrome trace_event JSON of every workload run each experiment reads")
+		metrics  = flag.String("metrics", "", "write a combined Prometheus text-format metrics snapshot of every workload run each experiment reads")
 		sockets  = flag.Int("sockets", 1, "sockets (NUMA nodes) the simulated cores are split over")
 		numaPol  = flag.String("numa-policy", "", "page placement on multi-socket machines: first-touch, interleave, or bind[:N]")
 		faultPln = flag.String("fault-plan", "", "fault-injection plan: comma-separated site=rate (sites: pte-lock, ipi-ack, swapva, poison, interconnect, far-write, all), e.g. 'swapva=0.01,poison=1e-4'")
@@ -68,9 +67,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gcbench:", err)
 		os.Exit(2)
 	}
+	if *workers < 1 {
+		fmt.Fprintln(os.Stderr, "gcbench: -gcworkers must be at least 1")
+		os.Exit(2)
+	}
 	opt := bench.Options{Quick: *quick, GCWorkers: *workers, Seed: *seed,
 		Sockets: *sockets, NUMAPolicy: policy, NUMABind: bind,
-		Parallel:  *parallel,
+		Parallel: *parallel, Trace: *traceOut != "" || *metrics != "",
 		FaultPlan: *faultPln, FaultRate: *faultRt, FaultSeed: *faultSd,
 		Swap: swaptier.Config{FarBytes: *swapTier << 20, ZpoolBytes: *zpool << 20, FarLatNs: sim.Time(*farLat)}}
 	if _, err := opt.FaultInjector(); err != nil {
@@ -81,12 +84,6 @@ func main() {
 		if err := opt.Swap.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, "gcbench:", err)
 			os.Exit(2)
-		}
-	}
-	var tracers []*trace.Tracer
-	if *traceOut != "" || *metrics != "" {
-		opt.OnMachine = func(m *machine.Machine) {
-			tracers = append(tracers, m.EnableTracing(0))
 		}
 	}
 	if *mach != "" {
@@ -129,6 +126,7 @@ func main() {
 	// Tables go to stdout and nothing else does: stdout is byte-comparable
 	// across -parallel settings (the CI smoke step diffs it). Timing and
 	// the simulation-rate summary go to stderr.
+	var tracers []*trace.Tracer
 	wallStart := time.Now()
 	bench.RunExperiments(opt, exps, func(i int, res *bench.Result, err error, wall float64) {
 		if err != nil {
@@ -137,18 +135,14 @@ func main() {
 		}
 		fmt.Print(res.Format())
 		fmt.Println()
+		tracers = append(tracers, res.Traces...)
 		fmt.Fprintf(os.Stderr, "(%s regenerated in %.1fs wall)\n", exps[i].ID, wall)
 	})
 	wall := time.Since(wallStart).Seconds()
 	runs, simNs := bench.HarnessStats()
-	// The width that ran: tracing forces a serial sweep whatever -parallel says.
-	width := *parallel
-	if width < 1 || opt.OnMachine != nil {
-		width = 1
-	}
 	fmt.Fprintf(os.Stderr,
 		"harness: %d workload runs, %.3fs simulated in %.1fs wall — %.0f sim-ns/host-ms, %.2f runs/s, parallel=%d\n",
-		runs, simNs.Seconds(), wall, float64(simNs)/(wall*1e3), float64(runs)/wall, width)
+		runs, simNs.Seconds(), wall, float64(simNs)/(wall*1e3), float64(runs)/wall, max(*parallel, 1))
 
 	if *traceOut != "" {
 		if err := writeFile(*traceOut, trace.ChromeTraceOf(tracers...).Write); err != nil {

@@ -79,6 +79,12 @@ func main() {
 	)
 	flag.Parse()
 
+	// Below 1 the collectors and the machine would run a default count
+	// the report does not show.
+	if *workers < 1 || *jvms < 1 {
+		fmt.Fprintln(os.Stderr, "svagc: -gcworkers and -jvms must be at least 1")
+		os.Exit(2)
+	}
 	swapCfg := swaptier.Config{FarBytes: *swapTier << 20, ZpoolBytes: *zpool << 20, FarLatNs: sim.Time(*farLat)}
 	if swapCfg.Enabled() {
 		if err := swapCfg.Validate(); err != nil {
@@ -160,10 +166,6 @@ func main() {
 	if faultSeed == 0 {
 		faultSeed = *seed
 	}
-	// Each machine gets its own injector so every run replays the exact
-	// fault sequence its seed dictates, independent of sibling runs.
-	newFault := func() *fault.Injector { return fault.New(faultSeed, faultPlan) }
-
 	// cfgFor builds the JVM configuration for one workload spec, honouring
 	// the SVAGC-only threshold/placement overrides and the watchdog
 	// deadline.
@@ -189,7 +191,7 @@ func main() {
 		return cfg, nil
 	}
 
-	// report renders the run summary every mode shares.
+	// report renders one run's summary.
 	report := func(w io.Writer, spec *workloads.Spec, m *machine.Machine, j *jvm.JVM) {
 		st := j.GC.Stats()
 		fmt.Fprintf(w, "%s under %s on %s (%.1fx min heap = %.1f MiB, %d mutator threads, %d GC workers, %d JVMs)\n",
@@ -227,139 +229,127 @@ func main() {
 			fmt.Fprintf(w, "  swap               %d pages out, %d in, %d zero-discarded; %d in tier at end; %d kswapd runs, %d direct reclaims\n",
 				st.OutPages, st.InPages, st.ZeroPages, st.Slots, kruns, p.DirectReclaims)
 		}
+		if *pauses {
+			for i := range st.Pauses {
+				fmt.Fprintf(w, "  pause[%d] %s\n", i, st.Pauses[i].String())
+			}
+		}
 	}
 
+	// Only the flags that stream while a run executes are limited to one
+	// workload: -gclog writes to stderr and -trace-spill to one file.
 	if len(benches) > 1 {
 		for _, f := range []struct {
 			name string
 			set  bool
-		}{
-			{"-trace", *traceOut != ""}, {"-metrics", *metrics != ""},
-			{"-trace-spill", *spillOut != ""}, {"-histo", *histo},
-			{"-gclog", *gclog}, {"-pauses", *pauses},
-			{"-tenant-cap", *tenantCap > 0}, {"-gc-arbiter", *gcArb > 0},
-		} {
+		}{{"-trace-spill", *spillOut != ""}, {"-gclog", *gclog}} {
 			if f.set {
 				fmt.Fprintf(os.Stderr, "svagc: %s needs a single -bench workload, not a list\n", f.name)
 				os.Exit(2)
 			}
 		}
-		mc := machine.Config{Cost: cost, Sockets: *sockets, NUMAPolicy: policy,
-			NUMABind: bind, PhysBytes: *physMiB << 20, Swap: swapCfg}
-		runMany(benches, *parallel, mc, *jvms, *seed, newFault, cfgFor, report)
-		return
 	}
-
-	spec, err := workloads.ByName(strings.TrimSpace(benches[0]))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "svagc:", err)
-		os.Exit(2)
-	}
-	m, err := machine.New(machine.Config{
-		Cost:       cost,
-		Sockets:    *sockets,
-		NUMAPolicy: policy,
-		NUMABind:   bind,
-		PhysBytes:  *physMiB << 20,
-		Swap:       swapCfg,
-		Fault:      newFault(),
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "svagc:", err)
-		os.Exit(1)
-	}
-	if *jvms > 1 {
-		m.SetActiveJVMs(*jvms)
-	}
-	var tr *trace.Tracer
-	if *traceOut != "" || *metrics != "" || *spillOut != "" {
-		tr = m.EnableTracing(*traceBuf)
-	}
-	var spillFile *os.File
-	if *spillOut != "" {
-		spillFile, err = os.Create(*spillOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "svagc: trace-spill:", err)
-			os.Exit(1)
+	specs := make([]*workloads.Spec, len(benches))
+	cfgs := make([]jvm.Config, len(benches))
+	for i, name := range benches {
+		if specs[i], err = workloads.ByName(strings.TrimSpace(name)); err == nil {
+			cfgs[i], err = cfgFor(specs[i])
 		}
-		tr.SetSpill(spillFile)
-	}
-
-	cfg, err := cfgFor(spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "svagc:", err)
-		os.Exit(2)
-	}
-	if *tenantCap > 0 {
-		t, err := m.NewTenant("tenant0", int(*tenantCap<<20>>mem.PageShift))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "svagc:", err)
 			os.Exit(2)
 		}
-		cfg.Tenant = t
 	}
-	if *gcArb > 0 {
-		cfg.Arbiter = sched.New(sched.Config{MaxConcurrent: *gcArb, Injector: m.FaultInjector()})
-	}
-	j, err := jvm.New(m, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "svagc:", err)
-		os.Exit(1)
-	}
-	if *gclog {
-		j.WithGCLog(os.Stderr)
-	}
-	wallStart := time.Now()
-	if err := spec.Run(j, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "svagc:", err)
-		os.Exit(1)
-	}
-	simRate(1, j.AppTime(), time.Since(wallStart))
 
-	report(os.Stdout, spec, m, j)
-	st := j.GC.Stats()
-	if *pauses {
-		for i := range st.Pauses {
-			fmt.Printf("  pause[%d] %s\n", i, st.Pauses[i].String())
-		}
-	}
-	if *histo {
-		// A final full collection compacts the heap so the histogram
-		// reports live objects only (plus alignment fillers).
-		if _, err := j.CollectNow(); err != nil {
-			fmt.Fprintln(os.Stderr, "svagc: final collection:", err)
-			os.Exit(1)
-		}
-		stats, err := j.Heap.Histogram(j.Thread(0).Ctx)
+	mc := machine.Config{Cost: cost, Sockets: *sockets, NUMAPolicy: policy,
+		NUMABind: bind, PhysBytes: *physMiB << 20, Swap: swapCfg}
+	traced := *traceOut != "" || *metrics != "" || *spillOut != ""
+	// runOne executes one workload on its own machine and renders its
+	// whole report, so every run takes the same path at any list length.
+	runOne := func(i int) run {
+		spec, cfg := specs[i], cfgs[i]
+		// Each machine gets its own injector so every run replays the
+		// exact fault sequence its seed dictates.
+		mcfg := mc
+		mcfg.Fault = fault.New(faultSeed, faultPlan)
+		m, err := machine.New(mcfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "svagc: histogram:", err)
-			os.Exit(1)
+			return run{err: err}
 		}
-		fmt.Println("live-heap class histogram:")
-		fmt.Print(heap.FormatHistogram(stats))
+		if *jvms > 1 {
+			m.SetActiveJVMs(*jvms)
+		}
+		var tr *trace.Tracer
+		if traced {
+			tr = m.EnableTracing(*traceBuf)
+		}
+		var spill *os.File
+		if *spillOut != "" {
+			if spill, err = os.Create(*spillOut); err != nil {
+				return run{err: fmt.Errorf("trace-spill: %w", err)}
+			}
+			defer spill.Close()
+			tr.SetSpill(spill)
+		}
+		if *tenantCap > 0 {
+			if cfg.Tenant, err = m.NewTenant("tenant0", int(*tenantCap<<20>>mem.PageShift)); err != nil {
+				return run{err: err}
+			}
+		}
+		if *gcArb > 0 {
+			cfg.Arbiter = sched.New(sched.Config{MaxConcurrent: *gcArb, Injector: m.FaultInjector()})
+		}
+		j, err := jvm.New(m, cfg)
+		if err != nil {
+			return run{err: err}
+		}
+		if *gclog {
+			j.WithGCLog(os.Stderr)
+		}
+		if err := spec.Run(j, *seed); err != nil {
+			return run{err: err}
+		}
+		r := run{sim: j.AppTime(), trace: tr}
+		var b strings.Builder
+		report(&b, spec, m, j)
+		if *histo {
+			// A final full collection compacts the heap so the histogram
+			// reports live objects only (plus alignment fillers).
+			if _, err := j.CollectNow(); err != nil {
+				return run{err: fmt.Errorf("final collection: %w", err)}
+			}
+			stats, err := j.Heap.Histogram(j.Thread(0).Ctx)
+			if err != nil {
+				return run{err: fmt.Errorf("histogram: %w", err)}
+			}
+			b.WriteString("live-heap class histogram:\n")
+			b.WriteString(heap.FormatHistogram(stats))
+		}
+		if spill != nil {
+			if err := tr.SpillErr(); err != nil {
+				return run{err: fmt.Errorf("trace-spill: %w", err)}
+			}
+			if err := spill.Close(); err != nil {
+				return run{err: fmt.Errorf("trace-spill: %w", err)}
+			}
+			fmt.Fprintf(&b, "  trace-spill        %d events streamed to %s\n", tr.Spilled(), *spillOut)
+		}
+		r.text = b.String()
+		return r
 	}
+
+	tracers := runMany(benches, *parallel, runOne)
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, tr.WriteChromeJSON); err != nil {
+		if err := writeFile(*traceOut, trace.ChromeTraceOf(tracers...).Write); err != nil {
 			fmt.Fprintln(os.Stderr, "svagc: trace:", err)
 			os.Exit(1)
 		}
 	}
 	if *metrics != "" {
-		if err := writeFile(*metrics, trace.SnapshotOf(tr).WritePrometheus); err != nil {
+		if err := writeFile(*metrics, trace.SnapshotOf(tracers...).WritePrometheus); err != nil {
 			fmt.Fprintln(os.Stderr, "svagc: metrics:", err)
 			os.Exit(1)
 		}
-	}
-	if spillFile != nil {
-		if err := tr.SpillErr(); err != nil {
-			fmt.Fprintln(os.Stderr, "svagc: trace-spill:", err)
-			os.Exit(1)
-		}
-		if err := spillFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "svagc: trace-spill:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("  trace-spill        %d events streamed to %s\n", tr.Spilled(), *spillOut)
 	}
 }
 
@@ -440,58 +430,30 @@ func runSMR(mach, collector string, heapBytes int64, replicas, workers int,
 	return nil
 }
 
+// run is one workload's outcome: its buffered report, the simulated
+// time it covered, and its tracer when tracing is on.
+type run struct {
+	text  string
+	sim   sim.Time
+	trace *trace.Tracer
+	err   error
+}
+
 // runMany fans the listed workloads out over a bounded host worker pool.
 // Every run builds its own Machine, so runs share no simulated state; the
 // reports are buffered and printed in input order no matter which host
 // goroutine finishes first, so the stdout of `-bench A,B -parallel 8` is
-// byte-identical to `-parallel 1`.
-func runMany(benches []string, parallel int, mc machine.Config, jvms int, seed int64,
-	newFault func() *fault.Injector,
-	cfgFor func(*workloads.Spec) (jvm.Config, error),
-	report func(io.Writer, *workloads.Spec, *machine.Machine, *jvm.JVM)) {
-	type out struct {
-		text string
-		sim  sim.Time
-		err  error
-	}
-	runOne := func(name string) out {
-		spec, err := workloads.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return out{err: err}
-		}
-		mcfg := mc
-		mcfg.Fault = newFault()
-		m, err := machine.New(mcfg)
-		if err != nil {
-			return out{err: err}
-		}
-		if jvms > 1 {
-			m.SetActiveJVMs(jvms)
-		}
-		cfg, err := cfgFor(spec)
-		if err != nil {
-			return out{err: err}
-		}
-		j, err := jvm.New(m, cfg)
-		if err != nil {
-			return out{err: err}
-		}
-		if err := spec.Run(j, seed); err != nil {
-			return out{err: err}
-		}
-		var b strings.Builder
-		report(&b, spec, m, j)
-		return out{text: b.String(), sim: j.AppTime()}
-	}
-
+// byte-identical to `-parallel 1`. It returns the runs' tracers in input
+// order.
+func runMany(names []string, parallel int, runOne func(i int) run) []*trace.Tracer {
 	if parallel < 1 {
 		parallel = 1
 	}
-	if parallel > len(benches) {
-		parallel = len(benches)
+	if parallel > len(names) {
+		parallel = len(names)
 	}
 	wallStart := time.Now()
-	results := make([]out, len(benches))
+	results := make([]run, len(names))
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
@@ -499,21 +461,22 @@ func runMany(benches []string, parallel int, mc machine.Config, jvms int, seed i
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = runOne(benches[i])
+				results[i] = runOne(i)
 			}
 		}()
 	}
-	for i := range benches {
+	for i := range names {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
 
 	var simTotal sim.Time
+	var tracers []*trace.Tracer
 	failed := false
 	for i, r := range results {
 		if r.err != nil {
-			fmt.Fprintf(os.Stderr, "svagc: %s: %v\n", strings.TrimSpace(benches[i]), r.err)
+			fmt.Fprintf(os.Stderr, "svagc: %s: %v\n", strings.TrimSpace(names[i]), r.err)
 			failed = true
 			continue
 		}
@@ -522,11 +485,15 @@ func runMany(benches []string, parallel int, mc machine.Config, jvms int, seed i
 		}
 		fmt.Print(r.text)
 		simTotal += r.sim
+		if r.trace != nil {
+			tracers = append(tracers, r.trace)
+		}
 	}
-	simRate(len(benches), simTotal, time.Since(wallStart))
+	simRate(len(names), simTotal, time.Since(wallStart))
 	if failed {
 		os.Exit(1)
 	}
+	return tracers
 }
 
 // simRate prints the simulation-throughput summary to stderr: how much

@@ -20,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/swaptier"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -51,15 +52,11 @@ type Options struct {
 	FaultPlan string
 	FaultRate float64
 	FaultSeed int64
-	// OnMachine, when set, is invoked on every workload machine right
-	// after construction — the hook the CLI uses to enable tracing
-	// (machine.EnableTracing) and collect the tracers. Runs with the hook
-	// set bypass the memoisation cache, because the hook's side effects
-	// are not part of the cache key and a cache hit would skip them.
-	// Setting it also forces host-serial execution (Parallel is ignored):
-	// the hook observes every machine in construction order, and its
-	// callees are not required to be goroutine-safe.
-	OnMachine func(*machine.Machine)
+	// Trace arms a tracer (machine.EnableTracing) on every workload
+	// machine. The tracer is a run-owned artifact like the run's result:
+	// a memoised run keeps it next to its result, and RunExperiments
+	// lists each experiment's tracers in Result.Traces.
+	Trace bool
 	// Parallel bounds the host worker pool figure sweeps fan their
 	// independent workload runs out over (each run builds its own
 	// Machine). <= 1 runs everything on the calling goroutine, the
@@ -72,6 +69,11 @@ type Options struct {
 	// tier. The paper-reproduction figures ignore it — their machines are
 	// never swap-armed, preserving bit-exact parity with the seed.
 	Swap swaptier.Config
+
+	// traces, when non-nil, collects the tracers of the runs a figure's
+	// assembly pass reads, in read order. RunExperiments sets it per
+	// experiment; prefetch workers run with it cleared.
+	traces *[]*trace.Tracer
 }
 
 func (o Options) cost() *sim.CostModel {
@@ -103,10 +105,26 @@ func (o Options) sockets() int {
 }
 
 func (o Options) parallel() int {
-	if o.Parallel <= 1 || o.OnMachine != nil {
+	if o.Parallel <= 1 {
 		return 1
 	}
 	return o.Parallel
+}
+
+// arm enables tracing on a freshly built workload machine when the run
+// is traced, returning its tracer (nil when untraced).
+func (o Options) arm(m *machine.Machine) *trace.Tracer {
+	if !o.Trace {
+		return nil
+	}
+	return m.EnableTracing(0)
+}
+
+// record lists a run's tracer in the experiment's Result.Traces.
+func (o Options) record(t *trace.Tracer) {
+	if o.traces != nil && t != nil {
+		*o.traces = append(*o.traces, t)
+	}
 }
 
 // FaultInjector builds the run's fault injector from the plan/rate/seed
@@ -148,6 +166,10 @@ type Result struct {
 	Notes  []string
 	Header []string
 	Rows   [][]string
+	// Traces are the tracers of the runs this result read, in the order
+	// its serial assembly pass read them; a run shared with an earlier
+	// read is listed again. RunExperiments fills it under Options.Trace.
+	Traces []*trace.Tracer
 }
 
 // Format renders the result as an aligned text table.
@@ -224,12 +246,12 @@ func Registry() []*Experiment {
 
 // RunExperiments executes exps and invokes emit exactly once per
 // experiment, in input order, as results become available. With
-// opt.Parallel > 1 (and no OnMachine hook) experiments run concurrently
-// on a bounded pool — memoised runs shared between concurrently running
-// figures (fig12/fig13/fig16 share every baseline) are computed once via
-// the cache's singleflight slots. Output stays deterministic because each
-// figure assembles its own rows serially and emit is ordered; only wall
-// time changes. wallSeconds is measured per experiment (overlapping under
+// opt.Parallel > 1 experiments run concurrently on a bounded pool —
+// memoised runs shared between concurrently running figures
+// (fig12/fig13/fig16 share every baseline) are computed once via the
+// cache's singleflight slots. Output and traces stay deterministic
+// because each figure assembles its own rows serially and emit is
+// ordered; only wall time changes. wallSeconds is measured per experiment (overlapping under
 // concurrency).
 func RunExperiments(opt Options, exps []*Experiment,
 	emit func(i int, res *Result, err error, wallSeconds float64)) {
@@ -241,7 +263,7 @@ func RunExperiments(opt Options, exps []*Experiment,
 	if workers <= 1 {
 		for i, e := range exps {
 			start := hostNow()
-			res, err := e.Run(opt)
+			res, err := runExperiment(opt, e)
 			emit(i, res, err, hostNow()-start)
 		}
 		return
@@ -261,7 +283,7 @@ func RunExperiments(opt Options, exps []*Experiment,
 		go func() {
 			for i := range next {
 				start := hostNow()
-				res, err := exps[i].Run(opt)
+				res, err := runExperiment(opt, exps[i])
 				outs[i] = outcome{res: res, err: err, wall: hostNow() - start}
 				close(done[i])
 			}
@@ -277,6 +299,18 @@ func RunExperiments(opt Options, exps []*Experiment,
 		<-done[i]
 		emit(i, outs[i].res, outs[i].err, outs[i].wall)
 	}
+}
+
+// runExperiment runs e and fills its Result.Traces with the tracers its
+// assembly pass read.
+func runExperiment(opt Options, e *Experiment) (*Result, error) {
+	var traces []*trace.Tracer
+	opt.traces = &traces
+	res, err := e.Run(opt)
+	if res != nil {
+		res.Traces = traces
+	}
+	return res, err
 }
 
 // ByID finds an experiment.
@@ -320,6 +354,7 @@ type runResult struct {
 	Concurrent sim.Time
 	Phases     gc.PhaseTimes // full collections only
 	Perf       sim.Perf
+	trace      *trace.Tracer // the run's machine tracer under Options.Trace
 }
 
 // cacheCall is one singleflight slot of the run cache: the first caller
@@ -350,10 +385,12 @@ var (
 //   - Cost, GCWorkers, Seed, Sockets, NUMAPolicy, NUMABind, FaultPlan,
 //     FaultRate, FaultSeed: affect the simulated numbers → serialised
 //     below.
+//   - Trace: never changes the simulated numbers, but decides whether the
+//     memoised run carries a tracer → serialised below, so an untraced
+//     run never stands in for a traced one.
 //   - Quick: only selects which runs a figure performs, never the outcome
 //     of one run → excluded.
-//   - OnMachine, Parallel: host-side execution policy; OnMachine bypasses
-//     the cache entirely, Parallel only schedules → excluded.
+//   - Parallel: host-side scheduling only → excluded.
 //   - Swap: only read by the far-memory figures (oversub1), which build
 //     their machines directly and never pass through runWorkload — the
 //     cache never sees a swap-armed run → excluded.
@@ -370,7 +407,7 @@ func cacheKey(opt Options, collector, bench string, factor float64, jvms int) st
 		strconv.FormatInt(opt.seed(), 10), strconv.Itoa(opt.sockets()),
 		opt.NUMAPolicy.String(), strconv.Itoa(opt.NUMABind),
 		opt.FaultPlan, strconv.FormatFloat(opt.FaultRate, 'g', -1, 64),
-		strconv.FormatInt(opt.FaultSeed, 10),
+		strconv.FormatInt(opt.FaultSeed, 10), strconv.FormatBool(opt.Trace),
 	}, "|")
 }
 
@@ -391,11 +428,9 @@ func HarnessStats() (runs uint64, simulated sim.Time) {
 
 // runWorkload executes (and memoises) one benchmark under one collector at
 // a heap factor, with jvms-1 modelled co-running JVMs. Concurrent callers
-// with the same key deduplicate onto a single execution.
+// with the same key deduplicate onto a single execution. The run's tracer
+// is recorded on every read, cache hits included.
 func runWorkload(opt Options, collector, bench string, factor float64, jvms int) (*runResult, error) {
-	if opt.OnMachine != nil {
-		return computeWorkload(opt, collector, bench, factor, jvms)
-	}
 	key := cacheKey(opt, collector, bench, factor, jvms)
 	cacheMu.Lock()
 	call, ok := runCache[key]
@@ -407,6 +442,9 @@ func runWorkload(opt Options, collector, bench string, factor float64, jvms int)
 	call.once.Do(func() {
 		call.r, call.err = computeWorkload(opt, collector, bench, factor, jvms)
 	})
+	if call.r != nil {
+		opt.record(call.r.trace)
+	}
 	return call.r, call.err
 }
 
@@ -447,9 +485,7 @@ func computeWorkload(opt Options, collector, bench string, factor float64, jvms 
 	if err != nil {
 		return nil, err
 	}
-	if opt.OnMachine != nil {
-		opt.OnMachine(m)
-	}
+	tr := opt.arm(m)
 	if jvms > 1 {
 		m.SetActiveJVMs(jvms)
 	}
@@ -482,6 +518,7 @@ func computeWorkload(opt Options, collector, bench string, factor float64, jvms 
 		Concurrent: st.Concurrent,
 		Phases:     st.PhaseTotals(gc.KindFull),
 		Perf:       j.TotalPerf(),
+		trace:      tr,
 	}
 	harnessRuns.Add(1)
 	harnessSimNs.Add(uint64(float64(r.AppTime)))
@@ -502,12 +539,14 @@ type runSpec struct {
 // and every simulated number are byte-identical to a serial run. Errors
 // are deliberately dropped here — the serial pass re-reads the same
 // memoised slots and reports the first failure in deterministic input
-// order, rather than whichever worker lost the race.
+// order, rather than whichever worker lost the race. Workers record no
+// tracers: the assembly pass lists each run as it reads it.
 func prefetch(opt Options, specs []runSpec) {
 	workers := opt.parallel()
 	if workers <= 1 || len(specs) < 2 {
 		return
 	}
+	opt.traces = nil
 	if workers > len(specs) {
 		workers = len(specs)
 	}

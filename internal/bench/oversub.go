@@ -70,9 +70,9 @@ func ovPattern(buf []uint64, salt uint64) {
 // must really store), runs one full collection, then re-walks the live
 // set — the mutator-side fault-in bill of having been swapped.
 func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
-	// Unlike the paper figures, this one honours the fault plan and the
-	// OnMachine hook directly (it never passes through runWorkload): the
-	// chaos CI drives the far_write site through it.
+	// Unlike the paper figures, this one builds its machine directly (it
+	// never passes through runWorkload): the chaos CI drives the
+	// far_write site through it.
 	fi, err := opt.FaultInjector()
 	if err != nil {
 		return nil, err
@@ -86,9 +86,7 @@ func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.OnMachine != nil {
-		opt.OnMachine(m)
-	}
+	opt.record(opt.arm(m))
 	heapBytes := int64(ratio * float64(ovPhysBytes))
 	cfg, ok := jvm.ConfigForDeadline(collector, heapBytes, 1, opt.workers(), 0)
 	if !ok {

@@ -1,14 +1,19 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/swaptier"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // keyFields are the Options fields cacheKey serialises; excludedFields are
@@ -18,8 +23,8 @@ import (
 // checklist cacheKey's comment promises.
 var (
 	keyFields = []string{"Cost", "GCWorkers", "Seed", "Sockets", "NUMAPolicy", "NUMABind",
-		"FaultPlan", "FaultRate", "FaultSeed"}
-	excludedFields = []string{"Quick", "OnMachine", "Parallel", "Swap"}
+		"FaultPlan", "FaultRate", "FaultSeed", "Trace"}
+	excludedFields = []string{"Quick", "Parallel", "Swap", "traces"}
 )
 
 func TestCacheKeyCoversOptions(t *testing.T) {
@@ -68,6 +73,7 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 		{"FaultPlan", cacheKey(Options{FaultPlan: "swapva=0.1"}, "svagc", "CryptoAES", 1.2, 1)},
 		{"FaultRate", cacheKey(Options{FaultRate: 0.01}, "svagc", "CryptoAES", 1.2, 1)},
 		{"FaultSeed", cacheKey(Options{FaultSeed: 9}, "svagc", "CryptoAES", 1.2, 1)},
+		{"Trace", cacheKey(Options{Trace: true}, "svagc", "CryptoAES", 1.2, 1)},
 	}
 	seen := map[string]string{}
 	for _, v := range variants {
@@ -152,36 +158,61 @@ func TestConcurrentFiguresShareCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracedMachines runs two traced machines at once: two
-// workload runs with OnMachine hooks execute in parallel goroutines (the
-// hook path bypasses the cache, so both really run). Under -race it checks
-// that no state leaks between machines.
-func TestConcurrentTracedMachines(t *testing.T) {
+// TestTracedSweepAnyWidth runs a traced sweep of fig14 listed twice, at
+// Parallel 1 and then, from an empty cache, at Parallel 4. Tracing must
+// not change how runs execute: the merged trace is byte-equal across the
+// two widths, the second fig14 lists the first's tracers again (its runs
+// are cache hits), and both results equal the untraced golden. Under
+// -race it also checks that traced machines running side by side share
+// no state.
+func TestTracedSweepAnyWidth(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two workloads")
+		t.Skip("runs workloads")
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var mu sync.Mutex
-			var machines []*machine.Machine
-			opt := Options{Quick: true, OnMachine: func(m *machine.Machine) {
-				mu.Lock()
-				machines = append(machines, m)
-				mu.Unlock()
-				m.EnableTracing(64)
-			}}
-			bench := []string{"CryptoAES", "Sigverify"}[g]
-			if _, err := runWorkload(opt, "svagc", bench, 1.2, 1); err != nil {
-				t.Error(err)
-				return
-			}
-			if len(machines) != 1 {
-				t.Errorf("OnMachine saw %d machines, want 1", len(machines))
-			}
-		}(g)
+	defer ResetCache()
+	want, err := os.ReadFile(filepath.Join("testdata", "fig14.quick.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	fig14, err := ByID("fig14")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := []*Experiment{fig14, fig14}
+	var digests []string
+	for _, parallel := range []int{1, 4} {
+		ResetCache()
+		opt := quickOpt
+		opt.Parallel, opt.Trace = parallel, true
+		var traces []*trace.Tracer
+		results := make([]*Result, len(exps))
+		RunExperiments(opt, exps, func(i int, res *Result, err error, _ float64) {
+			if err != nil {
+				t.Fatalf("parallel=%d: %v", parallel, err)
+			}
+			results[i] = res
+			traces = append(traces, res.Traces...)
+		})
+		for i, res := range results {
+			if got := res.Format(); got != string(want) {
+				t.Errorf("parallel=%d: traced fig14 #%d differs from the untraced golden:\n%s", parallel, i, got)
+			}
+		}
+		if len(results[0].Traces) == 0 {
+			t.Fatalf("parallel=%d: traced fig14 lists no tracers", parallel)
+		}
+		if !slices.Equal(results[0].Traces, results[1].Traces) {
+			t.Errorf("parallel=%d: the second fig14 lists %d tracers, not the first's %d",
+				parallel, len(results[1].Traces), len(results[0].Traces))
+		}
+		h := sha256.New()
+		if err := trace.ChromeTraceOf(traces...).Write(h); err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, fmt.Sprintf("%x", h.Sum(nil)))
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("merged trace differs across widths: parallel=1 sha256 %s, parallel=4 sha256 %s",
+			digests[0], digests[1])
+	}
 }

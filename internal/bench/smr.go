@@ -23,9 +23,8 @@ const (
 
 // smrOne runs one collector's cluster at one heap size on a fresh
 // machine. Like oversub1, this figure builds its machines directly
-// (never passing through runWorkload), so it honours the fault plan and
-// the OnMachine hook — the chaos CI drives the arbiter_stall and
-// cap_race sites through it.
+// (never passing through runWorkload) — the chaos CI drives the
+// arbiter_stall and cap_race sites through it.
 func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, error) {
 	fi, err := opt.FaultInjector()
 	if err != nil {
@@ -38,9 +37,7 @@ func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	if opt.OnMachine != nil {
-		opt.OnMachine(m)
-	}
+	opt.record(opt.arm(m))
 	// Each tenant's cap is twice its heap plus slack: room for a copying
 	// collector's to-space, so the cap isolates runaways without
 	// throttling a well-behaved replica mid-collection.
