@@ -5,30 +5,39 @@
 // Table III (cache-miss percentages of memmove- vs SwapVA-based GC).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// Cache is a set-associative tag store with LRU replacement. It is shared
-// by all simulated cores (an LLC) and driven, like the rest of its
+// MaxWays is the largest supported associativity: a set's recency order
+// is sixteen 4-bit way indices packed into one uint64.
+const MaxWays = 16
+
+// Cache is a set-associative tag store with true-LRU replacement. It is
+// shared by all simulated cores (an LLC) and driven, like the rest of its
 // machine, by one host goroutine. A probe is the single hottest operation
 // in the whole simulator: every charged word and every line of every bulk
-// transfer lands here.
+// transfer lands here, so a probe does O(1) work whatever the
+// associativity.
+//
+// Ways fill in ascending order and are only ever emptied all at once
+// (InvalidateAll), so a set's victim is way fill while the set has an
+// empty way, and its least recently used way after that. The hit/miss
+// sequence is exactly that of a cache that stamps every way with a per-set
+// access counter and evicts the first way with the smallest stamp.
 type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
+	setBits   uint // log2(sets): a line's tag bits start here
 	setMask   uint64
 	tags      []uint64 // sets*ways entries; 0 = invalid
-	age       []uint64 // per-entry LRU timestamps
-	ticks     []uint64 // per-set LRU clocks
-
-	// mru caches each set's most-recently-used way for a first-probe
-	// short-circuit; purely an accelerator, hit/miss decisions and LRU
-	// ages are unchanged.
-	mru []uint8
+	meta      []setMeta
 
 	// lastLine is line+1 of the cache's most recent access (0 = none): a
 	// one-entry filter in front of the probe. A repeat of the very last
-	// line is necessarily a hit, and bumping an already-MRU way does not
+	// line is necessarily a hit, and touching an already-MRU way does not
 	// change the set's LRU order, so the repeat can skip the probe
 	// entirely — word-sequential charge loops (8 words per line) take the
 	// fast path 7 times out of 8, with results exactly those of the
@@ -36,12 +45,37 @@ type Cache struct {
 	lastLine uint64
 }
 
+// setMeta is one set's replacement state.
+type setMeta struct {
+	// fp holds one tag fingerprint byte per way, way i in byte i%8 of
+	// fp[i/8]: 0x80 | the low 7 tag bits, so an empty way (0) never
+	// matches. Fingerprints only pick candidate ways; every candidate is
+	// confirmed against its full tag.
+	fp [2]uint64
+	// order lists the fill valid ways from least to most recently used,
+	// one 4-bit way index per nibble with the LRU in the low nibble.
+	// Nibbles at and above fill are zero.
+	order uint64
+	fill  uint8
+}
+
+const (
+	bytes01   = 0x0101010101010101
+	bytes80   = 0x8080808080808080
+	nibbles1  = 0x1111111111111111
+	nibbles8  = 0x8888888888888888
+	fpTagMask = 0x7f
+)
+
 // New builds a cache of the given total size in bytes with the given
-// associativity and line size. Size must divide evenly into sets of a
-// power-of-two count.
+// associativity (at most MaxWays) and line size. Size must divide evenly
+// into sets of a power-of-two count.
 func New(sizeBytes, ways, lineSize int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 {
 		return nil, fmt.Errorf("cache: size, ways and lineSize must be positive")
+	}
+	if ways > MaxWays {
+		return nil, fmt.Errorf("cache: %d ways exceeds the maximum of %d", ways, MaxWays)
 	}
 	if lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("cache: line size %d is not a power of two", lineSize)
@@ -52,19 +86,14 @@ func New(sizeBytes, ways, lineSize int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d sets (size %d, %d-way, %dB lines) is not a positive power of two",
 			sets, sizeBytes, ways, lineSize)
 	}
-	shift := uint(0)
-	for 1<<shift < lineSize {
-		shift++
-	}
 	return &Cache{
 		sets:      sets,
 		ways:      ways,
-		lineShift: shift,
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		setBits:   uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, sets*ways),
-		age:       make([]uint64, sets*ways),
-		ticks:     make([]uint64, sets),
-		mru:       make([]uint8, sets),
+		meta:      make([]setMeta, sets),
 	}, nil
 }
 
@@ -91,35 +120,55 @@ func (c *Cache) SetExclusive(bool) {}
 func (c *Cache) probe(line uint64) bool {
 	tag := line + 1 // +1 so tag 0 stays "invalid"
 	set := int(line & c.setMask)
+	s := &c.meta[set]
 	base := set * c.ways
-	c.ticks[set]++
-	tick := c.ticks[set]
-	if m := base + int(c.mru[set]); c.tags[m] == tag {
-		c.age[m] = tick
+	top := 4 * uint(s.fill-1) // the MRU nibble's shift; unused when fill == 0
+	// A hit on the MRU way leaves the recency order as it is.
+	if s.fill > 0 && c.tags[base+int(s.order>>top&0xf)] == tag {
 		return true
 	}
-	// One combined pass: scan for the tag while tracking the LRU victim,
-	// so a miss — the dominant case on streaming transfers, where this
-	// probe is the simulator's hottest loop — costs one ways-long scan,
-	// not a tag scan plus a victim scan. Victim choice is identical to a
-	// dedicated second pass: first way (ascending) with the smallest age.
-	tags := c.tags[base : base+c.ways]
-	ages := c.age[base : base+c.ways]
-	victim, oldest := 0, ^uint64(0)
-	for i, t := range tags {
-		if t == tag {
-			ages[i] = tick
-			c.mru[set] = uint8(i)
-			return true
-		}
-		if ages[i] < oldest {
-			victim, oldest = i, ages[i]
+	fp := 0x80 | line>>c.setBits&fpTagMask
+	pat := fp * bytes01
+	for k := range s.fp {
+		x := s.fp[k] ^ pat
+		// Zero bytes of x are the ways whose fingerprint matches. The
+		// test flags every zero byte; it may also flag a valid way's byte
+		// just above one, which the full-tag comparison rejects. Empty
+		// ways XOR to fp, whose high bit is set, so they are never
+		// flagged.
+		for m := (x - bytes01) &^ x & bytes80; m != 0; m &= m - 1 {
+			way := 8*k + bits.TrailingZeros64(m)>>3
+			if c.tags[base+way] == tag {
+				s.touch(way, top)
+				return true
+			}
 		}
 	}
-	tags[victim] = tag
-	ages[victim] = tick
-	c.mru[set] = uint8(victim)
+	var way int
+	if w := int(s.fill); w < c.ways {
+		way = w
+		s.order |= uint64(w) << (4 * uint(w))
+		s.fill++
+	} else {
+		way = int(s.order & 0xf)
+		s.order = s.order>>4 | uint64(way)<<(4*uint(w-1))
+	}
+	c.tags[base+way] = tag
+	shift := 8 * uint(way&7)
+	s.fp[way>>3] = s.fp[way>>3]&^(0xff<<shift) | fp<<shift
 	return false
+}
+
+// touch moves way, which is not the MRU, to the MRU position top (the
+// shift of the set's highest valid nibble).
+func (s *setMeta) touch(way int, top uint) {
+	// The lowest zero nibble of x is way's position: way occurs once
+	// among the valid nibbles, and the zero nibbles above them can only
+	// match way 0, which is always valid and so sits lower.
+	x := s.order ^ uint64(way)*nibbles1
+	p := uint(bits.TrailingZeros64((x-nibbles1)&^x&nibbles8)) &^ 3
+	low := s.order & (1<<p - 1)
+	s.order = low | s.order>>(p+4)<<p | uint64(way)<<top
 }
 
 // Access touches the line containing physical address pa and returns
@@ -133,26 +182,6 @@ func (c *Cache) Access(pa uint64) bool {
 	hit := c.probe(line)
 	c.lastLine = line + 1
 	return hit
-}
-
-// coldSet reports whether set has provably never been probed (and never
-// re-probed since the last InvalidateAll): its LRU tick is still zero.
-// Every probe unconditionally increments the set's tick first, so a zero
-// tick implies every way is invalid and any access must miss.
-func (c *Cache) coldSet(set int) bool {
-	return c.ticks[set] == 0
-}
-
-// installCold installs line into its provably-empty set in closed form,
-// producing exactly the state a full probe would: the probe would bump
-// the tick to 1, find no tag, pick way 0 as victim (all ages are zero and
-// the scan takes the first smallest), and install with age 1 and MRU 0.
-// Callers must have checked coldSet.
-func (c *Cache) installCold(set int, line uint64) {
-	c.ticks[set] = 1
-	c.tags[set*c.ways] = line + 1
-	c.age[set*c.ways] = 1
-	c.mru[set] = 0
 }
 
 // AccessRange touches every line in [pa, pa+n) and returns the number of
@@ -183,52 +212,10 @@ func (c *Cache) AccessRange(pa uint64, n int) (hits, misses int) {
 	return hits, misses
 }
 
-// AccessRangeCold is AccessRange for transfers hinted all-miss: each
-// line whose set is provably empty (zero LRU tick — cold since
-// construction or the last InvalidateAll) installs in closed form
-// without the tag scan; warm sets take the ordinary probe. Hit/miss
-// counts and the final tag/age/MRU/tick state are bit-identical to
-// AccessRange — the repeat filter applies to the opening line only and
-// the filter word ends at last+1, exactly as there.
-func (c *Cache) AccessRangeCold(pa uint64, n int) (hits, misses int) {
-	if n <= 0 {
-		return 0, 0
-	}
-	first := pa >> c.lineShift
-	last := (pa + uint64(n) - 1) >> c.lineShift
-	line := first
-	if c.lastLine == first+1 {
-		hits++
-		line++
-	}
-	for ; line <= last; line++ {
-		set := int(line & c.setMask)
-		if c.coldSet(set) {
-			c.installCold(set, line)
-			misses++
-			continue
-		}
-		if c.probe(line) {
-			hits++
-		} else {
-			misses++
-		}
-	}
-	c.lastLine = last + 1
-	return hits, misses
-}
-
 // InvalidateAll empties the cache.
 func (c *Cache) InvalidateAll() {
-	for set := 0; set < c.sets; set++ {
-		base := set * c.ways
-		for i := base; i < base+c.ways; i++ {
-			c.tags[i] = 0
-			c.age[i] = 0
-		}
-		c.ticks[set] = 0
-		c.mru[set] = 0
-	}
+	clear(c.tags)
+	clear(c.meta)
 	c.lastLine = 0
 }
 

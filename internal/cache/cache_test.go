@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -15,6 +14,12 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(4096, 3, 64); err == nil {
 		t.Error("geometry with non-power-of-two sets accepted")
+	}
+	if _, err := New(32*64, 32, 64); err == nil {
+		t.Error("32 ways accepted: the recency order holds at most 16")
+	}
+	if _, err := New(16*64, 16, 64); err != nil {
+		t.Errorf("16 ways rejected: %v", err)
 	}
 	c, err := New(64*1024, 4, 64)
 	if err != nil {
@@ -112,88 +117,6 @@ func TestRepeatAccessAlwaysHits(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-// stateEqual asserts two caches are in bit-identical internal state —
-// the contract the cold fast path claims: installCold must leave exactly
-// what the full probe would have.
-func stateEqual(t *testing.T, a, b *Cache, label string) {
-	t.Helper()
-	switch {
-	case !reflect.DeepEqual(a.tags, b.tags):
-		t.Fatalf("%s: tags diverge:\n%v\n%v", label, a.tags, b.tags)
-	case !reflect.DeepEqual(a.age, b.age):
-		t.Fatalf("%s: ages diverge:\n%v\n%v", label, a.age, b.age)
-	case !reflect.DeepEqual(a.ticks, b.ticks):
-		t.Fatalf("%s: ticks diverge:\n%v\n%v", label, a.ticks, b.ticks)
-	case !reflect.DeepEqual(a.mru, b.mru):
-		t.Fatalf("%s: MRU ways diverge:\n%v\n%v", label, a.mru, b.mru)
-	case a.lastLine != b.lastLine:
-		t.Fatalf("%s: repeat filters diverge: %d vs %d", label, a.lastLine, b.lastLine)
-	}
-}
-
-// coldTwins builds an identical (cache, reference) pair: 16 sets of the
-// given associativity, 64-byte lines.
-func coldTwins(ways int) (*Cache, *Cache) {
-	return MustNew(16*ways*64, ways, 64), MustNew(16*ways*64, ways, 64)
-}
-
-// TestAccessRangeColdMatchesAccessRange: same twin discipline for the
-// range entry — counts and state must match AccessRange exactly, for
-// cold dense ranges that wrap the set index several times, re-reads,
-// an unaligned range straddling the last set into set 0, empty and
-// single-byte ranges, and post-InvalidateAll re-use.
-func TestAccessRangeColdMatchesAccessRange(t *testing.T) {
-	for _, ways := range []int{1, 8} {
-		a, b := coldTwins(ways)
-		ranges := []struct {
-			pa uint64
-			n  int
-		}{
-			{0, 4096},         // 64 lines over 16 sets: cold then self-warmed
-			{0, 4096},         // warm re-read
-			{15*64 + 32, 160}, // straddles the last set, wraps into set 0
-			{9 * 64, 0},       // empty
-			{9 * 64, 1},       // single byte
-			{9*64 + 63, 2},    // two bytes, two lines
-		}
-		run := func(label string) {
-			for i, r := range ranges {
-				ha, ma := a.AccessRangeCold(r.pa, r.n)
-				hb, mb := b.AccessRange(r.pa, r.n)
-				if ha != hb || ma != mb {
-					t.Fatalf("ways=%d %s range %d (pa %#x n %d): cold %d/%d vs exact %d/%d",
-						ways, label, i, r.pa, r.n, ha, ma, hb, mb)
-				}
-				stateEqual(t, a, b, label)
-			}
-		}
-		run("fresh")
-		a.InvalidateAll()
-		b.InvalidateAll()
-		run("after InvalidateAll")
-	}
-}
-
-// TestColdHintSharedCacheDelegates: on a cache whose sets are a mix of
-// warm and cold, the cold range entry installs the cold sets in closed
-// form and probes the warm ones, with the same results and the same state
-// as AccessRange.
-func TestColdHintSharedCacheDelegates(t *testing.T) {
-	a := MustNew(8192, 8, 64)
-	b := MustNew(8192, 8, 64)
-	for i := 0; i < 64; i++ {
-		pa := uint64(i) * 192 // every third line: a mix of warm and cold sets
-		a.Access(pa)
-		b.Access(pa)
-	}
-	ha, ma := a.AccessRangeCold(0, 4096)
-	hb, mb := b.AccessRange(0, 4096)
-	if ha != hb || ma != mb {
-		t.Fatalf("range: cold %d/%d vs exact %d/%d on a mixed cache", ha, ma, hb, mb)
-	}
-	stateEqual(t, a, b, "mixed warm and cold sets")
 }
 
 // Property: a working set no larger than one set's ways never misses after

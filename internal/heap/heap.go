@@ -175,16 +175,14 @@ func (h *Heap) WriteFiller(ctx *machine.Context, va uint64, size int) error {
 
 var zeroes [64 << 10]byte
 
-// zeroRange performs a charged zeroing write over [va, va+n). Freshly
-// allocated objects are often first touches, so the stream is cold-hinted
-// — wrong on recycled pages, which merely costs the hint check.
+// zeroRange performs a charged zeroing write over [va, va+n).
 func (h *Heap) zeroRange(ctx *machine.Context, va uint64, n int) error {
 	for n > 0 {
 		c := n
 		if c > len(zeroes) {
 			c = len(zeroes)
 		}
-		if err := h.AS.WriteStream(&ctx.Env, va, zeroes[:c], true); err != nil {
+		if err := h.AS.WriteStream(&ctx.Env, va, zeroes[:c], false); err != nil {
 			return err
 		}
 		va += uint64(c)

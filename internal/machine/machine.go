@@ -37,7 +37,7 @@ type Config struct {
 	Cost       *sim.CostModel
 	PhysBytes  int64 // physical memory; <= 0 means unlimited
 	LLCBytes   int   // shared cache size; <= 0 picks a default
-	LLCWays    int   // associativity; <= 0 picks a default
+	LLCWays    int   // associativity, at most cache.MaxWays (16); <= 0 picks 16
 	TLBEntries int   // per-core TLB entries; <= 0 picks a default
 
 	// Sockets splits the cores over that many sockets, each with its own

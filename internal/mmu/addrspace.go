@@ -403,16 +403,16 @@ func (as *AddressSpace) WriteWord(env *Env, va uint64, val uint64) error {
 // Read copies len(p) bytes from va into p as a charged sequential stream.
 func (as *AddressSpace) Read(env *Env, va uint64, p []byte) error {
 	env.Perf.BytesRead += uint64(len(p))
-	return as.bulk(env, va, p, false, false)
+	return as.bulk(env, va, p, false)
 }
 
 // Write copies p to va as a charged sequential stream.
 func (as *AddressSpace) Write(env *Env, va uint64, p []byte) error {
 	env.Perf.BytesWrite += uint64(len(p))
-	return as.bulk(env, va, p, true, false)
+	return as.bulk(env, va, p, true)
 }
 
-func (as *AddressSpace) bulk(env *Env, va uint64, p []byte, write, cold bool) error {
+func (as *AddressSpace) bulk(env *Env, va uint64, p []byte, write bool) error {
 	for len(p) > 0 {
 		f, err := as.translatePage(env, va)
 		if err != nil {
@@ -424,7 +424,7 @@ func (as *AddressSpace) bulk(env *Env, va uint64, p []byte, write, cold bool) er
 			n = len(p)
 		}
 		pa := uint64(f)<<mem.PageShift | uint64(off)
-		env.chargeBulkAccessHint(pa, n, write, cold)
+		env.chargeBulkAccess(pa, n, write)
 		frame := as.Phys.Frame(f)
 		if write {
 			copy(frame[off:off+n], p[:n])
@@ -464,7 +464,7 @@ func (as *AddressSpace) Copy(env *Env, dst, src uint64, n int) error {
 	return as.moveBytes(dst, src, n)
 }
 
-func (as *AddressSpace) chargeRange(env *Env, va uint64, n int, write, cold bool) error {
+func (as *AddressSpace) chargeRange(env *Env, va uint64, n int, write bool) error {
 	for n > 0 {
 		f, err := as.translatePage(env, va)
 		if err != nil {
@@ -475,7 +475,7 @@ func (as *AddressSpace) chargeRange(env *Env, va uint64, n int, write, cold bool
 		if seg > n {
 			seg = n
 		}
-		env.chargeBulkAccessHint(uint64(f)<<mem.PageShift|uint64(off), seg, write, cold)
+		env.chargeBulkAccess(uint64(f)<<mem.PageShift|uint64(off), seg, write)
 		va += uint64(seg)
 		n -= seg
 	}

@@ -111,15 +111,6 @@ func (e *Env) chargeWordAccess(pa uint64, write bool) {
 // (divided by the NVM write multiplier for stores); cache-resident lines
 // cost one hit each.
 func (e *Env) chargeBulkAccess(pa uint64, n int, write bool) {
-	e.chargeBulkAccessHint(pa, n, write, false)
-}
-
-// chargeBulkAccessHint is chargeBulkAccess with an advisory all-miss hint:
-// cold segments probe the LLC through cache.AccessRangeCold, which skips
-// the tag scan for sets the model can prove empty. The hint is honoured
-// only under batched settlement so the exact path stays the literal
-// reference probe sequence; results are bit-identical either way.
-func (e *Env) chargeBulkAccessHint(pa uint64, n int, write, cold bool) {
 	if n <= 0 {
 		return
 	}
@@ -127,11 +118,7 @@ func (e *Env) chargeBulkAccessHint(pa uint64, n int, write, cold bool) {
 	lines := int((pa+uint64(n)-1)/uint64(line) - pa/uint64(line) + 1)
 	hits, misses := 0, lines
 	if e.Cache != nil {
-		if cold && e.Batch {
-			hits, misses = e.Cache.AccessRangeCold(pa, n)
-		} else {
-			hits, misses = e.Cache.AccessRange(pa, n)
-		}
+		hits, misses = e.Cache.AccessRange(pa, n)
 	}
 	e.Perf.CacheRefs += uint64(lines)
 	e.Perf.CacheMisses += uint64(misses)

@@ -14,13 +14,11 @@ import (
 // same per-segment chargeBulkAccess — so converting a call site is always
 // bit-exact. What the caller buys is (a) no intermediate byte buffer for
 // word-typed data (ReadWords/WriteWords move words straight between the
-// caller's slice and the backing frames), (b) a charge-only entry
-// (ChargeStream) for movement the host performs elsewhere, and (c) an
-// advisory cold hint: segments expected to miss every line probe the LLC
-// through cache.AccessRangeCold, which installs lines in closed form for
-// sets the model can prove empty. The hint is honoured wherever runs
-// settle in closed form (Env.Batch: every machine without a swap tier)
-// and never changes results, only host work.
+// caller's slice and the backing frames) and (b) a charge-only entry
+// (ChargeStream) for movement the host performs elsewhere.
+//
+// Every entry still takes a cold bool, which is ignored and kept only so
+// existing callers compile unchanged.
 
 // streamPerf counts one declared stream of n bytes.
 func streamPerf(env *Env, n int) {
@@ -28,23 +26,24 @@ func streamPerf(env *Env, n int) {
 	env.Perf.StreamBytes += uint64(n)
 }
 
-// ReadStream is Read with stream accounting and an advisory cold hint.
+// ReadStream is Read with stream accounting. cold is ignored.
 func (as *AddressSpace) ReadStream(env *Env, va uint64, p []byte, cold bool) error {
 	streamPerf(env, len(p))
 	env.Perf.BytesRead += uint64(len(p))
-	return as.bulk(env, va, p, false, cold)
+	return as.bulk(env, va, p, false)
 }
 
-// WriteStream is Write with stream accounting and an advisory cold hint.
+// WriteStream is Write with stream accounting. cold is ignored.
 func (as *AddressSpace) WriteStream(env *Env, va uint64, p []byte, cold bool) error {
 	streamPerf(env, len(p))
 	env.Perf.BytesWrite += uint64(len(p))
-	return as.bulk(env, va, p, true, cold)
+	return as.bulk(env, va, p, true)
 }
 
 // ReadWords performs a charged sequential read of 8*len(dst) bytes at va,
 // decoding straight into dst — charge-identical to Read of the same range
-// with no intermediate byte buffer. va must be 8-byte aligned.
+// with no intermediate byte buffer. va must be 8-byte aligned; cold is
+// ignored.
 func (as *AddressSpace) ReadWords(env *Env, va uint64, dst []uint64, cold bool) error {
 	if va%8 != 0 {
 		return fmt.Errorf("mmu: ReadWords: va %#x not 8-aligned", va)
@@ -62,7 +61,7 @@ func (as *AddressSpace) ReadWords(env *Env, va uint64, dst []uint64, cold bool) 
 			k = len(dst)
 		}
 		pa := uint64(f)<<mem.PageShift | uint64(off)
-		env.chargeBulkAccessHint(pa, 8*k, false, cold)
+		env.chargeBulkAccess(pa, 8*k, false)
 		frame := as.Phys.Frame(f)
 		for i := 0; i < k; i++ {
 			o := off + 8*i
@@ -76,7 +75,8 @@ func (as *AddressSpace) ReadWords(env *Env, va uint64, dst []uint64, cold bool) 
 
 // WriteWords performs a charged sequential write of 8*len(src) bytes at
 // va, encoding straight from src — charge-identical to Write of the same
-// range with no intermediate byte buffer. va must be 8-byte aligned.
+// range with no intermediate byte buffer. va must be 8-byte aligned; cold
+// is ignored.
 func (as *AddressSpace) WriteWords(env *Env, va uint64, src []uint64, cold bool) error {
 	if va%8 != 0 {
 		return fmt.Errorf("mmu: WriteWords: va %#x not 8-aligned", va)
@@ -94,7 +94,7 @@ func (as *AddressSpace) WriteWords(env *Env, va uint64, src []uint64, cold bool)
 			k = len(src)
 		}
 		pa := uint64(f)<<mem.PageShift | uint64(off)
-		env.chargeBulkAccessHint(pa, 8*k, true, cold)
+		env.chargeBulkAccess(pa, 8*k, true)
 		frame := as.Phys.Frame(f)
 		for i := 0; i < k; i++ {
 			o := off + 8*i
@@ -109,7 +109,7 @@ func (as *AddressSpace) WriteWords(env *Env, va uint64, src []uint64, cold bool)
 // ChargeStream charges a sequential n-byte stream at va without moving
 // any data — the bulk-transfer analogue of ChargeRun, for movement the
 // host performs through other plumbing (Copy's frame-to-frame move, the
-// compression kernels' host-side transforms).
+// compression kernels' host-side transforms). cold is ignored.
 func (as *AddressSpace) ChargeStream(env *Env, va uint64, n int, write, cold bool) error {
 	if n <= 0 {
 		return nil
@@ -120,7 +120,7 @@ func (as *AddressSpace) ChargeStream(env *Env, va uint64, n int, write, cold boo
 	} else {
 		env.Perf.BytesRead += uint64(n)
 	}
-	return as.chargeRange(env, va, n, write, cold)
+	return as.chargeRange(env, va, n, write)
 }
 
 // moveBytes moves n bytes from src to dst frame-to-frame with memmove

@@ -118,10 +118,9 @@ func TestChargeStreamMatchesReadWrite(t *testing.T) {
 	}
 }
 
-// TestStreamColdHintParity: the cold hint on stream entries is advisory
-// — with it and without it, the clock, the counters and all future
-// cache behaviour must be identical, whether the hint can engage
-// (batched env) or is ignored (Batch off).
+// TestStreamColdHintParity: the stream entries ignore their cold
+// argument — with it set and clear, the clock, the counters and all
+// future cache behaviour must be identical, batched or not.
 func TestStreamColdHintParity(t *testing.T) {
 	for _, batch := range []bool{true, false} {
 		asC, envC := runFixture(t, batch)

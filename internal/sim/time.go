@@ -98,7 +98,17 @@ const fracBits = 32
 // units. The split is exact for the whole part and truncating for the
 // remainder, so quantize is a pure function of the float64 bits of d —
 // the same d always lands on the same grid point.
+//
+// Below 2^31 ns one multiply does it: scaling by 2^(fracBits) is exact in
+// float64 and the result stays under 2^63, so truncating it to an integer
+// truncates the whole part and the remainder exactly as the two-step form
+// below does (d - trunc(d) is exact too). Larger values and NaN take the
+// two-step form.
 func quantize(d Time) (int64, uint64) {
+	if d >= 0 && d < 1<<31 {
+		x := int64(d * (1 << fracBits))
+		return x >> fracBits, uint64(x) & (1<<fracBits - 1)
+	}
 	w := int64(d)
 	return w, uint64((float64(d) - float64(w)) * (1 << fracBits))
 }
