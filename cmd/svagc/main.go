@@ -61,7 +61,7 @@ func main() {
 		traceBuf  = flag.Int("trace-buf", 0, "trace ring size in events per context (0 = default 8192; with -trace-spill this is the flush batch size)")
 		sockets   = flag.Int("sockets", 1, "sockets (NUMA nodes) the simulated cores are split over")
 		numaPol   = flag.String("numa-policy", "", "page placement on multi-socket machines: first-touch, interleave, or bind[:N]")
-		numaGC    = flag.String("numa-gc", "", "GC worker placement on multi-socket machines: spread or local")
+		numaGC    = flag.String("numa-gc", "", "GC worker placement on multi-socket machines: spread or local (svagc only)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "host worker pool when -bench lists several workloads (1 = serial)")
 		faultPln  = flag.String("fault-plan", "", "fault-injection plan: comma-separated site=rate (sites: pte-lock, ipi-ack, swapva, poison, interconnect, far-write, all), e.g. 'swapva=0.01,poison=1e-4'")
 		faultRt   = flag.Float64("fault-rate", 0, "uniform fault rate applied to every site (per-site -fault-plan entries override it)")
@@ -155,6 +155,17 @@ func main() {
 	place, err := gc.ParsePlacement(*numaGC)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "svagc:", err)
+		os.Exit(2)
+	}
+	// The threshold and placement overrides reach only the SVAGC preset;
+	// anywhere else the run would silently ignore them.
+	if *threshold < 0 {
+		fmt.Fprintln(os.Stderr, "svagc: -threshold must be positive (0 = the 10-page default)")
+		os.Exit(2)
+	}
+	if (*threshold > 0 || *numaGC != "") && *collector != jvm.CollectorSVAGC {
+		fmt.Fprintf(os.Stderr, "svagc: -threshold and -numa-gc apply only to -gc %s, not %s\n",
+			jvm.CollectorSVAGC, *collector)
 		os.Exit(2)
 	}
 	faultPlan, err := fault.ParsePlanWithRate(*faultPln, *faultRt)

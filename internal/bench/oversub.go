@@ -209,7 +209,7 @@ func OversubFarMemory(opt Options) (*Result, error) {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("RAM %d MiB (%d frames), zpool %d MiB compressed budget, far tier %d MiB NVMe (%.0f µs, %.0f GB/s)",
 			ovPhysBytes>>20, ovPhysFrames, sc.ZpoolBytes>>20, sc.FarBytes>>20,
-			float64(sc.FarLatNs)/1e3, sc.FarBWGBs),
+			float64(sc.FarLatNs)/1e3, swaptier.DefaultFarBWGBs),
 		"live set is 40% of the heap, written with a 4:1-compressible pattern; garbage pages are zero-filled and discard for free on write-back",
 		"post-alloc ok at every point: direct reclaim keeps allocation working at 4x oversubscription instead of failing fast",
 	)

@@ -102,9 +102,9 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 	}
 	// Swap is excluded because no run that reaches the cache is ever
 	// swap-armed (oversub1 builds its machines directly): the tier shape
-	// — including its float bandwidth knob — must not perturb the key.
+	// must not perturb the key.
 	swapped := Options{Swap: swaptier.Config{FarBytes: 64 << 20, ZpoolBytes: 8 << 20,
-		FarLatNs: 25_000, FarBWGBs: 1.5}}
+		FarLatNs: 25_000}}
 	if k := cacheKey(swapped, "svagc", "CryptoAES", 1.2, 1); k != variants[0].key {
 		t.Errorf("Swap changed the cache key: %q vs %q", k, variants[0].key)
 	}

@@ -165,60 +165,28 @@ func ParsePlanWithRate(spec string, rate float64) (Plan, error) {
 	return p, nil
 }
 
-// Tunables are the fault-shape constants of a plan: how long injected
-// delays last and how the IPI re-send ladder is bounded. Zero values
-// select the defaults below.
-type Tunables struct {
+// Fault shapes: how long injected delays last and how the IPI re-send
+// ladder is bounded.
+const (
 	// LockStallNs is the extra hold time charged when a PTE-lock stall
-	// fires. Default 5 µs — long against the ~20 ns uncontended lock cost,
-	// short against a GC pause.
-	LockStallNs sim.Time
+	// fires: long against the ~20 ns uncontended lock cost, short against
+	// a GC pause.
+	LockStallNs = 5 * sim.Microsecond
 	// AckTimeoutNs is the wait before the first shootdown re-send when an
-	// IPI ack is dropped; it doubles each round. Default 10 µs.
-	AckTimeoutNs sim.Time
+	// IPI ack is dropped; it doubles each round.
+	AckTimeoutNs = 10 * sim.Microsecond
 	// MaxIPIResends bounds the re-send rounds; after that the kernel
 	// proceeds (the flush itself was delivered, only the ack bookkeeping
-	// is lost). Default 3.
-	MaxIPIResends int
+	// is lost).
+	MaxIPIResends = 3
 	// BrownoutFactor multiplies cross-socket latency (and divides link
-	// bandwidth) for a browned-out access. Default 8.
-	BrownoutFactor float64
+	// bandwidth) for a browned-out access.
+	BrownoutFactor = 8.0
 	// ArbiterStallNs is the admission-decision delay charged when an
-	// arbiter stall fires. Default 25 µs — comparable to a small GC phase,
-	// so stalls visibly shift collection starts without dominating pauses.
-	ArbiterStallNs sim.Time
-}
-
-// DefaultTunables returns the documented default fault shapes.
-func DefaultTunables() Tunables {
-	return Tunables{
-		LockStallNs:    5_000,
-		AckTimeoutNs:   10_000,
-		MaxIPIResends:  3,
-		BrownoutFactor: 8,
-		ArbiterStallNs: 25_000,
-	}
-}
-
-func (t Tunables) withDefaults() Tunables {
-	d := DefaultTunables()
-	if t.LockStallNs <= 0 {
-		t.LockStallNs = d.LockStallNs
-	}
-	if t.AckTimeoutNs <= 0 {
-		t.AckTimeoutNs = d.AckTimeoutNs
-	}
-	if t.MaxIPIResends <= 0 {
-		t.MaxIPIResends = d.MaxIPIResends
-	}
-	if t.BrownoutFactor <= 1 {
-		t.BrownoutFactor = d.BrownoutFactor
-	}
-	if t.ArbiterStallNs <= 0 {
-		t.ArbiterStallNs = d.ArbiterStallNs
-	}
-	return t
-}
+	// arbiter stall fires: comparable to a small GC phase, so stalls
+	// visibly shift collection starts without dominating pauses.
+	ArbiterStallNs = 25 * sim.Microsecond
+)
 
 // Injector schedules faults for one simulated machine. A nil *Injector is
 // the disabled plane: every method is nil-safe and the query path is a
@@ -226,24 +194,17 @@ func (t Tunables) withDefaults() Tunables {
 type Injector struct {
 	seed uint64
 	plan Plan
-	tun  Tunables
 	seq  [trace.NumFaultSites]uint64
 }
 
-// New builds an injector for the given seed and plan with default
-// tunables. Returns nil for an inactive plan, so callers can thread the
-// result straight into machine.Config.
+// New builds an injector for the given seed and plan. Returns nil for an
+// inactive plan, so callers can thread the result straight into
+// machine.Config.
 func New(seed int64, plan Plan) *Injector {
-	return NewWithTunables(seed, plan, Tunables{})
-}
-
-// NewWithTunables builds an injector with explicit fault shapes; zero
-// fields select the defaults.
-func NewWithTunables(seed int64, plan Plan, tun Tunables) *Injector {
 	if !plan.Active() {
 		return nil
 	}
-	return &Injector{seed: uint64(seed), plan: plan, tun: tun.withDefaults()}
+	return &Injector{seed: uint64(seed), plan: plan}
 }
 
 // Active reports whether any site can fire. Nil-safe.
@@ -285,21 +246,6 @@ func (i *Injector) FramePoisoned(frame uint64) bool {
 	}
 	return roll(i.seed, trace.FaultFramePoison, frame^0xecc0ecc0ecc0ecc0) < r
 }
-
-// LockStallNs returns the injected PTE-lock stall duration.
-func (i *Injector) LockStallNs() sim.Time { return i.tun.LockStallNs }
-
-// AckTimeoutNs returns the base IPI ack-timeout wait.
-func (i *Injector) AckTimeoutNs() sim.Time { return i.tun.AckTimeoutNs }
-
-// MaxIPIResends returns the re-send round bound.
-func (i *Injector) MaxIPIResends() int { return i.tun.MaxIPIResends }
-
-// BrownoutFactor returns the interconnect degradation multiplier.
-func (i *Injector) BrownoutFactor() float64 { return i.tun.BrownoutFactor }
-
-// ArbiterStallNs returns the injected arbiter admission delay.
-func (i *Injector) ArbiterStallNs() sim.Time { return i.tun.ArbiterStallNs }
 
 // Plan returns the armed plan (zero Plan for a nil injector).
 func (i *Injector) Plan() Plan {

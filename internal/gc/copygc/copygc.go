@@ -22,11 +22,6 @@ type Config struct {
 	Workers int
 	// PhaseDeadline arms the GC watchdog (0 = off).
 	PhaseDeadline sim.Time
-	// ReserveFrames overrides the GC-critical frame reservation (0 = the
-	// lisp2 default when watermarks are armed).
-	ReserveFrames int
-	// Placement selects GC worker cores on a multi-socket machine.
-	Placement gc.Placement
 }
 
 // New builds the evacuating collector over h.
@@ -35,10 +30,8 @@ func New(h *heap.Heap, roots *gc.RootSet, cfg Config) *lisp2.Collector {
 		Workers:       cfg.Workers,
 		Policy:        Policy(cfg),
 		WorkStealing:  true,
-		Placement:     cfg.Placement,
 		CopyCompact:   true,
 		PhaseDeadline: cfg.PhaseDeadline,
-		ReserveFrames: cfg.ReserveFrames,
 	})
 }
 

@@ -40,8 +40,6 @@ type Config struct {
 	// Aggregate batches consecutive SwapVA moves into vectored calls
 	// (Fig. 5); per Table I it applies to full/major compaction.
 	Aggregate bool
-	// AggregateBatch bounds the vectored batch size (default 32).
-	AggregateBatch int
 	// PinnedCompaction enables Algorithm 4: pin compaction workers, shoot
 	// down all cores' TLBs once up front, then flush only locally.
 	PinnedCompaction bool
@@ -56,16 +54,9 @@ type Config struct {
 	// ConcurrentMark charges the marking phase outside the pause,
 	// modelling a concurrent marker (the pause keeps a final-mark stub).
 	ConcurrentMark bool
-	// SafepointNs is the stop-the-world entry cost (default 20 µs).
-	SafepointNs sim.Time
-	// BarrierNs is the per-phase synchronisation cost (default 2 µs).
-	BarrierNs sim.Time
 	// MaxSwapRetries bounds the EAGAIN-style retries of a transiently
 	// failed swap before the move degrades to byte copy (default 3).
 	MaxSwapRetries int
-	// RetryBackoffNs is the base backoff charged before the first retry;
-	// it doubles per attempt, capped at 64x (default 5 µs).
-	RetryBackoffNs sim.Time
 	// VerifyHeap runs the post-GC heap-invariant verifier (shadow digest,
 	// forwarding resolution, frame accounting) after every collection.
 	// Collections on a fault-injected machine are always verified,
@@ -75,12 +66,6 @@ type Config struct {
 	// time exceeds this budget aborts the collection with a diagnostic
 	// dump (*WatchdogError) instead of grinding on. 0 disarms (default).
 	PhaseDeadline sim.Time
-	// ReserveFrames is the GC-critical frame reservation acquired for the
-	// duration of each collection (degrade-to-copy bounce frames draw from
-	// it, so compaction cannot fail at the min watermark). 0 picks a small
-	// default when the machine's watermarks are armed, and disables the
-	// reserve entirely otherwise.
-	ReserveFrames int
 	// CopyCompact replaces the sliding compaction phase with a full
 	// evacuation: live objects are copied out to a freshly mapped to-space
 	// image and bulk-copied home. This models a copying collector's
@@ -104,27 +89,6 @@ func (c Config) compactWorkers() int {
 	return c.CompactWorkers
 }
 
-func (c Config) batch() int {
-	if c.AggregateBatch <= 0 {
-		return 32
-	}
-	return c.AggregateBatch
-}
-
-func (c Config) safepoint() sim.Time {
-	if c.SafepointNs <= 0 {
-		return 20 * sim.Microsecond
-	}
-	return c.SafepointNs
-}
-
-func (c Config) barrier() sim.Time {
-	if c.BarrierNs <= 0 {
-		return 2 * sim.Microsecond
-	}
-	return c.BarrierNs
-}
-
 func (c Config) maxRetries() int {
 	if c.MaxSwapRetries <= 0 {
 		return 3
@@ -132,27 +96,29 @@ func (c Config) maxRetries() int {
 	return c.MaxSwapRetries
 }
 
-func (c Config) retryBackoff() sim.Time {
-	if c.RetryBackoffNs <= 0 {
-		return 5 * sim.Microsecond
-	}
-	return c.RetryBackoffNs
-}
+const (
+	// aggregateBatch bounds the vectored SwapVA batch size.
+	aggregateBatch = 32
+	// safepointNs is the stop-the-world entry cost.
+	safepointNs = 20 * sim.Microsecond
+	// barrierNs is the per-phase synchronisation cost.
+	barrierNs = 2 * sim.Microsecond
+	// retryBackoffNs is the base backoff charged before the first retry
+	// of a transiently failed swap; it doubles per attempt, capped at 64x.
+	retryBackoffNs = 5 * sim.Microsecond
+	// reserveFrames is the GC-critical frame reservation acquired for the
+	// duration of each collection on a watermarked machine: degrade-to-copy
+	// bounce frames draw from it, so compaction cannot fail at the min
+	// watermark, and it is small enough not to dent mutator headroom.
+	reserveFrames = 8
+)
 
-// defaultReserveFrames is the GC reservation used when watermarks are
-// armed but Config.ReserveFrames is unset: enough bounce headroom for a
-// degraded compaction, small enough not to dent mutator headroom.
-const defaultReserveFrames = 8
-
-// gcReserve resolves the per-collection frame reservation: the explicit
-// Config value, a small default on a watermarked machine, and 0 (fully
-// disabled — the bit-identical legacy path) everywhere else.
+// gcReserve resolves the per-collection frame reservation: reserveFrames
+// on a watermarked machine, and 0 (fully disabled — the bit-identical
+// legacy path) everywhere else.
 func (c *Collector) gcReserve() int {
-	if c.cfg.ReserveFrames > 0 {
-		return c.cfg.ReserveFrames
-	}
 	if c.H.AS.Phys.Watermarks().Enabled() {
-		return defaultReserveFrames
+		return reserveFrames
 	}
 	return 0
 }
@@ -204,7 +170,7 @@ func (c *Collector) endPhase(ctx *machine.Context, pool *gc.Pool,
 				uint64(i), 0)
 		}
 	}
-	end := pool.BarrierSync(c.cfg.barrier())
+	end := pool.BarrierSync(barrierNs)
 	ctx.Trace.Emit(trace.KindPhase, name, start, end-start,
 		uint64(pool.Size()), 0)
 	return end, c.checkPhase(ctx, end)
@@ -225,7 +191,7 @@ func (c *Collector) CollectRange(ctx *machine.Context, cause gc.Cause,
 	from uint64, kind string, holders []heap.Object) (*gc.PauseInfo, error) {
 
 	pauseStart := ctx.Clock.Now()
-	ctx.Clock.Advance(c.cfg.safepoint())
+	ctx.Clock.Advance(safepointNs)
 	if err := c.H.RetireAllTLABs(ctx); err != nil {
 		return nil, fmt.Errorf("lisp2: retiring TLABs: %w", err)
 	}
@@ -350,7 +316,7 @@ func (c *Collector) CollectRange(ctx *machine.Context, cause gc.Cause,
 		// pause, keeping a final-mark stub (remark of the residual few
 		// percent plus a barrier), and book the bulk as concurrent work
 		// that the runtime charges against application time.
-		stub := c.cfg.barrier() + pause.Phases.Mark/20
+		stub := barrierNs + pause.Phases.Mark/20
 		if stub > pause.Phases.Mark {
 			stub = pause.Phases.Mark
 		}

@@ -362,7 +362,7 @@ func (c *Collector) compactPhase(pool *gc.Pool, from, top uint64, swapMoves int)
 		}
 		return w
 	}
-	queue := &swapQueue{k: c.H.K, c: c, opts: swapOpts, max: c.cfg.batch()}
+	queue := &swapQueue{k: c.H.K, c: c, opts: swapOpts, max: aggregateBatch}
 
 	cursor := from
 	cur := from

@@ -78,17 +78,17 @@ func TestGCCompletesAtMinWatermarkViaReserve(t *testing.T) {
 
 	// Leave exactly the GC reservation above the min watermark, so taking
 	// the reserve lands the pool at (or below) min for the whole pause.
-	ballastToFree(t, wd, wm.Min+defaultReserveFrames)
+	ballastToFree(t, wd, wm.Min+reserveFrames)
 	preFree := wd.m.Phys.FreeFrames()
 
 	// Sanity: with the reserve held, an ordinary allocation is gated.
-	if err := wd.m.Phys.Reserve(defaultReserveFrames); err != nil {
+	if err := wd.m.Phys.Reserve(reserveFrames); err != nil {
 		t.Fatalf("Reserve: %v", err)
 	}
 	if _, err := wd.m.Phys.AllocFrame(); !errors.Is(err, mem.ErrWatermark) {
 		t.Fatalf("ordinary alloc at min watermark: err = %v, want ErrWatermark", err)
 	}
-	wd.m.Phys.ReleaseReserve(defaultReserveFrames)
+	wd.m.Phys.ReleaseReserve(reserveFrames)
 
 	pause, err := c.Collect(wd.ctx, gc.CauseExplicit)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestEvacuationDegradesToSlideUnderPressure(t *testing.T) {
 	c := New("evac-tight", wd.h, wd.roots, cfg)
 
 	buildGraph(wd, 40)
-	ballastToFree(t, wd, wm.Min+defaultReserveFrames)
+	ballastToFree(t, wd, wm.Min+reserveFrames)
 
 	pause, err := c.Collect(wd.ctx, gc.CauseExplicit)
 	if err != nil {

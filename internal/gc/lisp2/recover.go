@@ -55,7 +55,7 @@ func (c *Collector) chargeBackoff(w *machine.Context, attempt int, va uint64) er
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	back := c.cfg.retryBackoff() * sim.Time(int64(1)<<uint(shift))
+	back := retryBackoffNs * sim.Time(int64(1)<<uint(shift))
 	t0 := w.Clock.Now()
 	w.Clock.Advance(back)
 	w.Perf.SwapRetries++

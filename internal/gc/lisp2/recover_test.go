@@ -14,7 +14,7 @@ import (
 func TestBackoffCapBoundary(t *testing.T) {
 	wd := newWorld(t, 1<<20, svagcConfig().Policy)
 	c := New("backoff", wd.h, wd.roots, svagcConfig())
-	base := c.cfg.retryBackoff()
+	base := retryBackoffNs
 
 	for attempt := 1; attempt <= maxBackoffShift+3; attempt++ {
 		before := wd.ctx.Clock.Now()

@@ -30,51 +30,26 @@ type Config struct {
 	// overlap optimisation. The heap must be built with the matching
 	// aligned policy (see Policy).
 	UseSwapVA bool
-	// MinYoungBytes is the smallest young region worth a minor
+}
+
+const (
+	// minYoungBytes is the smallest young region worth a minor
 	// collection; below it, allocation failure escalates straight to a
-	// full collection (default 256 KiB).
-	MinYoungBytes int
-	// FullThreshold escalates to a full collection when, after a minor,
-	// less than this fraction of the heap is free (default 0.125).
-	FullThreshold float64
-	// OldFraction is the share of the heap the mature generation may
+	// full collection.
+	minYoungBytes = 256 << 10
+	// fullThreshold escalates to a full collection when, after a minor,
+	// less than this fraction of the heap is free.
+	fullThreshold = 0.125
+	// oldFraction is the share of the heap the mature generation may
 	// occupy before an allocation failure goes straight to a full
-	// collection, modelling ParallelGC's old-gen sizing (default 0.25).
-	OldFraction float64
-	// EdenFraction sizes the young allocation window as a share of the
-	// heap (default 0.25): after every collection a soft allocation
-	// ceiling is installed that many bytes above the compacted top, so
-	// minors fire at eden granularity rather than at heap exhaustion.
-	EdenFraction float64
-}
-
-func (c Config) minYoung() int {
-	if c.MinYoungBytes <= 0 {
-		return 256 << 10
-	}
-	return c.MinYoungBytes
-}
-
-func (c Config) fullThreshold() float64 {
-	if c.FullThreshold <= 0 {
-		return 0.125
-	}
-	return c.FullThreshold
-}
-
-func (c Config) oldFraction() float64 {
-	if c.OldFraction <= 0 {
-		return 0.25
-	}
-	return c.OldFraction
-}
-
-func (c Config) edenFraction() float64 {
-	if c.EdenFraction <= 0 {
-		return 0.25
-	}
-	return c.EdenFraction
-}
+	// collection, modelling ParallelGC's old-gen sizing.
+	oldFraction = 0.25
+	// edenFraction sizes the young allocation window as a share of the
+	// heap: after every collection a soft allocation ceiling is installed
+	// that many bytes above the compacted top, so minors fire at eden
+	// granularity rather than at heap exhaustion.
+	edenFraction = 0.25
+)
 
 // Collector is the generational baseline.
 type Collector struct {
@@ -82,7 +57,6 @@ type Collector struct {
 	Roots *gc.RootSet
 
 	engine *lisp2.Collector
-	cfg    Config
 
 	// matureTop separates the mature prefix (compacted by the last
 	// collection) from the young suffix (allocated since).
@@ -113,7 +87,6 @@ func New(h *heap.Heap, roots *gc.RootSet, cfg Config) *Collector {
 	c := &Collector{
 		H:         h,
 		Roots:     roots,
-		cfg:       cfg,
 		matureTop: h.Start(),
 		remset:    map[heap.Object]struct{}{},
 	}
@@ -146,7 +119,7 @@ func New(h *heap.Heap, roots *gc.RootSet, cfg Config) *Collector {
 
 // resetEden installs the young allocation window above the current top.
 func (c *Collector) resetEden() {
-	eden := uint64(float64(c.H.Capacity()) * c.cfg.edenFraction())
+	eden := uint64(float64(c.H.Capacity()) * edenFraction)
 	c.H.SetSoftLimit(c.H.Top() + eden)
 }
 
@@ -168,14 +141,14 @@ func (c *Collector) RemsetSize() int { return len(c.remset) }
 func (c *Collector) Collect(ctx *machine.Context, cause gc.Cause) (*gc.PauseInfo, error) {
 	youngUsed := int(c.H.Top() - c.matureTop)
 	matureUsed := float64(c.matureTop-c.H.Start()) / float64(c.H.Capacity())
-	if cause == gc.CauseAllocFailure && youngUsed >= c.cfg.minYoung() &&
-		matureUsed < c.cfg.oldFraction() {
+	if cause == gc.CauseAllocFailure && youngUsed >= minYoungBytes &&
+		matureUsed < oldFraction {
 		pause, err := c.minor(ctx, cause)
 		if err != nil {
 			return nil, err
 		}
 		free := float64(int(c.H.End()-c.H.Top())) / float64(c.H.Capacity())
-		if free >= c.cfg.fullThreshold() {
+		if free >= fullThreshold {
 			return pause, nil
 		}
 	}

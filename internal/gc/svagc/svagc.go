@@ -40,9 +40,6 @@ type Config struct {
 	// PhaseDeadline arms the GC watchdog: a phase exceeding this simulated
 	// budget aborts with a diagnostic dump instead of hanging (0 = off).
 	PhaseDeadline sim.Time
-	// ReserveFrames overrides the GC-critical frame reservation drawn for
-	// each collection (0 = the lisp2 default when watermarks are armed).
-	ReserveFrames int
 }
 
 // New builds an SVAGC collector over h.
@@ -60,7 +57,6 @@ func New(h *heap.Heap, roots *gc.RootSet, cfg Config) *lisp2.Collector {
 		WorkStealing:     true,
 		Placement:        cfg.Placement,
 		PhaseDeadline:    cfg.PhaseDeadline,
-		ReserveFrames:    cfg.ReserveFrames,
 	})
 }
 

@@ -20,15 +20,13 @@ type Config struct {
 	SizeBytes int64
 	// Policy controls large-object alignment and moving.
 	Policy core.MovePolicy
-	// TLABBytes is the thread-local allocation buffer size; <= 0 picks
-	// the 64 KiB default.
-	TLABBytes int
 	// ZeroOnAlloc controls Java-style zeroing of new objects (default
 	// behaviour; disable only in microbenchmarks).
 	ZeroOnAlloc bool
 }
 
-// DefaultTLABBytes is the default TLAB size.
+// DefaultTLABBytes is the thread-local allocation buffer size every heap
+// starts with.
 const DefaultTLABBytes = 64 << 10
 
 // Heap is a contiguous, linearly walkable object space.
@@ -64,10 +62,6 @@ func New(as *mmu.AddressSpace, k *kernel.Kernel, cfg Config) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	tlab := cfg.TLABBytes
-	if tlab <= 0 {
-		tlab = DefaultTLABBytes
-	}
 	return &Heap{
 		AS:          as,
 		K:           k,
@@ -75,7 +69,7 @@ func New(as *mmu.AddressSpace, k *kernel.Kernel, cfg Config) (*Heap, error) {
 		start:       start,
 		end:         start + uint64(pages)<<mem.PageShift,
 		top:         start,
-		tlabBytes:   tlab,
+		tlabBytes:   DefaultTLABBytes,
 		zeroOnAlloc: cfg.ZeroOnAlloc,
 	}, nil
 }

@@ -109,12 +109,6 @@ func (h *Heap) ReadHeader(ctx *machine.Context, o Object) (Header, error) {
 	}, nil
 }
 
-// SizeOf returns the object's total size (charged header read).
-func (h *Heap) SizeOf(ctx *machine.Context, o Object) (int, error) {
-	hd, err := h.ReadHeader(ctx, o)
-	return hd.Size, err
-}
-
 // SetMark sets or clears the mark bit (charged read-modify-write).
 func (h *Heap) SetMark(ctx *machine.Context, o Object, marked bool) error {
 	w, err := h.AS.ReadWord(&ctx.Env, o.VA())

@@ -79,14 +79,6 @@ func (t *TLAB) reserve(h *Heap, ctx *machine.Context, size int) (uint64, bool) {
 	return va, true
 }
 
-// Remaining returns the unallocated bytes between the two growth fronts.
-func (t *TLAB) Remaining() int {
-	if !t.valid {
-		return 0
-	}
-	return int(t.largeBot - t.smallTop)
-}
-
 // Retire fills the unused middle of the TLAB with a filler and
 // invalidates it. Retiring an invalid TLAB is a no-op. The heap's GC entry
 // point retires all outstanding TLABs before walking the heap.

@@ -11,7 +11,7 @@ import (
 
 func TestGCLogEmitsLines(t *testing.T) {
 	m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130()})
-	j, err := New(m, SVAGCConfig(4<<20, 1, 4))
+	j, err := New(m, svagcConfig(4<<20, 1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,6 @@ type Config struct {
 	NewCollector CollectorFactory
 	// Threads is the mutator thread count (default 1).
 	Threads int
-	// TLABBytes overrides the TLAB size (default heap.DefaultTLABBytes).
-	TLABBytes int
 	// BaseCore places the JVM's threads starting at this core.
 	BaseCore int
 	// Tenant, when non-nil, charges the JVM's mappings against a
@@ -135,7 +133,6 @@ func New(m *machine.Machine, cfg Config) (*JVM, error) {
 	h, err := heap.New(as, k, heap.Config{
 		SizeBytes:   cfg.HeapBytes,
 		Policy:      cfg.Policy,
-		TLABBytes:   cfg.TLABBytes,
 		ZeroOnAlloc: true,
 	})
 	if err != nil {

@@ -15,12 +15,18 @@ func testMachine() *machine.Machine {
 	return machine.MustNew(machine.Config{Cost: sim.XeonGold6130()})
 }
 
+// svagcConfig is the SVAGC preset at the given sizes.
+func svagcConfig(heapBytes int64, threads, gcWorkers int) Config {
+	cfg, _ := ConfigFor(CollectorSVAGC, heapBytes, threads, gcWorkers)
+	return cfg
+}
+
 func TestNewValidation(t *testing.T) {
 	m := testMachine()
 	if _, err := New(m, Config{HeapBytes: 1 << 20}); err == nil {
 		t.Error("missing collector factory accepted")
 	}
-	cfg := SVAGCConfig(0, 1, 4)
+	cfg := svagcConfig(0, 1, 4)
 	if _, err := New(m, cfg); err == nil {
 		t.Error("zero heap accepted")
 	}
@@ -28,7 +34,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestAllocTriggersGCAndRecovers(t *testing.T) {
 	m := testMachine()
-	j, err := New(m, SVAGCConfig(4<<20, 1, 4))
+	j, err := New(m, svagcConfig(4<<20, 1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestAllocTriggersGCAndRecovers(t *testing.T) {
 
 func TestAllocOOMOnLiveOverflow(t *testing.T) {
 	m := testMachine()
-	j, err := New(m, SVAGCConfig(2<<20, 1, 4))
+	j, err := New(m, svagcConfig(2<<20, 1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +80,7 @@ func TestAllocOOMOnLiveOverflow(t *testing.T) {
 
 func TestThreadsGetDistinctContexts(t *testing.T) {
 	m := testMachine()
-	j, err := New(m, SVAGCConfig(8<<20, 4, 4))
+	j, err := New(m, svagcConfig(8<<20, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +99,7 @@ func TestThreadsGetDistinctContexts(t *testing.T) {
 
 func TestAccountingSeparatesGCFromMutator(t *testing.T) {
 	m := testMachine()
-	j, _ := New(m, SVAGCConfig(8<<20, 1, 4))
+	j, _ := New(m, svagcConfig(8<<20, 1, 4))
 	th := j.Thread(0)
 	for i := 0; i < 10; i++ {
 		r, err := th.AllocRooted(heap.AllocSpec{Payload: 32 << 10})
@@ -119,7 +125,7 @@ func TestAccountingSeparatesGCFromMutator(t *testing.T) {
 
 func TestTotalPerfAggregates(t *testing.T) {
 	m := testMachine()
-	j, _ := New(m, SVAGCConfig(8<<20, 2, 4))
+	j, _ := New(m, svagcConfig(8<<20, 2, 4))
 	for i := 0; i < 2; i++ {
 		if _, err := j.Thread(i).AllocRooted(heap.AllocSpec{Payload: 1024}); err != nil {
 			t.Fatal(err)

@@ -35,86 +35,6 @@ func CollectorNames() []string {
 	}
 }
 
-// SVAGCConfig returns a JVM configuration running the paper's collector.
-func SVAGCConfig(heapBytes int64, threads, gcWorkers int) Config {
-	sc := svagc.Config{Workers: gcWorkers}
-	return Config{
-		HeapBytes: heapBytes,
-		Threads:   threads,
-		Policy:    svagc.Policy(sc),
-		NewCollector: func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
-			return svagc.New(h, roots, sc)
-		},
-	}
-}
-
-// SVAGCBaselineConfig is SVAGC with SwapVA disabled — the "-SwapVA" bars
-// of Fig. 11.
-func SVAGCBaselineConfig(heapBytes int64, threads, gcWorkers int) Config {
-	sc := svagc.Config{Workers: gcWorkers, DisableSwapVA: true}
-	return Config{
-		HeapBytes: heapBytes,
-		Threads:   threads,
-		Policy:    svagc.Policy(sc),
-		NewCollector: func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
-			return svagc.New(h, roots, sc)
-		},
-	}
-}
-
-// ParallelGCConfig returns the generational throughput baseline; with
-// useSwapVA it becomes the Table I minor-copying extension.
-func ParallelGCConfig(heapBytes int64, threads, gcWorkers int) Config {
-	return parallelGCConfig(heapBytes, threads, gcWorkers, false)
-}
-
-func parallelGCConfig(heapBytes int64, threads, gcWorkers int, useSwapVA bool) Config {
-	pc := pargc.Config{Workers: gcWorkers, UseSwapVA: useSwapVA}
-	return Config{
-		HeapBytes: heapBytes,
-		Threads:   threads,
-		Policy:    pargc.Policy(pc),
-		NewCollector: func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
-			return pargc.New(h, roots, pc)
-		},
-	}
-}
-
-// ShenandoahConfig returns the concurrent pause-oriented baseline; with
-// useSwapVA it becomes the Table I concurrent-evacuation extension.
-func ShenandoahConfig(heapBytes int64, threads, gcWorkers int) Config {
-	return shenConfig(heapBytes, threads, gcWorkers, false)
-}
-
-func shenConfig(heapBytes int64, threads, gcWorkers int, useSwapVA bool) Config {
-	sc := shen.Config{Workers: gcWorkers, UseSwapVA: useSwapVA}
-	return Config{
-		HeapBytes: heapBytes,
-		Threads:   threads,
-		Policy:    shen.Policy(sc),
-		NewCollector: func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
-			return shen.New(h, roots, sc)
-		},
-	}
-}
-
-// CopyGCConfig returns the evacuating byte-copy baseline.
-func CopyGCConfig(heapBytes int64, threads, gcWorkers int) Config {
-	return copyGCConfig(heapBytes, threads, gcWorkers, 0)
-}
-
-func copyGCConfig(heapBytes int64, threads, gcWorkers int, deadline sim.Time) Config {
-	cc := copygc.Config{Workers: gcWorkers, PhaseDeadline: deadline}
-	return Config{
-		HeapBytes: heapBytes,
-		Threads:   threads,
-		Policy:    copygc.Policy(cc),
-		NewCollector: func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
-			return copygc.New(h, roots, cc)
-		},
-	}
-}
-
 // ConfigFor dispatches on a preset collector name.
 func ConfigFor(name string, heapBytes int64, threads, gcWorkers int) (Config, bool) {
 	return ConfigForDeadline(name, heapBytes, threads, gcWorkers, 0)
@@ -128,36 +48,37 @@ func ConfigFor(name string, heapBytes int64, threads, gcWorkers int) (Config, bo
 func ConfigForDeadline(name string, heapBytes int64, threads, gcWorkers int,
 	deadline sim.Time) (Config, bool) {
 
+	cfg := Config{HeapBytes: heapBytes, Threads: threads}
 	switch name {
-	case CollectorSVAGC:
-		return svagcDeadlineConfig(heapBytes, threads, gcWorkers, deadline, false), true
-	case CollectorSVAGCBase:
-		return svagcDeadlineConfig(heapBytes, threads, gcWorkers, deadline, true), true
-	case CollectorParallel:
-		return ParallelGCConfig(heapBytes, threads, gcWorkers), true
-	case CollectorShen:
-		return ShenandoahConfig(heapBytes, threads, gcWorkers), true
-	case CollectorParallelSwap:
-		return parallelGCConfig(heapBytes, threads, gcWorkers, true), true
-	case CollectorShenSwap:
-		return shenConfig(heapBytes, threads, gcWorkers, true), true
-	case CollectorCopy:
-		return copyGCConfig(heapBytes, threads, gcWorkers, deadline), true
-	}
-	return Config{}, false
-}
-
-func svagcDeadlineConfig(heapBytes int64, threads, gcWorkers int,
-	deadline sim.Time, disableSwap bool) Config {
-
-	sc := svagc.Config{Workers: gcWorkers, DisableSwapVA: disableSwap,
-		PhaseDeadline: deadline}
-	return Config{
-		HeapBytes: heapBytes,
-		Threads:   threads,
-		Policy:    svagc.Policy(sc),
-		NewCollector: func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
+	case CollectorSVAGC, CollectorSVAGCBase:
+		// svagc-memmove is SVAGC with SwapVA disabled — the "-SwapVA"
+		// bars of Fig. 11.
+		sc := svagc.Config{Workers: gcWorkers, DisableSwapVA: name == CollectorSVAGCBase,
+			PhaseDeadline: deadline}
+		cfg.Policy = svagc.Policy(sc)
+		cfg.NewCollector = func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
 			return svagc.New(h, roots, sc)
-		},
+		}
+	case CollectorParallel, CollectorParallelSwap:
+		pc := pargc.Config{Workers: gcWorkers, UseSwapVA: name == CollectorParallelSwap}
+		cfg.Policy = pargc.Policy(pc)
+		cfg.NewCollector = func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
+			return pargc.New(h, roots, pc)
+		}
+	case CollectorShen, CollectorShenSwap:
+		sc := shen.Config{Workers: gcWorkers, UseSwapVA: name == CollectorShenSwap}
+		cfg.Policy = shen.Policy(sc)
+		cfg.NewCollector = func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
+			return shen.New(h, roots, sc)
+		}
+	case CollectorCopy:
+		cc := copygc.Config{Workers: gcWorkers, PhaseDeadline: deadline}
+		cfg.Policy = copygc.Policy(cc)
+		cfg.NewCollector = func(h *heap.Heap, roots *gc.RootSet) gc.Collector {
+			return copygc.New(h, roots, cc)
+		}
+	default:
+		return Config{}, false
 	}
+	return cfg, true
 }

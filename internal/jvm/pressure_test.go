@@ -45,7 +45,7 @@ func ballast(t *testing.T, m *machine.Machine, as *mmu.AddressSpace, target int)
 func TestLowWatermarkStallsAndRunsEmergencyGC(t *testing.T) {
 	wm := mem.Watermarks{Min: 4, Low: 12, High: 24}
 	m := pressureMachine(t, 4<<20, wm)
-	j, err := New(m, SVAGCConfig(1<<20, 1, 2))
+	j, err := New(m, svagcConfig(1<<20, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLowWatermarkStallsAndRunsEmergencyGC(t *testing.T) {
 func TestMinWatermarkFailsFastWithReport(t *testing.T) {
 	wm := mem.Watermarks{Min: 4, Low: 8, High: 16}
 	m := pressureMachine(t, 4<<20, wm)
-	j, err := New(m, SVAGCConfig(1<<20, 1, 2))
+	j, err := New(m, svagcConfig(1<<20, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMinWatermarkFailsFastWithReport(t *testing.T) {
 func TestPressureRearmAboveHigh(t *testing.T) {
 	wm := mem.Watermarks{Min: 4, Low: 12, High: 24}
 	m := pressureMachine(t, 4<<20, wm)
-	j, err := New(m, SVAGCConfig(1<<20, 1, 2))
+	j, err := New(m, svagcConfig(1<<20, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

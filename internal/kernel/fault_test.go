@@ -210,7 +210,7 @@ func TestLockStallChargesClock(t *testing.T) {
 	if !bytes.Equal(cleanBytes, stallBytes) {
 		t.Error("lock stall changed the swap's result")
 	}
-	want := cleanT + sim.Time(pages)*stallF.m.FaultInjector().LockStallNs()
+	want := cleanT + sim.Time(pages)*fault.LockStallNs
 	if stallT != want {
 		t.Errorf("stalled swap took %v, want %v (clean %v + %d stalls)",
 			stallT, want, cleanT, pages)
@@ -282,30 +282,27 @@ func TestZeroRateSitesAreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShootdownAckTimeoutsResend: dropped IPI acks cost the sender
-// bounded re-send rounds and are visible in the counters.
+// TestShootdownAckTimeoutsResend: at ack-drop rate 1 every target stays
+// unacked through all MaxIPIResends rounds, so the sender pays exactly
+// AckTimeoutNs·(1+2+…+2^(MaxIPIResends-1)) over a clean shootdown and
+// re-sends to every other core each round.
 func TestShootdownAckTimeoutsResend(t *testing.T) {
 	clean := newFixture(t)
 	clean.ctx.ShootdownAll(clean.as.ASID)
 
 	f := newFaultFixture(t, 21, planFor(trace.FaultIPIAck, 1))
 	f.ctx.ShootdownAll(f.as.ASID)
-	if f.ctx.Perf.IPIResends == 0 {
-		t.Fatal("no IPI re-sends at ack-drop rate 1")
+	wantResends := uint64(fault.MaxIPIResends) * uint64(f.m.NumCores()-1)
+	if f.ctx.Perf.IPIResends != wantResends {
+		t.Errorf("IPIResends = %d, want %d (every target, every round)",
+			f.ctx.Perf.IPIResends, wantResends)
 	}
-	inj := f.m.FaultInjector()
-	maxResends := uint64(inj.MaxIPIResends()) * uint64(f.m.NumCores()-1)
-	if f.ctx.Perf.IPIResends > maxResends {
-		t.Errorf("IPIResends = %d, want <= %d (bounded backoff)",
-			f.ctx.Perf.IPIResends, maxResends)
+	if got := f.ctx.Perf.IPIsSent - clean.ctx.Perf.IPIsSent; got != wantResends {
+		t.Errorf("re-sends added %d IPIs, want %d", got, wantResends)
 	}
-	if f.ctx.Clock.Now() <= clean.ctx.Clock.Now() {
-		t.Errorf("ack timeouts should cost time: %v vs clean %v",
-			f.ctx.Clock.Now(), clean.ctx.Clock.Now())
-	}
-	if f.ctx.Perf.IPIsSent <= clean.ctx.Perf.IPIsSent {
-		t.Errorf("re-sends should add IPIs: %d vs clean %d",
-			f.ctx.Perf.IPIsSent, clean.ctx.Perf.IPIsSent)
+	wantExtra := fault.AckTimeoutNs * sim.Time(int64(1)<<fault.MaxIPIResends-1)
+	if got := f.ctx.Clock.Now() - clean.ctx.Clock.Now(); got != wantExtra {
+		t.Errorf("ack timeouts cost %v over clean, want %v", got, wantExtra)
 	}
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/mmu"
@@ -133,7 +134,7 @@ func stallPTELock(ctx *machine.Context, va uint64) {
 	if !ctx.Fault.Fire(trace.FaultPTELockStall) {
 		return
 	}
-	d := ctx.Fault.LockStallNs()
+	d := fault.LockStallNs
 	t0 := ctx.Clock.Now()
 	ctx.Clock.Advance(d)
 	ctx.Perf.FaultsInjected++

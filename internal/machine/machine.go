@@ -32,13 +32,18 @@ type Core struct {
 	TLB    *mmu.TLB
 }
 
+// The shared LLC is deliberately small relative to the scaled heaps,
+// preserving the paper's heap:LLC disproportion (tens of GiB of heap
+// against a ~22 MiB Xeon LLC) at laptop scale.
+const (
+	llcBytes = 2 << 20
+	llcWays  = 16 // at most cache.MaxWays
+)
+
 // Config describes a machine to build.
 type Config struct {
-	Cost       *sim.CostModel
-	PhysBytes  int64 // physical memory; <= 0 means unlimited
-	LLCBytes   int   // shared cache size; <= 0 picks a default
-	LLCWays    int   // associativity, at most cache.MaxWays (16); <= 0 picks 16
-	TLBEntries int   // per-core TLB entries; <= 0 picks a default
+	Cost      *sim.CostModel
+	PhysBytes int64 // physical memory; <= 0 means unlimited
 
 	// Sockets splits the cores over that many sockets, each with its own
 	// DRAM node and memory bus, joined by the cost model's interconnect.
@@ -122,24 +127,9 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Cost.Validate(); err != nil {
 		return nil, err
 	}
-	llcBytes := cfg.LLCBytes
-	if llcBytes <= 0 {
-		// The default LLC is deliberately small relative to the scaled
-		// heaps, preserving the paper's heap:LLC disproportion (tens of
-		// GiB of heap against a ~22 MiB Xeon LLC) at laptop scale.
-		llcBytes = 2 << 20
-	}
-	ways := cfg.LLCWays
-	if ways <= 0 {
-		ways = 16
-	}
-	llc, err := cache.New(llcBytes, ways, cfg.Cost.CacheLineSize)
+	llc, err := cache.New(llcBytes, llcWays, cfg.Cost.CacheLineSize)
 	if err != nil {
 		return nil, err
-	}
-	tlbEntries := cfg.TLBEntries
-	if tlbEntries <= 0 {
-		tlbEntries = mmu.DefaultTLBEntries
 	}
 	topo, err := topology.New(topology.Config{Sockets: cfg.Sockets, Cost: cfg.Cost})
 	if err != nil {
@@ -179,7 +169,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 	for i := range m.cores {
-		m.cores[i] = &Core{ID: i, Socket: topo.SocketOf(i), TLB: mmu.NewTLB(tlbEntries)}
+		m.cores[i] = &Core{ID: i, Socket: topo.SocketOf(i), TLB: mmu.NewTLB(mmu.DefaultTLBEntries)}
 	}
 	for i := range m.buses {
 		m.buses[i].init(cfg.Cost)
@@ -445,9 +435,10 @@ func (ctx *Context) ShootdownAll(asid uint32) {
 // shootdownAckWait models dropped shootdown-IPI acknowledgements: each of
 // the targets rolls the injector; an unacked target makes the initiator
 // wait out an ack timeout (doubling per round — bounded backoff) and
-// re-send. After MaxIPIResends rounds the kernel proceeds regardless: the
-// invalidation itself was delivered above, only the ack bookkeeping is
-// lost, so correctness is preserved and the cost shows up as pause time.
+// re-send. After fault.MaxIPIResends rounds the kernel proceeds
+// regardless: the invalidation itself was delivered above, only the ack
+// bookkeeping is lost, so correctness is preserved and the cost shows up
+// as pause time.
 func (ctx *Context) shootdownAckWait(targets int) {
 	inj := ctx.Fault
 	pending := 0
@@ -456,9 +447,9 @@ func (ctx *Context) shootdownAckWait(targets int) {
 			pending++
 		}
 	}
-	for attempt := 0; pending > 0 && attempt < inj.MaxIPIResends(); attempt++ {
+	for attempt := 0; pending > 0 && attempt < fault.MaxIPIResends; attempt++ {
 		t0 := ctx.Clock.Now()
-		wait := inj.AckTimeoutNs() * sim.Time(int64(1)<<uint(attempt))
+		wait := fault.AckTimeoutNs * sim.Time(int64(1)<<uint(attempt))
 		ctx.Clock.Advance(wait)
 		ctx.Perf.IPIsSent += uint64(pending)
 		ctx.Perf.IPIResends += uint64(pending)

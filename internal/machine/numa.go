@@ -29,8 +29,8 @@ type NUMAView struct {
 }
 
 // brownoutFactor rolls the interconnect-brownout site for one remote
-// access: 1 for a healthy crossing, the injector's degradation multiplier
-// for a browned-out one. This runs on the per-word charge path, so like
+// access: 1 for a healthy crossing, fault.BrownoutFactor for a
+// browned-out one. This runs on the per-word charge path, so like
 // ObserveNUMA it only bumps fixed-size counters — no events.
 func (v *NUMAView) brownoutFactor() float64 {
 	if !v.inj.Enabled(trace.FaultInterconnect) || !v.inj.Fire(trace.FaultInterconnect) {
@@ -38,7 +38,7 @@ func (v *NUMAView) brownoutFactor() float64 {
 	}
 	v.perf.FaultsInjected++
 	v.buf.ObserveFault(trace.FaultInterconnect)
-	return v.inj.BrownoutFactor()
+	return fault.BrownoutFactor
 }
 
 // nodeOf resolves a physical address to the NUMA node of its frame.

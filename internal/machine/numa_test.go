@@ -3,9 +3,11 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 func numaMachine(t *testing.T) *Machine {
@@ -128,6 +130,41 @@ func TestNUMAViewCountsLocalAndRemote(t *testing.T) {
 	}
 	if ctx.Perf.CrossNodeSwaps != 2 { // the swap and the store
 		t.Errorf("CrossNodeSwaps = %d, want 2", ctx.Perf.CrossNodeSwaps)
+	}
+}
+
+// TestInterconnectBrownoutShape pins the brownout charge: at
+// interconnect rate 1 a local access costs what it does on a healthy
+// machine, and a remote access pays exactly fault.BrownoutFactor times
+// the healthy cross-socket surcharge.
+func TestInterconnectBrownoutShape(t *testing.T) {
+	var plan fault.Plan
+	plan.Rate[trace.FaultInterconnect] = 1
+	browned, err := New(Config{Cost: sim.XeonGold6130(), Sockets: 2, Fault: fault.New(7, plan)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := func(m *Machine) (local, remote float64) {
+		t.Helper()
+		l, err := m.Phys.AllocFrameOn(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := m.Phys.AllocFrameOn(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := m.NewContext(0).NUMAView
+		return v.LatencyAt(pa(l)), v.LatencyAt(pa(r))
+	}
+	local, remote := lat(numaMachine(t))
+	bLocal, bRemote := lat(browned)
+	if bLocal != local {
+		t.Errorf("browned-out local latency %v, want healthy %v", bLocal, local)
+	}
+	if got, want := bRemote-bLocal, fault.BrownoutFactor*(remote-local); got != want {
+		t.Errorf("browned-out remote surcharge %v, want %v × healthy %v",
+			got, fault.BrownoutFactor, remote-local)
 	}
 }
 

@@ -26,13 +26,6 @@ func streamPerf(env *Env, n int) {
 	env.Perf.StreamBytes += uint64(n)
 }
 
-// ReadStream is Read with stream accounting. cold is ignored.
-func (as *AddressSpace) ReadStream(env *Env, va uint64, p []byte, cold bool) error {
-	streamPerf(env, len(p))
-	env.Perf.BytesRead += uint64(len(p))
-	return as.bulk(env, va, p, false)
-}
-
 // WriteStream is Write with stream accounting. cold is ignored.
 func (as *AddressSpace) WriteStream(env *Env, va uint64, p []byte, cold bool) error {
 	streamPerf(env, len(p))

@@ -35,7 +35,7 @@ type Config struct {
 	// apply to it, bounding starvation. <= 0 selects 1 ms.
 	AgingNs sim.Time
 	// Injector, when armed, can fire arbiter_stall faults that delay
-	// admission decisions by its ArbiterStallNs tunable.
+	// admission decisions by fault.ArbiterStallNs.
 	Injector *fault.Injector
 }
 
@@ -145,7 +145,7 @@ func (a *Arbiter) Admit(tenant string, now, expected sim.Time) Grant {
 
 	g := Grant{Start: now}
 	if a.inj.Enabled(trace.FaultArbiterStall) && a.inj.Fire(trace.FaultArbiterStall) {
-		g.Start += a.inj.ArbiterStallNs()
+		g.Start += fault.ArbiterStallNs
 		g.Stalled = true
 	}
 	aged := a.credit[tenant] >= a.aging

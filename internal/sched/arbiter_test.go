@@ -3,7 +3,9 @@ package sched
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestNilArbiter pins the disabled plane: a nil arbiter grants at the
@@ -18,6 +20,20 @@ func TestNilArbiter(t *testing.T) {
 	a.DeclareDeadline("x", 0, 10)
 	if s := a.Stats(); s != (Stats{}) {
 		t.Errorf("nil Stats = %+v, want zero", s)
+	}
+}
+
+// TestArbiterStallShape pins the injected stall: at arbiter-stall rate 1
+// an otherwise uncontended admission starts exactly fault.ArbiterStallNs
+// late and reports the stall.
+func TestArbiterStallShape(t *testing.T) {
+	var plan fault.Plan
+	plan.Rate[trace.FaultArbiterStall] = 1
+	a := New(Config{Injector: fault.New(7, plan)})
+	g := a.Admit("a", 100, 50)
+	if g.Start != 100+fault.ArbiterStallNs || g.Waited != fault.ArbiterStallNs || !g.Stalled {
+		t.Errorf("stalled Admit = %+v, want Start %v, Waited %v, Stalled",
+			g, 100+fault.ArbiterStallNs, fault.ArbiterStallNs)
 	}
 }
 

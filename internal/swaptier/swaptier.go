@@ -48,11 +48,8 @@ type Config struct {
 	// *compressed* bytes. 0 disables the zpool.
 	ZpoolBytes int64
 	// FarLatNs is the far device's per-operation access latency.
-	// 0 selects DefaultFarLatNs.
+	// 0 selects DefaultFarLatNs. The device streams at DefaultFarBWGBs.
 	FarLatNs sim.Time
-	// FarBWGBs is the far device's streaming bandwidth in GB/s.
-	// 0 selects DefaultFarBWGBs.
-	FarBWGBs float64
 }
 
 // Default far-device shape: a datacenter NVMe SSD — ~10 µs access
@@ -74,13 +71,10 @@ const (
 // Enabled reports whether any backing store is configured.
 func (c Config) Enabled() bool { return c.FarBytes > 0 || c.ZpoolBytes > 0 }
 
-// WithDefaults fills the latency/bandwidth knobs left zero.
+// WithDefaults fills the latency knob left zero.
 func (c Config) WithDefaults() Config {
 	if c.FarLatNs <= 0 {
 		c.FarLatNs = DefaultFarLatNs
-	}
-	if c.FarBWGBs <= 0 {
-		c.FarBWGBs = DefaultFarBWGBs
 	}
 	return c
 }
@@ -92,9 +86,6 @@ func (c Config) Validate() error {
 	}
 	if c.FarLatNs < 0 {
 		return fmt.Errorf("swaptier: negative far latency %v", c.FarLatNs)
-	}
-	if c.FarBWGBs < 0 {
-		return fmt.Errorf("swaptier: negative far bandwidth %g", c.FarBWGBs)
 	}
 	return nil
 }
@@ -236,7 +227,7 @@ func (t *Tier) chargeFar(now sim.Time) sim.Time {
 	if now > start {
 		start = now
 	}
-	done := start + t.cfg.FarLatNs + sim.CopyNs(mem.PageSize, t.cfg.FarBWGBs)
+	done := start + t.cfg.FarLatNs + sim.CopyNs(mem.PageSize, DefaultFarBWGBs)
 	t.farBusy = done
 	return done - now
 }

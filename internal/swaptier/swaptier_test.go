@@ -140,7 +140,7 @@ func TestTierFull(t *testing.T) {
 // charge includes the first transfer's residual service time.
 func TestFarQueueSerialises(t *testing.T) {
 	cost := sim.XeonGold6130()
-	tier := New(Config{FarBytes: 1 << 20, FarLatNs: 10_000, FarBWGBs: 2}, cost)
+	tier := New(Config{FarBytes: 1 << 20, FarLatNs: 10_000}, cost)
 	per := sim.Time(10_000) + sim.CopyNs(mem.PageSize, 2)
 	env := testEnv()
 	t0 := env.Clock.Now()

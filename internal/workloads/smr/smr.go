@@ -37,6 +37,20 @@ import (
 // classLogEntry tags replicated-log entries in the heap.
 const classLogEntry = 21
 
+const (
+	// entryPayload is the base log-entry payload in bytes; a seeded
+	// jitter of up to 25% is added per entry. It is page-scale on
+	// purpose: entries are then page-aligned swappable objects under the
+	// paper's Algorithm 3, so SVAGC compacts them by PTE exchange —
+	// sub-page entries would be memmoved by every collector alike and
+	// erase the availability gap the figure measures.
+	entryPayload = 16 << 10
+	// heartbeatNs is the heartbeat/round interval.
+	heartbeatNs = 100 * sim.Microsecond
+	// netRTTNs is the replication network round trip.
+	netRTTNs = 25 * sim.Microsecond
+)
+
 // Config shapes one SMR cluster run.
 type Config struct {
 	// Collector is the jvm preset name every replica runs ("svagc",
@@ -50,24 +64,9 @@ type Config struct {
 	// round is one heartbeat interval in which the leader commits one
 	// batch of log entries.
 	Rounds int
-	// EntryPayload is the base log-entry payload in bytes (default
-	// 16 KiB); a seeded jitter of up to 25% is added per entry. The
-	// default is page-scale on purpose: entries are then page-aligned
-	// swappable objects under the paper's Algorithm 3, so SVAGC compacts
-	// them by PTE exchange — sub-page entries would be memmoved by every
-	// collector alike and erase the availability gap the figure measures.
-	EntryPayload int
-	// AppendsPerRound is the batch size each replica applies per round.
-	// 0 sizes it to an eighth of the live ring, so steady-state rounds
-	// trigger collections every handful of rounds.
-	AppendsPerRound int
-	// HeartbeatNs is the heartbeat/round interval (default 100 µs).
-	HeartbeatNs sim.Time
 	// ElectionTimeoutNs is how long a silent replica survives before the
 	// cluster votes it out (default 10 heartbeats).
 	ElectionTimeoutNs sim.Time
-	// NetRTTNs is the replication network round trip (default 25 µs).
-	NetRTTNs sim.Time
 	// GCWorkers is each replica's GC worker count.
 	GCWorkers int
 	// Seed drives the entry-size jitter (and nothing else).
@@ -90,17 +89,8 @@ func (c Config) withDefaults() Config {
 	if c.Rounds <= 0 {
 		c.Rounds = 150
 	}
-	if c.EntryPayload <= 0 {
-		c.EntryPayload = 16 << 10
-	}
-	if c.HeartbeatNs <= 0 {
-		c.HeartbeatNs = 100_000
-	}
 	if c.ElectionTimeoutNs <= 0 {
-		c.ElectionTimeoutNs = 10 * c.HeartbeatNs
-	}
-	if c.NetRTTNs <= 0 {
-		c.NetRTTNs = 25_000
+		c.ElectionTimeoutNs = 10 * heartbeatNs
 	}
 	return c
 }
@@ -186,17 +176,16 @@ func Run(m *machine.Machine, cfg Config) (*Result, error) {
 		})
 	}
 
-	baseSpec := heap.AllocSpec{Payload: cfg.EntryPayload, Class: classLogEntry}
+	baseSpec := heap.AllocSpec{Payload: entryPayload, Class: classLogEntry}
 	ringLen := int(cfg.HeapBytes * 2 / 5 / int64(baseSpec.TotalBytes()))
 	if ringLen < 8 {
 		ringLen = 8
 	}
-	appends := cfg.AppendsPerRound
-	if appends <= 0 {
-		appends = ringLen / 8
-		if appends < 1 {
-			appends = 1
-		}
+	// Each replica applies an eighth of the live ring per round, so
+	// steady-state rounds trigger collections every handful of rounds.
+	appends := ringLen / 8
+	if appends < 1 {
+		appends = 1
 	}
 
 	reps := make([]*replica, cfg.Replicas)
@@ -230,7 +219,7 @@ func Run(m *machine.Machine, cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	jitter := func() heap.AllocSpec {
 		s := baseSpec
-		s.Payload += rng.Intn(cfg.EntryPayload/4 + 1)
+		s.Payload += rng.Intn(entryPayload/4 + 1)
 		return s
 	}
 
@@ -288,10 +277,10 @@ func Run(m *machine.Machine, cfg Config) (*Result, error) {
 		// with the arbiter armed the leader declares the first half of
 		// its interval latency-sensitive, deferring neighbours' GCs.
 		for _, r := range reps {
-			r.th.Ctx.Clock.Advance(cfg.HeartbeatNs)
+			r.th.Ctx.Clock.Advance(heartbeatNs)
 		}
 		ld := reps[leader]
-		arb.DeclareDeadline(ld.j.Name(), ld.th.Ctx.Clock.Now(), cfg.HeartbeatNs/2)
+		arb.DeclareDeadline(ld.j.Name(), ld.th.Ctx.Clock.Now(), heartbeatNs/2)
 
 		// Apply the round's batch on every replica (the log is
 		// replicated; catch-up replicas apply too — they are only out of
@@ -314,7 +303,7 @@ func Run(m *machine.Machine, cfg Config) (*Result, error) {
 			delays[i] = r.pauseDelta()
 		}
 
-		latency := cfg.NetRTTNs
+		latency := netRTTNs
 		if delays[leader] > cfg.ElectionTimeoutNs {
 			// Leader churn: the cluster waits out the timeout, elects the
 			// most responsive eligible follower, and the deposed leader
@@ -336,7 +325,7 @@ func Run(m *machine.Machine, cfg Config) (*Result, error) {
 			res.Failovers++
 			res.Evictions++
 			reps[old].catchup = true
-			latency += cfg.ElectionTimeoutNs + cfg.NetRTTNs
+			latency += cfg.ElectionTimeoutNs + netRTTNs
 			nl := reps[leader]
 			nl.th.Ctx.Trace.Emit(trace.KindApp, "smr-election", nl.th.Ctx.Clock.Now(),
 				cfg.ElectionTimeoutNs, uint64(term), uint64(round))
