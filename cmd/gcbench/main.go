@@ -35,7 +35,7 @@ func main() {
 		mach     = flag.String("machine", "", "cost model override (gold6130, gold6240, i5-7600)")
 		workers  = flag.Int("gcworkers", 4, "GC threads per JVM")
 		seed     = flag.Int64("seed", 42, "workload seed")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "host worker pool for independent workload runs (1 = serial). Output, -trace and -metrics are byte-identical at any setting")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "machines simulated at once, across every experiment (1 = one at a time). Output, -trace and -metrics are byte-identical at any setting")
 		traceOut = flag.String("trace", "", "write a combined Chrome trace_event JSON of every workload run each experiment reads")
 		metrics  = flag.String("metrics", "", "write a combined Prometheus text-format metrics snapshot of every workload run each experiment reads")
 		sockets  = flag.Int("sockets", 1, "sockets (NUMA nodes) the simulated cores are split over")
@@ -141,7 +141,7 @@ func main() {
 	wall := time.Since(wallStart).Seconds()
 	runs, simNs := bench.HarnessStats()
 	fmt.Fprintf(os.Stderr,
-		"harness: %d workload runs, %.3fs simulated in %.1fs wall — %.0f sim-ns/host-ms, %.2f runs/s, parallel=%d\n",
+		"harness: %d machine runs, %.3fs simulated in %.1fs wall — %.0f sim-ns/host-ms, %.2f runs/s, parallel=%d\n",
 		runs, simNs.Seconds(), wall, float64(simNs)/(wall*1e3), float64(runs)/wall, max(*parallel, 1))
 
 	if *traceOut != "" {

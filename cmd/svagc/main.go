@@ -1,7 +1,7 @@
 // Command svagc runs one Table II workload under a chosen collector and
 // prints its GC and application statistics — the interactive entry point
 // for exploring the system. -bench also accepts a comma-separated list,
-// which fans the runs out over a bounded host worker pool (-parallel) and
+// which runs them side by side, at most -parallel machines at once, and
 // prints the reports in input order.
 //
 // Usage:
@@ -62,7 +62,7 @@ func main() {
 		sockets   = flag.Int("sockets", 1, "sockets (NUMA nodes) the simulated cores are split over")
 		numaPol   = flag.String("numa-policy", "", "page placement on multi-socket machines: first-touch, interleave, or bind[:N]")
 		numaGC    = flag.String("numa-gc", "", "GC worker placement on multi-socket machines: spread or local (svagc only)")
-		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "host worker pool when -bench lists several workloads (1 = serial)")
+		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "machines simulated at once when -bench lists several workloads (1 = one at a time)")
 		faultPln  = flag.String("fault-plan", "", "fault-injection plan: comma-separated site=rate (sites: pte-lock, ipi-ack, swapva, poison, interconnect, far-write, all), e.g. 'swapva=0.01,poison=1e-4'")
 		faultRt   = flag.Float64("fault-rate", 0, "uniform fault rate applied to every site (per-site -fault-plan entries override it)")
 		faultSd   = flag.Int64("fault-seed", 0, "fault-injection seed; the same seed and plan replay the identical fault sequence (0 = workload seed)")
@@ -450,36 +450,26 @@ type run struct {
 	err   error
 }
 
-// runMany fans the listed workloads out over a bounded host worker pool.
-// Every run builds its own Machine, so runs share no simulated state; the
-// reports are buffered and printed in input order no matter which host
-// goroutine finishes first, so the stdout of `-bench A,B -parallel 8` is
-// byte-identical to `-parallel 1`. It returns the runs' tracers in input
-// order.
+// runMany runs the listed workloads side by side, one goroutine each,
+// with at most parallel machines in flight. Every run builds its own
+// Machine, so runs share no simulated state; the reports are buffered and
+// printed in input order no matter which run finishes first, so the
+// stdout of `-bench A,B -parallel 8` is byte-identical to `-parallel 1`.
+// It returns the runs' tracers in input order.
 func runMany(names []string, parallel int, runOne func(i int) run) []*trace.Tracer {
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > len(names) {
-		parallel = len(names)
-	}
 	wallStart := time.Now()
 	results := make([]run, len(names))
-	next := make(chan int)
+	slots := make(chan struct{}, max(parallel, 1))
 	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
+	for i := range names {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				results[i] = runOne(i)
-			}
+			slots <- struct{}{}
+			results[i] = runOne(i)
+			<-slots
 		}()
 	}
-	for i := range names {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 
 	var simTotal sim.Time

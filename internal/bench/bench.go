@@ -6,7 +6,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,12 +56,11 @@ type Options struct {
 	// a memoised run keeps it next to its result, and RunExperiments
 	// lists each experiment's tracers in Result.Traces.
 	Trace bool
-	// Parallel bounds the host worker pool figure sweeps fan their
-	// independent workload runs out over (each run builds its own
-	// Machine). <= 1 runs everything on the calling goroutine, the
-	// historical behaviour. Results are byte-identical at any setting:
-	// rows and series are always assembled in input order by the calling
-	// goroutine, workers only warm the memoised run cache.
+	// Parallel is the number of machine slots a sweep shares (<= 1 means
+	// one): every machine the harness builds is built and driven while
+	// holding a slot, so at most Parallel machines are in flight at once.
+	// Results are byte-identical at any setting: each figure assembles its
+	// rows from its runs in input order, whichever finished first.
 	Parallel int
 	// Swap overrides the backing-tier shape of the far-memory figures
 	// (currently oversub1); the zero value keeps each figure's built-in
@@ -70,10 +68,11 @@ type Options struct {
 	// never swap-armed, preserving bit-exact parity with the seed.
 	Swap swaptier.Config
 
-	// traces, when non-nil, collects the tracers of the runs a figure's
-	// assembly pass reads, in read order. RunExperiments sets it per
-	// experiment; prefetch workers run with it cleared.
+	// traces, when non-nil, collects the tracers of the runs a figure
+	// reads, in read order. RunExperiments sets it per experiment.
 	traces *[]*trace.Tracer
+	// slots are the sweep's Parallel machine slots (see hold).
+	slots *slots
 }
 
 func (o Options) cost() *sim.CostModel {
@@ -104,11 +103,38 @@ func (o Options) sockets() int {
 	return o.Sockets
 }
 
-func (o Options) parallel() int {
-	if o.Parallel <= 1 {
-		return 1
+// slots is one sweep's set of Parallel machine slots, the harness's only
+// bound on host concurrency.
+type slots struct {
+	free chan struct{}
+	peak atomic.Int64 // most machines ever in flight at once
+}
+
+// sweep returns o with a fresh set of Parallel machine slots unless o
+// already belongs to a sweep.
+func (o Options) sweep() Options {
+	if o.slots == nil {
+		o.slots = &slots{free: make(chan struct{}, max(o.Parallel, 1))}
 	}
-	return o.Parallel
+	return o
+}
+
+// hold runs cell while holding one of the sweep's machine slots, waiting
+// for one to free up, and counts it in HarnessStats with the simulated
+// time cell reports. cell builds and drives one machine (fig10: one
+// threshold sweep). Every machine.New in this package runs inside a hold
+// and no hold nests, so at most Parallel machines are in flight.
+func (o Options) hold(cell func() (sim.Time, error)) error {
+	s := o.sweep().slots
+	s.free <- struct{}{}
+	n := int64(len(s.free))
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+	simulated, err := cell()
+	<-s.free
+	harnessRuns.Add(1)
+	harnessSimNs.Add(uint64(simulated))
+	return err
 }
 
 // arm enables tracing on a freshly built workload machine when the run
@@ -245,72 +271,41 @@ func Registry() []*Experiment {
 }
 
 // RunExperiments executes exps and invokes emit exactly once per
-// experiment, in input order, as results become available. With
-// opt.Parallel > 1 experiments run concurrently on a bounded pool —
-// memoised runs shared between concurrently running figures
-// (fig12/fig13/fig16 share every baseline) are computed once via the
-// cache's singleflight slots. Output and traces stay deterministic
-// because each figure assembles its own rows serially and emit is
-// ordered; only wall time changes. wallSeconds is measured per experiment (overlapping under
-// concurrency).
+// experiment, in input order. Every experiment runs on its own goroutine,
+// all sharing one set of opt.Parallel machine slots (see hold); runs
+// shared between figures (fig12/fig13/fig16 share every baseline) execute
+// once through the run cache's singleflight slots. Output and traces do
+// not depend on the width, only wall time does. wallSeconds is measured
+// per experiment, so experiments' wall times overlap at any width.
 func RunExperiments(opt Options, exps []*Experiment,
 	emit func(i int, res *Result, err error, wallSeconds float64)) {
 
-	workers := opt.parallel()
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	if workers <= 1 {
-		for i, e := range exps {
-			start := hostNow()
-			res, err := runExperiment(opt, e)
-			emit(i, res, err, hostNow()-start)
-		}
-		return
-	}
+	opt = opt.sweep()
 	type outcome struct {
 		res  *Result
 		err  error
 		wall float64
+		done chan struct{}
 	}
 	outs := make([]outcome, len(exps))
-	done := make([]chan struct{}, len(exps))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for i, e := range exps {
+		outs[i].done = make(chan struct{})
 		go func() {
-			for i := range next {
-				start := hostNow()
-				res, err := runExperiment(opt, exps[i])
-				outs[i] = outcome{res: res, err: err, wall: hostNow() - start}
-				close(done[i])
+			defer close(outs[i].done)
+			start := hostNow()
+			var traces []*trace.Tracer
+			o := opt
+			o.traces = &traces
+			if outs[i].res, outs[i].err = e.Run(o); outs[i].res != nil {
+				outs[i].res.Traces = traces
 			}
+			outs[i].wall = hostNow() - start
 		}()
 	}
-	go func() {
-		for i := range exps {
-			next <- i
-		}
-		close(next)
-	}()
-	for i := range exps {
-		<-done[i]
+	for i := range outs {
+		<-outs[i].done
 		emit(i, outs[i].res, outs[i].err, outs[i].wall)
 	}
-}
-
-// runExperiment runs e and fills its Result.Traces with the tracers its
-// assembly pass read.
-func runExperiment(opt Options, e *Experiment) (*Result, error) {
-	var traces []*trace.Tracer
-	opt.traces = &traces
-	res, err := e.Run(opt)
-	if res != nil {
-		res.Traces = traces
-	}
-	return res, err
 }
 
 // ByID finds an experiment.
@@ -338,23 +333,16 @@ func IDs() []string {
 // runResult captures everything the figures need from one workload
 // execution under one collector.
 type runResult struct {
-	Collector  string
-	Bench      string
-	Factor     float64
-	JVMs       int
-	AppTime    sim.Time
-	Mutator    sim.Time
-	GCTotal    sim.Time
-	GCMax      sim.Time
-	GCAvg      sim.Time
-	GCAvgFull  sim.Time
-	GCMaxFull  sim.Time
-	Fulls      int
-	Minors     int
-	Concurrent sim.Time
-	Phases     gc.PhaseTimes // full collections only
-	Perf       sim.Perf
-	trace      *trace.Tracer // the run's machine tracer under Options.Trace
+	AppTime   sim.Time
+	GCTotal   sim.Time
+	GCMax     sim.Time
+	GCAvg     sim.Time
+	GCAvgFull sim.Time
+	GCMaxFull sim.Time
+	Fulls     int
+	Phases    gc.PhaseTimes // full collections only
+	Perf      sim.Perf
+	trace     *trace.Tracer // the run's machine tracer under Options.Trace
 }
 
 // cacheCall is one singleflight slot of the run cache: the first caller
@@ -372,9 +360,10 @@ var (
 	cacheMu  sync.Mutex
 	runCache = map[string]*cacheCall{}
 
-	// harnessRuns / harnessSimNs aggregate every workload execution since
-	// process start (cache misses only — a cache hit simulates nothing).
-	// The CLIs report them as the end-of-run simulation-rate line.
+	// harnessRuns / harnessSimNs count every machine run (every hold)
+	// since process start and the simulated time those runs covered; a
+	// run cache hit builds no machine and counts nothing. gcbench reports
+	// them as its end-of-run simulation-rate line.
 	harnessRuns  atomic.Uint64
 	harnessSimNs atomic.Uint64
 )
@@ -390,10 +379,11 @@ var (
 //     run never stands in for a traced one.
 //   - Quick: only selects which runs a figure performs, never the outcome
 //     of one run → excluded.
-//   - Parallel: host-side scheduling only → excluded.
+//   - Parallel, slots: host-side scheduling only → excluded.
 //   - Swap: only read by the far-memory figures (oversub1), which build
 //     their machines directly and never pass through runWorkload — the
 //     cache never sees a swap-armed run → excluded.
+//   - traces: where an experiment lists the tracers it read → excluded.
 //
 // Floats are serialised with strconv.FormatFloat(f, 'g', -1, 64) — the
 // shortest exact representation — because fixed-precision formatting
@@ -419,110 +409,11 @@ func ResetCache() {
 	runCache = map[string]*cacheCall{}
 }
 
-// HarnessStats reports the workload executions performed and simulated
-// application time advanced since process start, for simulation-rate
-// summaries. Cache hits are not re-counted.
+// HarnessStats reports the machine runs performed and the simulated time
+// they covered since process start, for simulation-rate summaries. Cache
+// hits are not re-counted.
 func HarnessStats() (runs uint64, simulated sim.Time) {
 	return harnessRuns.Load(), sim.Time(harnessSimNs.Load())
-}
-
-// runWorkload executes (and memoises) one benchmark under one collector at
-// a heap factor, with jvms-1 modelled co-running JVMs. Concurrent callers
-// with the same key deduplicate onto a single execution. The run's tracer
-// is recorded on every read, cache hits included.
-func runWorkload(opt Options, collector, bench string, factor float64, jvms int) (*runResult, error) {
-	key := cacheKey(opt, collector, bench, factor, jvms)
-	cacheMu.Lock()
-	call, ok := runCache[key]
-	if !ok {
-		call = &cacheCall{}
-		runCache[key] = call
-	}
-	cacheMu.Unlock()
-	call.once.Do(func() {
-		call.r, call.err = computeWorkload(opt, collector, bench, factor, jvms)
-	})
-	if call.r != nil {
-		opt.record(call.r.trace)
-	}
-	return call.r, call.err
-}
-
-// hostNow returns host wall-clock seconds (monotonic), for harness-rate
-// reporting only — simulated results never read it.
-func hostNow() float64 { return float64(time.Now().UnixNano()) / 1e9 }
-
-// runSem is the machine-wide bound on in-flight workload executions. Pool
-// sizes multiply (experiments × per-figure prefetch workers), but each
-// execution holds a whole simulated machine's frame storage and is
-// CPU-bound, so beyond GOMAXPROCS extra in-flight runs only cost memory.
-// The floor of 2 keeps concurrency tests meaningful on one-core hosts.
-var runSem = make(chan struct{}, func() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	return n
-}())
-
-// computeWorkload is the uncached body of runWorkload: it builds a fresh
-// Machine, runs the workload, and distils the figures' metrics. Each call
-// is self-contained (no state shared with concurrent runs beyond the
-// process-wide allocation counters, which are not observable in results),
-// which is what makes host-parallel sweeps deterministic.
-func computeWorkload(opt Options, collector, bench string, factor float64, jvms int) (*runResult, error) {
-	runSem <- struct{}{}
-	defer func() { <-runSem }()
-	spec, err := workloads.ByName(bench)
-	if err != nil {
-		return nil, err
-	}
-	mcfg := opt.machineConfig()
-	if mcfg.Fault, err = opt.FaultInjector(); err != nil {
-		return nil, err
-	}
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	tr := opt.arm(m)
-	if jvms > 1 {
-		m.SetActiveJVMs(jvms)
-	}
-	cfg, ok := jvm.ConfigFor(collector, spec.MinHeap(factor), spec.Threads, opt.workers())
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown collector %q", collector)
-	}
-	j, err := jvm.New(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := spec.Run(j, opt.seed()); err != nil {
-		return nil, fmt.Errorf("bench: %s under %s (%.1fx heap): %w", bench, collector, factor, err)
-	}
-	st := j.GC.Stats()
-	r := &runResult{
-		Collector:  collector,
-		Bench:      bench,
-		Factor:     factor,
-		JVMs:       jvms,
-		AppTime:    j.AppTime(),
-		Mutator:    j.MutatorTime(),
-		GCTotal:    st.TotalPause(""),
-		GCMax:      st.MaxPause(""),
-		GCAvg:      st.AvgPause(""),
-		GCAvgFull:  st.AvgPause(gc.KindFull),
-		GCMaxFull:  st.MaxPause(gc.KindFull),
-		Fulls:      st.Count(gc.KindFull),
-		Minors:     st.Count(gc.KindMinor),
-		Concurrent: st.Concurrent,
-		Phases:     st.PhaseTotals(gc.KindFull),
-		Perf:       j.TotalPerf(),
-		trace:      tr,
-	}
-	harnessRuns.Add(1)
-	harnessSimNs.Add(uint64(float64(r.AppTime)))
-	return r, nil
 }
 
 // runSpec names one workload run of a figure sweep.
@@ -532,40 +423,135 @@ type runSpec struct {
 	jvms             int
 }
 
-// prefetch warms the run cache for every spec over a bounded host worker
-// pool. Figures call it first, then assemble rows with the exact serial
-// loops they always had: the assembly pass hits the warmed cache (or
-// blocks on a still-running singleflight slot), so row order, formatting
-// and every simulated number are byte-identical to a serial run. Errors
-// are deliberately dropped here — the serial pass re-reads the same
-// memoised slots and reports the first failure in deterministic input
-// order, rather than whichever worker lost the race. Workers record no
-// tracers: the assembly pass lists each run as it reads it.
-func prefetch(opt Options, specs []runSpec) {
-	workers := opt.parallel()
-	if workers <= 1 || len(specs) < 2 {
-		return
+// runAll performs a figure's workload runs side by side and returns each
+// spec's result, or the first error in spec order. Runs are memoised, and
+// concurrent requests for one spec (from this figure or another) share a
+// single execution. It lists the runs' tracers in spec order, duplicates
+// included, so a figure whose spec list follows its assembly order lists
+// them as a serial pass would.
+func runAll(opt Options, specs []runSpec) (map[runSpec]*runResult, error) {
+	opt = opt.sweep()
+	results := make([]*runResult, len(specs))
+	if err := inParallel(len(specs), func(i int) (err error) {
+		results[i], err = runWorkload(opt, specs[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	opt.traces = nil
-	if workers > len(specs) {
-		workers = len(specs)
+	out := make(map[runSpec]*runResult, len(specs))
+	for i, s := range specs {
+		out[s] = results[i]
+		opt.record(results[i].trace)
 	}
-	ch := make(chan runSpec)
+	return out, nil
+}
+
+// holdEach runs cell(i) for every i in [0, n) side by side, each in a
+// machine slot of o's sweep (see hold), and returns the first error in
+// index order.
+func (o Options) holdEach(n int, cell func(i int) (sim.Time, error)) error {
+	o = o.sweep()
+	return inParallel(n, func(i int) error {
+		return o.hold(func() (sim.Time, error) { return cell(i) })
+	})
+}
+
+// inParallel calls cell(i) for every i in [0, n), each on its own
+// goroutine, and once all have returned reports the first error in index
+// order.
+func inParallel(n int, cell func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range ch {
-				_, _ = runWorkload(opt, s.collector, s.bench, s.factor, s.jvms)
-			}
+			errs[i] = cell(i)
 		}()
 	}
-	for _, s := range specs {
-		ch <- s
-	}
-	close(ch)
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runWorkload executes (and memoises) one benchmark under one collector at
+// a heap factor, with jvms-1 modelled co-running JVMs. Concurrent callers
+// with the same key deduplicate onto a single execution.
+func runWorkload(opt Options, s runSpec) (*runResult, error) {
+	key := cacheKey(opt, s.collector, s.bench, s.factor, s.jvms)
+	cacheMu.Lock()
+	call, ok := runCache[key]
+	if !ok {
+		call = &cacheCall{}
+		runCache[key] = call
+	}
+	cacheMu.Unlock()
+	call.once.Do(func() {
+		call.r, call.err = computeWorkload(opt, s)
+	})
+	return call.r, call.err
+}
+
+// hostNow returns host wall-clock seconds (monotonic), for harness-rate
+// reporting only — simulated results never read it.
+func hostNow() float64 { return float64(time.Now().UnixNano()) / 1e9 }
+
+// computeWorkload is the uncached body of runWorkload: it builds a fresh
+// Machine in a machine slot, runs the workload, and distils the figures'
+// metrics. Each call is self-contained (no state shared with concurrent
+// runs beyond the process-wide allocation counters, which are not
+// observable in results), which is what makes host-parallel sweeps
+// deterministic.
+func computeWorkload(opt Options, s runSpec) (*runResult, error) {
+	spec, err := workloads.ByName(s.bench)
+	if err != nil {
+		return nil, err
+	}
+	cfg, ok := jvm.ConfigFor(s.collector, spec.MinHeap(s.factor), spec.Threads, opt.workers())
+	if !ok {
+		return nil, fmt.Errorf("bench: unknown collector %q", s.collector)
+	}
+	mcfg := opt.machineConfig()
+	if mcfg.Fault, err = opt.FaultInjector(); err != nil {
+		return nil, err
+	}
+	var r *runResult
+	err = opt.hold(func() (sim.Time, error) {
+		m, err := machine.New(mcfg)
+		if err != nil {
+			return 0, err
+		}
+		tr := opt.arm(m)
+		if s.jvms > 1 {
+			m.SetActiveJVMs(s.jvms)
+		}
+		j, err := jvm.New(m, cfg)
+		if err != nil {
+			return 0, err
+		}
+		if err := spec.Run(j, opt.seed()); err != nil {
+			return 0, fmt.Errorf("bench: %s under %s (%.1fx heap): %w", s.bench, s.collector, s.factor, err)
+		}
+		st := j.GC.Stats()
+		r = &runResult{
+			AppTime:   j.AppTime(),
+			GCTotal:   st.TotalPause(""),
+			GCMax:     st.MaxPause(""),
+			GCAvg:     st.AvgPause(""),
+			GCAvgFull: st.AvgPause(gc.KindFull),
+			GCMaxFull: st.MaxPause(gc.KindFull),
+			Fulls:     st.Count(gc.KindFull),
+			Phases:    st.PhaseTotals(gc.KindFull),
+			Perf:      j.TotalPerf(),
+			trace:     tr,
+		}
+		return r.AppTime, nil
+	})
+	return r, err
 }
 
 // benchList returns the benchmark names a multi-benchmark figure sweeps:

@@ -81,30 +81,30 @@ func TestOptionsDefaults(t *testing.T) {
 func TestRunWorkloadCaches(t *testing.T) {
 	ResetCache()
 	opt := Options{Quick: true}
-	r1, err := runWorkload(opt, "svagc", "CryptoAES", 1.2, 1)
+	r1, err := runWorkload(opt, runSpec{"svagc", "CryptoAES", 1.2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := len(cachedRuns()); n != 1 {
 		t.Fatalf("cache has %d entries", n)
 	}
-	r2, err := runWorkload(opt, "svagc", "CryptoAES", 1.2, 1)
+	r2, err := runWorkload(opt, runSpec{"svagc", "CryptoAES", 1.2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
 		t.Error("second run not served from cache")
 	}
-	if _, err := runWorkload(opt, "svagc", "CryptoAES", 2.0, 1); err != nil {
+	if _, err := runWorkload(opt, runSpec{"svagc", "CryptoAES", 2.0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(cachedRuns()) != 2 {
 		t.Error("distinct factor not cached separately")
 	}
-	if _, err := runWorkload(opt, "zgc", "CryptoAES", 1.2, 1); err == nil {
+	if _, err := runWorkload(opt, runSpec{"zgc", "CryptoAES", 1.2, 1}); err == nil {
 		t.Error("unknown collector accepted")
 	}
-	if _, err := runWorkload(opt, "svagc", "nope", 1.2, 1); err == nil {
+	if _, err := runWorkload(opt, runSpec{"svagc", "nope", 1.2, 1}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 	ResetCache()

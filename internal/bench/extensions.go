@@ -47,17 +47,14 @@ func Ext1PhaseMatrix(opt Options) (*Result, error) {
 				runSpec{p.base, bench, 1.2, 1}, runSpec{p.swap, bench, 1.2, 1})
 		}
 	}
-	prefetch(opt, specs)
+	runs, err := runAll(opt, specs)
+	if err != nil {
+		return nil, err
+	}
 	for _, bench := range benches {
 		for _, p := range pairs {
-			base, err := runWorkload(opt, p.base, bench, 1.2, 1)
-			if err != nil {
-				return nil, err
-			}
-			swap, err := runWorkload(opt, p.swap, bench, 1.2, 1)
-			if err != nil {
-				return nil, err
-			}
+			base := runs[runSpec{p.base, bench, 1.2, 1}]
+			swap := runs[runSpec{p.swap, bench, 1.2, 1}]
 			reduction := 1 - stats.Ratio(float64(swap.GCTotal), float64(base.GCTotal))
 			res.Rows = append(res.Rows, []string{
 				p.design, bench,
@@ -92,22 +89,13 @@ func Ext2NVMHeap(opt Options) (*Result, error) {
 	for _, cost := range []*sim.CostModel{sim.XeonGold6130(), sim.XeonGold6130NVM()} {
 		o := opt
 		o.Cost = cost
-		var specs []runSpec
-		for _, bench := range benches {
-			specs = append(specs,
-				runSpec{jvm.CollectorSVAGCBase, bench, 1.2, 1},
-				runSpec{jvm.CollectorSVAGC, bench, 1.2, 1})
+		runs, err := runAll(o, swapPairs(benches, 1.2))
+		if err != nil {
+			return nil, err
 		}
-		prefetch(o, specs)
 		for _, bench := range benches {
-			base, err := runWorkload(o, jvm.CollectorSVAGCBase, bench, 1.2, 1)
-			if err != nil {
-				return nil, err
-			}
-			swap, err := runWorkload(o, jvm.CollectorSVAGC, bench, 1.2, 1)
-			if err != nil {
-				return nil, err
-			}
+			base := runs[runSpec{jvm.CollectorSVAGCBase, bench, 1.2, 1}]
+			swap := runs[runSpec{jvm.CollectorSVAGC, bench, 1.2, 1}]
 			// MovedBytes is the collector's copy traffic: every copied
 			// byte is written once — the write cycles NVM wear cares
 			// about. SwapVA replaces them with PTE stores.
@@ -149,38 +137,46 @@ func Ext3HugePages(opt Options) (*Result, error) {
 	cost := opt.cost()
 	for _, mib := range sizesMiB {
 		pages := mib << 8 // MiB -> 4 KiB pages
-		m, err := machine.New(machine.Config{Cost: cost})
-		if err != nil {
-			return nil, err
-		}
-		k := kernel.New(m)
-		as := m.NewAddressSpace()
-		raw, err := as.MapRegion(2*pages + 1024)
-		if err != nil {
-			return nil, err
-		}
-		a := (raw + mmu.PMDSpan - 1) &^ (mmu.PMDSpan - 1)
-		b := a + uint64(pages)<<12
+		var move, pte, huge sim.Time
+		err := opt.hold(func() (sim.Time, error) {
+			m, err := machine.New(machine.Config{Cost: cost})
+			if err != nil {
+				return 0, err
+			}
+			k := kernel.New(m)
+			as := m.NewAddressSpace()
+			raw, err := as.MapRegion(2*pages + 1024)
+			if err != nil {
+				return 0, err
+			}
+			a := (raw + mmu.PMDSpan - 1) &^ (mmu.PMDSpan - 1)
+			b := a + uint64(pages)<<12
 
-		move := m.NewContext(0)
-		if err := k.Memmove(move, as, b, a, pages<<12); err != nil {
-			return nil, err
-		}
-		pte := m.NewContext(0)
-		if err := k.SwapVA(pte, as, a, b, pages, kernel.DefaultOptions()); err != nil {
-			return nil, err
-		}
-		hugeOpts := kernel.DefaultOptions()
-		hugeOpts.HugeSwap = true
-		huge := m.NewContext(0)
-		if err := k.SwapVA(huge, as, a, b, pages, hugeOpts); err != nil {
+			moveCtx := m.NewContext(0)
+			if err := k.Memmove(moveCtx, as, b, a, pages<<12); err != nil {
+				return 0, err
+			}
+			pteCtx := m.NewContext(0)
+			if err := k.SwapVA(pteCtx, as, a, b, pages, kernel.DefaultOptions()); err != nil {
+				return 0, err
+			}
+			hugeOpts := kernel.DefaultOptions()
+			hugeOpts.HugeSwap = true
+			hugeCtx := m.NewContext(0)
+			if err := k.SwapVA(hugeCtx, as, a, b, pages, hugeOpts); err != nil {
+				return 0, err
+			}
+			move, pte, huge = moveCtx.Clock.Now(), pteCtx.Clock.Now(), hugeCtx.Clock.Now()
+			return move + pte + huge, nil
+		})
+		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d MiB", mib),
-			move.Clock.Now().String(), pte.Clock.Now().String(), huge.Clock.Now().String(),
-			stats.X(stats.Ratio(float64(pte.Clock.Now()), float64(huge.Clock.Now()))),
-			stats.X(stats.Ratio(float64(move.Clock.Now()), float64(huge.Clock.Now()))),
+			move.String(), pte.String(), huge.String(),
+			stats.X(stats.Ratio(float64(pte), float64(huge))),
+			stats.X(stats.Ratio(float64(move), float64(huge))),
 		})
 	}
 	res.Notes = append(res.Notes,

@@ -24,19 +24,19 @@ func Fig1PhaseBreakdown(opt Options) (*Result, error) {
 		Paper:  "compaction is 79.33% (Sparse.large) to 84.76% (FFT.large) of full-GC time",
 		Header: []string{"benchmark", "mark", "forward", "adjust", "compact", "compact-share"},
 	}
-	prefetch(o, []runSpec{
+	specs := []runSpec{
 		{jvm.CollectorSVAGCBase, "FFT.large", 1.2, 1},
 		{jvm.CollectorSVAGCBase, "Sparse.large", 1.2, 1},
-	})
-	for _, bench := range []string{"FFT.large", "Sparse.large"} {
-		r, err := runWorkload(o, jvm.CollectorSVAGCBase, bench, 1.2, 1)
-		if err != nil {
-			return nil, err
-		}
-		pt := r.Phases
+	}
+	runs, err := runAll(o, specs)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range specs {
+		pt := runs[s].Phases
 		share := stats.Ratio(float64(pt.Compact), float64(pt.Total()))
 		res.Rows = append(res.Rows, []string{
-			bench, pt.Mark.String(), pt.Forward.String(), pt.Adjust.String(),
+			s.bench, pt.Mark.String(), pt.Forward.String(), pt.Adjust.String(),
 			pt.Compact.String(), stats.Pct(share),
 		})
 	}
@@ -54,22 +54,13 @@ func Fig11SwapVAGain(opt Options) (*Result, error) {
 		Header: []string{"benchmark", "gc-memmove", "compact-", "other-",
 			"gc-swapva", "compact+", "other+", "reduction", "speedup"},
 	}
-	var specs []runSpec
-	for _, bench := range benchList(opt) {
-		specs = append(specs,
-			runSpec{jvm.CollectorSVAGCBase, bench, 1.2, 1},
-			runSpec{jvm.CollectorSVAGC, bench, 1.2, 1})
+	runs, err := runAll(opt, swapPairs(benchList(opt), 1.2))
+	if err != nil {
+		return nil, err
 	}
-	prefetch(opt, specs)
 	for _, bench := range benchList(opt) {
-		base, err := runWorkload(opt, jvm.CollectorSVAGCBase, bench, 1.2, 1)
-		if err != nil {
-			return nil, err
-		}
-		sva, err := runWorkload(opt, jvm.CollectorSVAGC, bench, 1.2, 1)
-		if err != nil {
-			return nil, err
-		}
+		base := runs[runSpec{jvm.CollectorSVAGCBase, bench, 1.2, 1}]
+		sva := runs[runSpec{jvm.CollectorSVAGC, bench, 1.2, 1}]
 		reduction := 1 - stats.Ratio(float64(sva.GCTotal), float64(base.GCTotal))
 		speedup := stats.Ratio(float64(base.GCTotal), float64(sva.GCTotal))
 		res.Rows = append(res.Rows, []string{
@@ -80,6 +71,35 @@ func Fig11SwapVAGain(opt Options) (*Result, error) {
 		})
 	}
 	return res, nil
+}
+
+// swapPairs lists, per benchmark and heap factor, the memmove-only and
+// the SwapVA SVAGC run: the pair Figs. 11 and 15, Table III and ext2
+// compare, in the order they read it.
+func swapPairs(benches []string, factors ...float64) []runSpec {
+	var specs []runSpec
+	for _, bench := range benches {
+		for _, f := range factors {
+			specs = append(specs,
+				runSpec{jvm.CollectorSVAGCBase, bench, f, 1}, runSpec{jvm.CollectorSVAGC, bench, f, 1})
+		}
+	}
+	return specs
+}
+
+// baselineSpecs lists the runs Figs. 12, 13 and 16 compare, in the order
+// they read them: per heap factor and benchmark, Shenandoah, ParallelGC
+// and SVAGC.
+func baselineSpecs(opt Options) []runSpec {
+	var specs []runSpec
+	for _, factor := range []float64{1.2, 2.0} {
+		for _, bench := range benchList(opt) {
+			for _, c := range []string{jvm.CollectorShen, jvm.CollectorParallel, jvm.CollectorSVAGC} {
+				specs = append(specs, runSpec{c, bench, factor, 1})
+			}
+		}
+	}
+	return specs
 }
 
 // latencyFigure implements Figs. 12 and 13, which differ only in the
@@ -94,30 +114,16 @@ func latencyFigure(opt Options, id, title, paper string,
 		Header: []string{"heap", "benchmark", "shenandoah", "parallelgc", "svagc",
 			"vs-pargc", "vs-shen"},
 	}
-	var specs []runSpec
-	for _, factor := range []float64{1.2, 2.0} {
-		for _, bench := range benchList(opt) {
-			for _, c := range []string{jvm.CollectorShen, jvm.CollectorParallel, jvm.CollectorSVAGC} {
-				specs = append(specs, runSpec{c, bench, factor, 1})
-			}
-		}
+	runs, err := runAll(opt, baselineSpecs(opt))
+	if err != nil {
+		return nil, err
 	}
-	prefetch(opt, specs)
 	for _, factor := range []float64{1.2, 2.0} {
 		var vsPar, vsShen []float64
 		for _, bench := range benchList(opt) {
-			shenR, err := runWorkload(opt, jvm.CollectorShen, bench, factor, 1)
-			if err != nil {
-				return nil, err
-			}
-			parR, err := runWorkload(opt, jvm.CollectorParallel, bench, factor, 1)
-			if err != nil {
-				return nil, err
-			}
-			svaR, err := runWorkload(opt, jvm.CollectorSVAGC, bench, factor, 1)
-			if err != nil {
-				return nil, err
-			}
+			shenR := runs[runSpec{jvm.CollectorShen, bench, factor, 1}]
+			parR := runs[runSpec{jvm.CollectorParallel, bench, factor, 1}]
+			svaR := runs[runSpec{jvm.CollectorSVAGC, bench, factor, 1}]
 			sv, pv, sh := pick(svaR), pick(parR), pick(shenR)
 			rp, rs := stats.Ratio(float64(pv), float64(sv)), stats.Ratio(float64(sh), float64(sv))
 			fmtRatio := func(r float64) string {
@@ -182,23 +188,14 @@ func Fig15AppThroughput(opt Options) (*Result, error) {
 		Paper:  "improvement from 15.2% (CryptoAES) to 86.9% (Sparse.large)",
 		Header: []string{"benchmark", "app-memmove", "app-swapva", "improvement"},
 	}
-	var specs []runSpec
-	for _, bench := range benchList(opt) {
-		specs = append(specs,
-			runSpec{jvm.CollectorSVAGCBase, bench, 1.2, 1},
-			runSpec{jvm.CollectorSVAGC, bench, 1.2, 1})
+	runs, err := runAll(opt, swapPairs(benchList(opt), 1.2))
+	if err != nil {
+		return nil, err
 	}
-	prefetch(opt, specs)
 	var imprs []float64
 	for _, bench := range benchList(opt) {
-		base, err := runWorkload(opt, jvm.CollectorSVAGCBase, bench, 1.2, 1)
-		if err != nil {
-			return nil, err
-		}
-		sva, err := runWorkload(opt, jvm.CollectorSVAGC, bench, 1.2, 1)
-		if err != nil {
-			return nil, err
-		}
+		base := runs[runSpec{jvm.CollectorSVAGCBase, bench, 1.2, 1}]
+		sva := runs[runSpec{jvm.CollectorSVAGC, bench, 1.2, 1}]
 		// Throughput improvement: work per time, i.e. appBase/appSwap - 1.
 		impr := stats.Ratio(float64(base.AppTime), float64(sva.AppTime)) - 1
 		imprs = append(imprs, impr)
@@ -221,30 +218,16 @@ func Fig16VsBaselines(opt Options) (*Result, error) {
 		Header: []string{"heap", "benchmark", "app-shen", "app-pargc", "app-svagc",
 			"vs-pargc", "vs-shen"},
 	}
-	var specs []runSpec
-	for _, factor := range []float64{1.2, 2.0} {
-		for _, bench := range benchList(opt) {
-			for _, c := range []string{jvm.CollectorShen, jvm.CollectorParallel, jvm.CollectorSVAGC} {
-				specs = append(specs, runSpec{c, bench, factor, 1})
-			}
-		}
+	runs, err := runAll(opt, baselineSpecs(opt))
+	if err != nil {
+		return nil, err
 	}
-	prefetch(opt, specs)
 	for _, factor := range []float64{1.2, 2.0} {
 		var vsPar, vsShen []float64
 		for _, bench := range benchList(opt) {
-			shenR, err := runWorkload(opt, jvm.CollectorShen, bench, factor, 1)
-			if err != nil {
-				return nil, err
-			}
-			parR, err := runWorkload(opt, jvm.CollectorParallel, bench, factor, 1)
-			if err != nil {
-				return nil, err
-			}
-			svaR, err := runWorkload(opt, jvm.CollectorSVAGC, bench, factor, 1)
-			if err != nil {
-				return nil, err
-			}
+			shenR := runs[runSpec{jvm.CollectorShen, bench, factor, 1}]
+			parR := runs[runSpec{jvm.CollectorParallel, bench, factor, 1}]
+			svaR := runs[runSpec{jvm.CollectorSVAGC, bench, factor, 1}]
 			ip := stats.Ratio(float64(parR.AppTime), float64(svaR.AppTime)) - 1
 			is := stats.Ratio(float64(shenR.AppTime), float64(svaR.AppTime)) - 1
 			vsPar = append(vsPar, ip)

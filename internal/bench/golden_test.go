@@ -16,13 +16,30 @@ var update = flag.Bool("update", false, "rewrite the golden figure and run outpu
 
 // quickOpt is the one quick sweep every check in this package reads:
 // gcbench -exp all -quick's options, with Parallel fixed at 4 so the
-// host-concurrent path (experiment pool, per-figure prefetch, the run
-// cache's singleflight slots) is exercised on any host.
+// host-concurrent path (experiments side by side, each figure's runs
+// requested at once, the run cache's singleflight slots) is exercised on
+// any host.
 var quickOpt = Options{Quick: true, GCWorkers: 4, Seed: 42, Parallel: 4}
+
+// quickCells are the machines the quick sweep builds outside the run
+// cache, by experiment: each is one hold, so HarnessStats counts it next
+// to the memoised runs.
+var quickCells = map[string]int{
+	"fig6":     2, // 2 pages/req points
+	"fig8":     2, // 2 sizes
+	"fig9":     4, // 2 core counts × unoptimised/pinned
+	"fig10":    2, // one threshold sweep per machine model
+	"ext3":     2, // 2 sizes
+	"numa1":    4, // 2 core counts × 1/2 sockets
+	"oom1":     6, // 3 occupancies × 2 collectors
+	"oversub1": 6, // 2 ratios × 3 collectors
+	"smr1":     6, // 2 heaps × 3 collectors
+}
 
 // quickSweep is what the sweep left behind: every experiment's result or
 // error by ID, every memoised run by cache key, and the dedup check's
-// verdict ("" when every distinct run executed exactly once).
+// verdict ("" when every distinct run executed exactly once and every
+// other machine HarnessStats counted is one of quickCells).
 type quickSweep struct {
 	results map[string]*Result
 	errs    map[string]error
@@ -54,9 +71,13 @@ func sharedSweep(t *testing.T) *quickSweep {
 		})
 		after, _ := HarnessStats()
 		sweep.runs = cachedRuns()
-		if executed := after - before; executed != uint64(len(sweep.runs)) {
-			sweep.dedup = fmt.Sprintf("%d workload executions for %d distinct runs: singleflight dedup failed",
-				executed, len(sweep.runs))
+		cells := 0
+		for _, n := range quickCells {
+			cells += n
+		}
+		if executed := after - before; executed != uint64(len(sweep.runs)+cells) {
+			sweep.dedup = fmt.Sprintf("%d machine runs for %d distinct workload runs and %d figure cells: "+
+				"singleflight dedup failed or a cell went uncounted", executed, len(sweep.runs), cells)
 		}
 	})
 	return &sweep

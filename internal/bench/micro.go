@@ -11,8 +11,8 @@ import (
 	"repro/internal/stats"
 )
 
-// microFixture builds a machine + kernel + address space with two mapped
-// regions of the given page count.
+// microFixture is a machine + kernel + address space with two mapped
+// regions of the same page count.
 type microFixture struct {
 	m        *machine.Machine
 	k        *kernel.Kernel
@@ -20,22 +20,26 @@ type microFixture struct {
 	va1, va2 uint64
 }
 
-func newMicroFixture(cost *sim.CostModel, pages int) (*microFixture, error) {
-	m, err := machine.New(machine.Config{Cost: cost})
-	if err != nil {
-		return nil, err
-	}
-	k := kernel.New(m)
-	as := m.NewAddressSpace()
-	va1, err := as.MapRegion(pages)
-	if err != nil {
-		return nil, err
-	}
-	va2, err := as.MapRegion(pages)
-	if err != nil {
-		return nil, err
-	}
-	return &microFixture{m: m, k: k, as: as, va1: va1, va2: va2}, nil
+// onMicroFixture builds a fixture on a cfg machine with regions of the
+// given page count, in a machine slot, and runs body on it; body returns
+// the simulated time it measured.
+func onMicroFixture(opt Options, cfg machine.Config, pages int, body func(*microFixture) (sim.Time, error)) error {
+	return opt.hold(func() (sim.Time, error) {
+		m, err := machine.New(cfg)
+		if err != nil {
+			return 0, err
+		}
+		as := m.NewAddressSpace()
+		va1, err := as.MapRegion(pages)
+		if err != nil {
+			return 0, err
+		}
+		va2, err := as.MapRegion(pages)
+		if err != nil {
+			return 0, err
+		}
+		return body(&microFixture{m: m, k: kernel.New(m), as: as, va1: va1, va2: va2})
+	})
 }
 
 // Fig6Aggregation reproduces Fig. 6: the cost of N independent small
@@ -59,28 +63,32 @@ func Fig6Aggregation(opt Options) (*Result, error) {
 	}
 	prevSpeedup := 0.0
 	for i, pages := range perReq {
-		f, err := newMicroFixture(cost, pages*nReqs)
+		var sep, agg sim.Time
+		err := onMicroFixture(opt, machine.Config{Cost: cost}, pages*nReqs, func(f *microFixture) (sim.Time, error) {
+			reqs := make([]kernel.SwapReq, nReqs)
+			for r := range reqs {
+				off := uint64(r*pages) << 12
+				reqs[r] = kernel.SwapReq{VA1: f.va1 + off, VA2: f.va2 + off, Pages: pages}
+			}
+			sepCtx := f.m.NewContext(0)
+			for _, r := range reqs {
+				if err := f.k.SwapVA(sepCtx, f.as, r.VA1, r.VA2, r.Pages, kernel.DefaultOptions()); err != nil {
+					return 0, err
+				}
+			}
+			aggCtx := f.m.NewContext(0)
+			if _, err := f.k.SwapVAVec(aggCtx, f.as, reqs, kernel.DefaultOptions()); err != nil {
+				return 0, err
+			}
+			sep, agg = sepCtx.Clock.Now(), aggCtx.Clock.Now()
+			return sep + agg, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		reqs := make([]kernel.SwapReq, nReqs)
-		for r := range reqs {
-			off := uint64(r*pages) << 12
-			reqs[r] = kernel.SwapReq{VA1: f.va1 + off, VA2: f.va2 + off, Pages: pages}
-		}
-		sep := f.m.NewContext(0)
-		for _, r := range reqs {
-			if err := f.k.SwapVA(sep, f.as, r.VA1, r.VA2, r.Pages, kernel.DefaultOptions()); err != nil {
-				return nil, err
-			}
-		}
-		agg := f.m.NewContext(0)
-		if _, err := f.k.SwapVAVec(agg, f.as, reqs, kernel.DefaultOptions()); err != nil {
-			return nil, err
-		}
-		speedup := stats.Ratio(float64(sep.Clock.Now()), float64(agg.Clock.Now()))
+		speedup := stats.Ratio(float64(sep), float64(agg))
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", pages), sep.Clock.Now().String(), agg.Clock.Now().String(), stats.X(speedup),
+			fmt.Sprintf("%d", pages), sep.String(), agg.String(), stats.X(speedup),
 		})
 		if i > 0 && speedup >= prevSpeedup {
 			res.Notes = append(res.Notes,
@@ -110,27 +118,31 @@ func Fig8PMDCaching(opt Options) (*Result, error) {
 	}
 	var improvements []float64
 	for _, pages := range sizes {
-		f, err := newMicroFixture(cost, pages)
+		var off, on sim.Time
+		err := onMicroFixture(opt, machine.Config{Cost: cost}, pages, func(f *microFixture) (sim.Time, error) {
+			withOpts := kernel.DefaultOptions()
+			withOpts.Flush = kernel.FlushLocalOnly // isolate the walk cost
+			withoutOpts := withOpts
+			withoutOpts.PMDCaching = false
+
+			offCtx := f.m.NewContext(0)
+			if err := f.k.SwapVA(offCtx, f.as, f.va1, f.va2, pages, withoutOpts); err != nil {
+				return 0, err
+			}
+			onCtx := f.m.NewContext(0)
+			if err := f.k.SwapVA(onCtx, f.as, f.va1, f.va2, pages, withOpts); err != nil {
+				return 0, err
+			}
+			off, on = offCtx.Clock.Now(), onCtx.Clock.Now()
+			return off + on, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		withOpts := kernel.DefaultOptions()
-		withOpts.Flush = kernel.FlushLocalOnly // isolate the walk cost
-		withoutOpts := withOpts
-		withoutOpts.PMDCaching = false
-
-		off := f.m.NewContext(0)
-		if err := f.k.SwapVA(off, f.as, f.va1, f.va2, pages, withoutOpts); err != nil {
-			return nil, err
-		}
-		on := f.m.NewContext(0)
-		if err := f.k.SwapVA(on, f.as, f.va1, f.va2, pages, withOpts); err != nil {
-			return nil, err
-		}
-		impr := 1 - float64(on.Clock.Now())/float64(off.Clock.Now())
+		impr := 1 - float64(on)/float64(off)
 		improvements = append(improvements, impr)
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", pages), off.Clock.Now().String(), on.Clock.Now().String(), stats.Pct(impr),
+			fmt.Sprintf("%d", pages), off.String(), on.String(), stats.Pct(impr),
 		})
 	}
 	res.Notes = append(res.Notes,
@@ -157,28 +169,28 @@ func Fig9MultiCore(opt Options) (*Result, error) {
 	for _, cores := range coreCounts {
 		cost := *opt.cost()
 		cost.Cores = cores
-		run := func(pinned bool) (sim.Time, uint64, error) {
-			f, err := newMicroFixture(&cost, objects*pagesPer)
-			if err != nil {
-				return 0, 0, err
-			}
-			ctx := f.m.NewContext(0)
-			opts := kernel.DefaultOptions()
-			if pinned {
-				ctx.Pin()
-				ctx.ShootdownAll(f.as.ASID)
-				opts.Flush = kernel.FlushLocalOnly
-			}
-			for i := 0; i < objects; i++ {
-				off := uint64(i*pagesPer) << 12
-				if err := f.k.SwapVA(ctx, f.as, f.va1+off, f.va2+off, pagesPer, opts); err != nil {
-					return 0, 0, err
+		run := func(pinned bool) (t sim.Time, ipis uint64, err error) {
+			err = onMicroFixture(opt, machine.Config{Cost: &cost}, objects*pagesPer, func(f *microFixture) (sim.Time, error) {
+				ctx := f.m.NewContext(0)
+				opts := kernel.DefaultOptions()
+				if pinned {
+					ctx.Pin()
+					ctx.ShootdownAll(f.as.ASID)
+					opts.Flush = kernel.FlushLocalOnly
 				}
-			}
-			if pinned {
-				ctx.Unpin()
-			}
-			return ctx.Clock.Now(), ctx.Perf.IPIsSent, nil
+				for i := 0; i < objects; i++ {
+					off := uint64(i*pagesPer) << 12
+					if err := f.k.SwapVA(ctx, f.as, f.va1+off, f.va2+off, pagesPer, opts); err != nil {
+						return 0, err
+					}
+				}
+				if pinned {
+					ctx.Unpin()
+				}
+				t, ipis = ctx.Clock.Now(), ctx.Perf.IPIsSent
+				return t, nil
+			})
+			return t, ipis, err
 		}
 		unopt, ipisU, err := run(false)
 		if err != nil {
@@ -211,11 +223,20 @@ func Fig10Threshold(opt Options) (*Result, error) {
 		Header: []string{"machine", "pages", "swapva", "memmove", "winner"},
 	}
 	for _, cost := range []*sim.CostModel{sim.XeonGold6130(), sim.XeonGold6240()} {
-		points, err := core.ThresholdSweep(cost, maxPages)
-		if err != nil {
-			return nil, err
-		}
-		be, err := core.BreakEvenPages(cost, 64)
+		var points []core.MoveCostPoint
+		var be int
+		err := opt.hold(func() (covered sim.Time, err error) {
+			if points, err = core.ThresholdSweep(cost, maxPages); err != nil {
+				return 0, err
+			}
+			if be, err = core.BreakEvenPages(cost, 64); err != nil {
+				return 0, err
+			}
+			for _, p := range points {
+				covered += p.SwapVANs + p.MemmoveNs
+			}
+			return covered, nil
+		})
 		if err != nil {
 			return nil, err
 		}

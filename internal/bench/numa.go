@@ -40,33 +40,21 @@ func NUMA1ShootdownScaling(opt Options) (*Result, error) {
 		for si, sockets := range []int{1, 2} {
 			cost := *opt.cost()
 			cost.Cores = cores
-			m, err := machine.New(machine.Config{
-				Cost:       &cost,
-				Sockets:    sockets,
-				NUMAPolicy: topology.PolicyInterleave,
+			cfg := machine.Config{Cost: &cost, Sockets: sockets, NUMAPolicy: topology.PolicyInterleave}
+			err := onMicroFixture(opt, cfg, objects*pagesPer, func(f *microFixture) (sim.Time, error) {
+				ctx := f.m.NewContext(0)
+				for i := 0; i < objects; i++ {
+					off := uint64(i*pagesPer) << 12
+					if err := f.k.SwapVA(ctx, f.as, f.va1+off, f.va2+off, pagesPer, kernel.DefaultOptions()); err != nil {
+						return 0, err
+					}
+				}
+				times[si], perfs[si] = ctx.Clock.Now(), *ctx.Perf
+				return times[si], nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			k := kernel.New(m)
-			as := m.NewAddressSpace()
-			va1, err := as.MapRegion(objects * pagesPer)
-			if err != nil {
-				return nil, err
-			}
-			va2, err := as.MapRegion(objects * pagesPer)
-			if err != nil {
-				return nil, err
-			}
-			ctx := m.NewContext(0)
-			for i := 0; i < objects; i++ {
-				off := uint64(i*pagesPer) << 12
-				if err := k.SwapVA(ctx, as, va1+off, va2+off, pagesPer, kernel.DefaultOptions()); err != nil {
-					return nil, err
-				}
-			}
-			times[si] = ctx.Clock.Now()
-			perfs[si] = *ctx.Perf
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", cores), times[0].String(), times[1].String(),

@@ -29,12 +29,14 @@ type oomRun struct {
 	pause    sim.Time
 	degraded uint64
 	evacFail bool
-	mutator  string // post-GC mutator allocation outcome
+	mutator  string   // post-GC mutator allocation outcome
+	app      sim.Time // simulated time the JVM covered
 }
 
 // oomOne builds a fresh watermarked machine, fills the heap with a
 // half-garbage object graph, ballasts the pool to the target occupancy and
-// runs one full collection under the named collector.
+// runs one full collection under the named collector. The caller holds
+// a machine slot.
 func oomOne(opt Options, collector string, occ float64) (*oomRun, error) {
 	m, err := machine.New(machine.Config{
 		Cost:       opt.cost(),
@@ -96,6 +98,7 @@ func oomOne(opt Options, collector string, occ float64) (*oomRun, error) {
 	default:
 		return nil, fmt.Errorf("oom1: post-GC alloc: %w", err)
 	}
+	r.app = j.AppTime()
 	return r, nil
 }
 
@@ -120,15 +123,18 @@ func OOM1MemoryPressure(opt Options) (*Result, error) {
 		Header: []string{"occupancy", "free-frames", "svagc", "svagc-degraded",
 			"copygc", "copy-mode", "copy/svagc", "mutator"},
 	}
-	for _, occ := range occs {
-		sv, err := oomOne(opt, jvm.CollectorSVAGC, occ)
-		if err != nil {
-			return nil, err
+	collectors := []string{jvm.CollectorSVAGC, jvm.CollectorCopy}
+	runs := make([]*oomRun, len(occs)*len(collectors))
+	if err := opt.holdEach(len(runs), func(i int) (_ sim.Time, err error) {
+		if runs[i], err = oomOne(opt, collectors[i%2], occs[i/2]); err != nil {
+			return 0, err
 		}
-		cp, err := oomOne(opt, jvm.CollectorCopy, occ)
-		if err != nil {
-			return nil, err
-		}
+		return runs[i].app, nil
+	}); err != nil {
+		return nil, err
+	}
+	for oi, occ := range occs {
+		sv, cp := runs[2*oi], runs[2*oi+1]
 		mode := "evacuate"
 		if cp.evacFail {
 			mode = "slide (degenerated)"

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/swaptier"
+	"repro/internal/trace"
 )
 
 // oversub1 machine shape: the oom1 pool (16 MiB of RAM) with the swap
@@ -50,6 +51,8 @@ type ovRun struct {
 	direct  uint64   // synchronous (allocation-stall) reclaims
 	swapped int      // pages still in the tier at the end
 	mutator string   // post-run allocation outcome: ok / fail-fast
+	app     sim.Time // simulated time the JVM covered
+	trace   *trace.Tracer
 }
 
 // ovPattern fills buf with the run's payload pattern: one word in four
@@ -68,7 +71,8 @@ func ovPattern(buf []uint64, salt uint64) {
 // oversubOne builds a swap-armed machine, fills a ratio× RAM heap with a
 // half-live object graph (payloads written, so pages hold data the tier
 // must really store), runs one full collection, then re-walks the live
-// set — the mutator-side fault-in bill of having been swapped.
+// set — the mutator-side fault-in bill of having been swapped. The
+// caller holds a machine slot.
 func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
 	// Unlike the paper figures, this one builds its machine directly (it
 	// never passes through runWorkload): the chaos CI drives the
@@ -86,7 +90,7 @@ func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt.record(opt.arm(m))
+	tr := opt.arm(m)
 	heapBytes := int64(ratio * float64(ovPhysBytes))
 	cfg, ok := jvm.ConfigForDeadline(collector, heapBytes, 1, opt.workers(), 0)
 	if !ok {
@@ -122,7 +126,7 @@ func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
 		j.Roots.Remove(g)
 	}
 
-	r := &ovRun{}
+	r := &ovRun{trace: tr}
 	pause, err := j.CollectNow()
 	if err != nil {
 		return nil, fmt.Errorf("oversub1: %s at %.1fx heap: %w", collector, ratio, err)
@@ -158,6 +162,7 @@ func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
 	default:
 		return nil, fmt.Errorf("oversub1: post-run alloc: %w", err)
 	}
+	r.app = j.AppTime()
 	return r, nil
 }
 
@@ -181,12 +186,19 @@ func OversubFarMemory(opt Options) (*Result, error) {
 		Header: []string{"heap", "collector", "gc-pause", "live-touch", "touch-MB/s",
 			"swap-out", "swap-in", "kswapd", "direct", "post-alloc"},
 	}
-	for _, ratio := range ratios {
-		for _, c := range collectors {
-			r, err := oversubOne(opt, c, ratio)
-			if err != nil {
-				return nil, err
-			}
+	runs := make([]*ovRun, len(ratios)*len(collectors))
+	if err := opt.holdEach(len(runs), func(i int) (_ sim.Time, err error) {
+		if runs[i], err = oversubOne(opt, collectors[i%len(collectors)], ratios[i/len(collectors)]); err != nil {
+			return 0, err
+		}
+		return runs[i].app, nil
+	}); err != nil {
+		return nil, err
+	}
+	for ri, ratio := range ratios {
+		for ci, c := range collectors {
+			r := runs[ri*len(collectors)+ci]
+			opt.record(r.trace)
 			mbs := "-"
 			if r.touch > 0 {
 				mbs = fmt.Sprintf("%.0f", float64(r.touched)/1e6/(float64(r.touch)/1e9))

@@ -11,12 +11,17 @@ import (
 // whole swap plane — reclaimer victim order, tier slot handout,
 // far-device queueing, kswapd wake points — must be a pure function of the
 // configuration. oversub1 builds its machines directly, so this repeat
-// catches host-state leaks the cache-keyed paths cannot.
+// catches host-state leaks the cache-keyed paths cannot; each of its six
+// machines must still take a machine slot and count in HarnessStats.
 func TestOversubDeterminism(t *testing.T) {
 	want := sharedSweep(t).result(t, "oversub1").Format()
+	before, _ := HarnessStats()
 	res, err := OversubFarMemory(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if after, _ := HarnessStats(); after-before != 6 {
+		t.Errorf("oversub1 -quick counted %d machine runs, want 6 (2 ratios × 3 collectors)", after-before)
 	}
 	if got := res.Format(); got != want {
 		t.Errorf("oversub1 is not deterministic across repeats:\n--- sweep ---\n%s\n--- repeat ---\n%s",

@@ -3,10 +3,12 @@ package bench
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,7 +26,7 @@ import (
 var (
 	keyFields = []string{"Cost", "GCWorkers", "Seed", "Sockets", "NUMAPolicy", "NUMABind",
 		"FaultPlan", "FaultRate", "FaultSeed", "Trace"}
-	excludedFields = []string{"Quick", "Parallel", "Swap", "traces"}
+	excludedFields = []string{"Quick", "Parallel", "Swap", "traces", "slots"}
 )
 
 func TestCacheKeyCoversOptions(t *testing.T) {
@@ -119,11 +121,11 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 	}
 }
 
-// TestConcurrentFiguresShareCache prefetches the same runs from two
-// goroutines at once, each fanning out over its own worker pool — the
-// -race exercise for the singleflight slots, and for machines staying
-// private to the goroutine that runs them. Every shared run must execute
-// once, not once per caller.
+// TestConcurrentFiguresShareCache requests the same runs from two
+// goroutines at once, sharing one set of machine slots — the -race
+// exercise for the singleflight slots, and for machines staying private
+// to the goroutine that runs them. Every shared run must execute once,
+// not once per caller, and both callers must get the same results.
 func TestConcurrentFiguresShareCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs workloads")
@@ -131,22 +133,30 @@ func TestConcurrentFiguresShareCache(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
 	before, _ := HarnessStats()
-	opt := Options{Quick: true, Parallel: 4}
+	opt := Options{Quick: true, Parallel: 4}.sweep()
 	var specs []runSpec
 	for _, bench := range []string{"CryptoAES", "Sigverify"} {
 		for _, c := range []string{"svagc", "svagc-memmove"} {
 			specs = append(specs, runSpec{c, bench, 1.2, 1})
 		}
 	}
+	var got [2]map[runSpec]*runResult
 	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
+	for g := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			prefetch(opt, specs)
+			runs, err := runAll(opt, specs)
+			if err != nil {
+				t.Error(err)
+			}
+			got[g] = runs
 		}()
 	}
 	wg.Wait()
+	if !maps.Equal(got[0], got[1]) {
+		t.Error("the two requests got different results for the same specs")
+	}
 	after, _ := HarnessStats()
 	executed, cached := after-before, uint64(len(cachedRuns()))
 	if cached != uint64(len(specs)) {
@@ -155,6 +165,62 @@ func TestConcurrentFiguresShareCache(t *testing.T) {
 	if executed != cached {
 		t.Errorf("%d workload executions for %d distinct runs: singleflight dedup failed",
 			executed, cached)
+	}
+}
+
+// TestRunAllFirstErrorInSpecOrder requests two failing runs: however the
+// goroutines are scheduled, the error returned is the first spec's.
+func TestRunAllFirstErrorInSpecOrder(t *testing.T) {
+	defer ResetCache()
+	specs := []runSpec{{"svagc", "nope", 1.2, 1}, {"zgc", "CryptoAES", 1.2, 1}}
+	for i := 0; i < 20; i++ {
+		ResetCache()
+		runs, err := runAll(Options{Quick: true, Parallel: 2}, specs)
+		if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+			t.Fatalf("request %d: got %v, %v; want the unknown-benchmark error of the first spec", i, runs, err)
+		}
+	}
+}
+
+// TestOneMachineBound sweeps cheap mixed figures — fig1 and fig2 request
+// workload runs side by side, oom1 builds its machines directly — and
+// checks that the sweep's machine slots are the whole bound: at Parallel
+// 1 exactly one machine is ever in flight, at Parallel 3 at most three
+// (and, with five runs ready at once, exactly three). Every machine is
+// counted in HarnessStats: fig1's two runs, fig2's two distinct runs and
+// oom1's six cells.
+func TestOneMachineBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs workloads")
+	}
+	defer ResetCache()
+	var exps []*Experiment
+	for _, id := range []string{"fig1", "fig2", "oom1"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e)
+	}
+	for _, parallel := range []int{1, 3} {
+		ResetCache()
+		before, _ := HarnessStats()
+		opt := Options{Quick: true, Parallel: parallel}.sweep()
+		RunExperiments(opt, exps, func(i int, _ *Result, err error, _ float64) {
+			if err != nil {
+				t.Fatalf("parallel=%d: %s: %v", parallel, exps[i].ID, err)
+			}
+		})
+		after, _ := HarnessStats()
+		if peak := opt.slots.peak.Load(); peak != int64(parallel) {
+			t.Errorf("parallel=%d: %d machines in flight at most, want %d", parallel, peak, parallel)
+		}
+		if held := len(opt.slots.free); held != 0 {
+			t.Errorf("parallel=%d: %d slots still held after the sweep", parallel, held)
+		}
+		if runs := after - before; runs != 10 {
+			t.Errorf("parallel=%d: HarnessStats counted %d machine runs, want 10", parallel, runs)
+		}
 	}
 }
 

@@ -35,16 +35,13 @@ func Fig2MultiJVM(opt Options) (*Result, error) {
 		Paper:  "GC latency (max and total) and application time all grow steeply with the JVM count",
 		Header: []string{"jvms", "gc-max", "gc-total", "app-time"},
 	}
-	prefetch(opt, scaleSpecs(opt, jvm.CollectorParallel))
-	base, err := runWorkload(opt, jvm.CollectorParallel, "LRUCache", 1.2, 1)
+	runs, err := runAll(opt, scaleSpecs(opt, jvm.CollectorParallel))
 	if err != nil {
 		return nil, err
 	}
+	base := runs[runSpec{jvm.CollectorParallel, "LRUCache", 1.2, 1}]
 	for _, n := range jvmCounts(opt) {
-		r, err := runWorkload(opt, jvm.CollectorParallel, "LRUCache", 1.2, n)
-		if err != nil {
-			return nil, err
-		}
+		r := runs[runSpec{jvm.CollectorParallel, "LRUCache", 1.2, n}]
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", n), r.GCMax.String(), r.GCTotal.String(), r.AppTime.String(),
 		})
@@ -70,17 +67,14 @@ func Fig14SVAGCScalability(opt Options) (*Result, error) {
 		Paper:  "at 32 JVMs application time grows 327.5% while GC time grows only 52%",
 		Header: []string{"jvms", "gc-total", "gc-growth", "app-time", "app-growth"},
 	}
-	prefetch(opt, scaleSpecs(opt, jvm.CollectorSVAGC))
-	base, err := runWorkload(opt, jvm.CollectorSVAGC, "LRUCache", 1.2, 1)
+	runs, err := runAll(opt, scaleSpecs(opt, jvm.CollectorSVAGC))
 	if err != nil {
 		return nil, err
 	}
+	base := runs[runSpec{jvm.CollectorSVAGC, "LRUCache", 1.2, 1}]
 	var lastGC, lastApp float64
 	for _, n := range jvmCounts(opt) {
-		r, err := runWorkload(opt, jvm.CollectorSVAGC, "LRUCache", 1.2, n)
-		if err != nil {
-			return nil, err
-		}
+		r := runs[runSpec{jvm.CollectorSVAGC, "LRUCache", 1.2, n}]
 		gcGrowth := stats.Ratio(float64(r.GCTotal), float64(base.GCTotal)) - 1
 		appGrowth := stats.Ratio(float64(r.AppTime), float64(base.AppTime)) - 1
 		lastGC, lastApp = gcGrowth, appGrowth

@@ -7,6 +7,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workloads/smr"
 )
 
@@ -24,25 +25,26 @@ const (
 // smrOne runs one collector's cluster at one heap size on a fresh
 // machine. Like oversub1, this figure builds its machines directly
 // (never passing through runWorkload) — the chaos CI drives the
-// arbiter_stall and cap_race sites through it.
-func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, error) {
+// arbiter_stall and cap_race sites through it. The caller holds a
+// machine slot.
+func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, *trace.Tracer, error) {
 	fi, err := opt.FaultInjector()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, err := machine.New(machine.Config{
 		Cost:  opt.cost(),
 		Fault: fi,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	opt.record(opt.arm(m))
+	tr := opt.arm(m)
 	// Each tenant's cap is twice its heap plus slack: room for a copying
 	// collector's to-space, so the cap isolates runaways without
 	// throttling a well-behaved replica mid-collection.
 	capFrames := 2*int(heapBytes>>mem.PageShift) + 64
-	return smr.Run(m, smr.Config{
+	r, err := smr.Run(m, smr.Config{
 		Collector:         collector,
 		Replicas:          smrReplicas,
 		HeapBytes:         heapBytes,
@@ -53,6 +55,7 @@ func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, error)
 		CapFrames:         capFrames,
 		MaxConcurrentGC:   1,
 	})
+	return r, tr, err
 }
 
 // SMRLeaderChurn sweeps replica heap size for a GC-pause-driven
@@ -76,12 +79,23 @@ func SMRLeaderChurn(opt Options) (*Result, error) {
 		Header: []string{"heap", "collector", "failovers", "evictions", "replayed",
 			"commit-p50", "commit-p99", "commit-p99.9", "commit-max", "max-pause", "arb-waits"},
 	}
-	for _, hb := range heaps {
-		for _, c := range collectors {
-			r, err := smrOne(opt, c, hb)
-			if err != nil {
-				return nil, fmt.Errorf("smr1: %s at %d MiB: %w", c, hb>>20, err)
-			}
+	runs := make([]*smr.Result, len(heaps)*len(collectors))
+	traces := make([]*trace.Tracer, len(runs))
+	// smr.Run keeps its replicas' clocks to itself, so an smr1 machine
+	// counts no simulated time.
+	if err := opt.holdEach(len(runs), func(i int) (_ sim.Time, err error) {
+		c, hb := collectors[i%len(collectors)], heaps[i/len(collectors)]
+		if runs[i], traces[i], err = smrOne(opt, c, hb); err != nil {
+			return 0, fmt.Errorf("smr1: %s at %d MiB: %w", c, hb>>20, err)
+		}
+		return 0, nil
+	}); err != nil {
+		return nil, err
+	}
+	for hi, hb := range heaps {
+		for ci, c := range collectors {
+			r := runs[hi*len(collectors)+ci]
+			opt.record(traces[hi*len(collectors)+ci])
 			res.Rows = append(res.Rows, []string{
 				fmt.Sprintf("%d MiB", hb>>20),
 				c,

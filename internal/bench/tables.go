@@ -73,28 +73,17 @@ func Table3PerfCounters(opt Options) (*Result, error) {
 	if opt.Quick {
 		factors = []float64{1.2}
 	}
-	var specs []runSpec
-	for _, bench := range benchList(opt) {
-		for _, factor := range factors {
-			specs = append(specs,
-				runSpec{jvm.CollectorSVAGCBase, bench, factor, 1},
-				runSpec{jvm.CollectorSVAGC, bench, factor, 1})
-		}
+	runs, err := runAll(opt, swapPairs(benchList(opt), factors...))
+	if err != nil {
+		return nil, err
 	}
-	prefetch(opt, specs)
 	type cell struct{ cm, cs, dm, ds []float64 }
 	var agg cell
 	for _, bench := range benchList(opt) {
 		row := []string{bench, "", "", "", ""}
 		for fi, factor := range factors {
-			base, err := runWorkload(opt, jvm.CollectorSVAGCBase, bench, factor, 1)
-			if err != nil {
-				return nil, err
-			}
-			sva, err := runWorkload(opt, jvm.CollectorSVAGC, bench, factor, 1)
-			if err != nil {
-				return nil, err
-			}
+			base := runs[runSpec{jvm.CollectorSVAGCBase, bench, factor, 1}]
+			sva := runs[runSpec{jvm.CollectorSVAGC, bench, factor, 1}]
 			cm, cs := base.Perf.CacheMissPct(), sva.Perf.CacheMissPct()
 			dm, ds := base.Perf.DTLBMissPct(), sva.Perf.DTLBMissPct()
 			if fi == 0 {

@@ -3,10 +3,12 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/swaptier"
+	"repro/internal/trace"
 )
 
 // TestSwapZeroValueParity is the plane's admission contract: a machine
@@ -204,5 +206,42 @@ func TestDirectReclaimFreesFrames(t *testing.T) {
 	}
 	if ctx.Perf.DirectReclaims != 1 {
 		t.Errorf("DirectReclaims = %d, want 1", ctx.Perf.DirectReclaims)
+	}
+}
+
+// TestReclaimFarWriteFaultsCountBySite: a far-tier write failure in the
+// reclaimer is a fault event like every other site's (Arg1 = site,
+// Arg2 = VA), so the per-site fault counter of a swap-armed machine that
+// arms only far-write counts every far-write the machine injected.
+func TestReclaimFarWriteFaultsCountBySite(t *testing.T) {
+	var plan fault.Plan
+	plan.Rate[trace.FaultFarWrite] = 0.5
+	m := MustNew(Config{
+		Cost:      sim.XeonGold6130(),
+		PhysBytes: 64 << mem.PageShift,
+		Swap:      swaptier.Config{FarBytes: 4 << 20}, // no zpool: every page-out goes far
+		Fault:     fault.New(7, plan),
+	})
+	tr := m.EnableTracing(0)
+	ctx, as := m.NewContext(0), m.NewAddressSpace()
+	const pages = 128
+	base, err := as.MapRegion(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := uint64(0); p < pages; p++ {
+		if err := as.WriteWord(&ctx.Env, base+p<<mem.PageShift, 0xABC0+p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	injected := ctx.Perf.FaultsInjected
+	if kp := m.KswapdPerf(); kp != nil {
+		injected += kp.FaultsInjected
+	}
+	if injected == 0 {
+		t.Fatal("128 pages on a 64-frame pool injected no far-write fault")
+	}
+	if got := trace.SnapshotOf(tr).FaultsBySite[trace.FaultFarWrite]; got != injected {
+		t.Errorf("FaultsBySite[far_write] = %d, want the %d far-write faults injected", got, injected)
 	}
 }

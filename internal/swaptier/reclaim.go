@@ -148,7 +148,7 @@ func (r *Reclaimer) scanSpace(rc ReclaimContext, as *mmu.AddressSpace, want int)
 					// and a later pass retries it.
 					rc.Env.Perf.FaultsInjected++
 					rc.Env.Trace.Emit(trace.KindFault, "fault:far-write",
-						rc.Env.Clock.Now(), 0, va, 0)
+						rc.Env.Clock.Now(), 0, uint64(trace.FaultFarWrite), va)
 					continue
 				}
 				full = true
