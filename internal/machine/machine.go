@@ -88,6 +88,8 @@ type Machine struct {
 	Phys *mem.PhysMem
 	LLC  *cache.Cache
 
+	q mmu.Charges // Cost's per-access charges, quantised once
+
 	cores []*Core
 	buses []Bus // one per NUMA node; index 0 is the boot node
 	topo  *topology.Topology
@@ -137,6 +139,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{
 		Cost:       cfg.Cost,
+		q:          mmu.QuantizeCharges(cfg.Cost),
 		Phys:       mem.NewPhysMem(cfg.PhysBytes),
 		LLC:        llc,
 		cores:      make([]*Core, cfg.Cost.Cores),
@@ -321,6 +324,7 @@ func (m *Machine) NewContext(coreID int) *Context {
 	ctx.Env = mmu.Env{
 		Clock:   sim.NewClock(0),
 		Cost:    m.Cost,
+		Q:       m.q,
 		Perf:    &sim.Perf{},
 		TLB:     core.TLB,
 		Cache:   m.LLC,

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/mmu"
 	"repro/internal/sim"
 )
 
@@ -19,6 +20,30 @@ func TestNewValidatesConfig(t *testing.T) {
 	bad.Cores = 0
 	if _, err := New(Config{Cost: &bad}); err == nil {
 		t.Error("invalid cost model accepted")
+	}
+}
+
+// TestContextChargesMatchNewEnv: the per-access charges a machine
+// quantises once and installs on every context equal the table a bare
+// mmu.NewEnv builds for the same cost model, and the cost-model figures
+// they stand for — on every predefined model.
+func TestContextChargesMatchNewEnv(t *testing.T) {
+	for _, cost := range []*sim.CostModel{
+		sim.XeonGold6130(), sim.XeonGold6240(), sim.CoreI5_7600(), sim.XeonGold6130NVM(),
+	} {
+		m := MustNew(Config{Cost: cost})
+		got := m.NewContext(m.NumCores() - 1).Q
+		if want := mmu.NewEnv(cost).Q; got != want {
+			t.Errorf("%s: context charges %+v, NewEnv %+v", cost.Name, got, want)
+		}
+		want := mmu.Charges{
+			TLBHit:   sim.ToTicks(cost.TLBHitNs),
+			CacheHit: sim.ToTicks(cost.CacheHitNs),
+			Walk:     sim.ToTicks(cost.WalkNs()),
+		}
+		if got != want || got.Walk == 0 {
+			t.Errorf("%s: context charges %+v, want %+v", cost.Name, got, want)
+		}
 	}
 }
 

@@ -333,17 +333,24 @@ func (as *AddressSpace) Translate(env *Env, va uint64) (uint64, error) {
 }
 
 func (as *AddressSpace) translatePage(env *Env, va uint64) (mem.FrameID, error) {
-	vpn := VPN(va)
 	env.Perf.TLBLookups++
-	f, ok := env.TLB.Lookup(as.ASID, vpn)
-	if ok {
-		env.Clock.Advance(env.Cost.TLBHitNs)
+	if f, ok := env.TLB.Lookup(as.ASID, VPN(va)); ok {
+		env.Clock.AdvanceTicks(env.Q.TLBHit)
 		return f, nil
 	}
+	return as.walk(env, va)
+}
+
+// walk is the TLB-miss half of a translation, after the caller counted
+// the lookup: it charges a full page-table walk, faults a non-resident
+// page in through the swapper, and fills the TLB. The hit half stays
+// inline at each caller, which folds the hit's charge into its own
+// clock add.
+func (as *AddressSpace) walk(env *Env, va uint64) (mem.FrameID, error) {
 	env.Perf.TLBMisses++
 	env.Perf.PTWalks++
-	env.Clock.Advance(env.Cost.WalkNs())
-	f, ok = as.Lookup(va)
+	env.Clock.AdvanceTicks(env.Q.Walk)
+	f, ok := as.Lookup(va)
 	if !ok && as.swapper != nil {
 		// Demand fault: a mapped-but-non-resident page (demand-zero or
 		// swapped out) is materialised by the swapper, which charges the
@@ -360,7 +367,7 @@ func (as *AddressSpace) translatePage(env *Env, va uint64) (mem.FrameID, error) 
 	if as.swapper != nil {
 		as.markAccessed(va)
 	}
-	env.TLB.Insert(as.ASID, vpn, f)
+	env.TLB.Insert(as.ASID, VPN(va), f)
 	return f, nil
 }
 
@@ -373,13 +380,39 @@ func (as *AddressSpace) markAccessed(va uint64) {
 	}
 }
 
+// wordAccess charges one latency-bound word access at va — the
+// translation, then the LLC — and returns the physical address. It is
+// Translate followed by chargeWordAccess, fused: a TLB hit whose line
+// hits the LLC settles both charges with one clock add. On an LLC miss
+// the TLB hit's add lands before the miss reads any latency.
+func (as *AddressSpace) wordAccess(env *Env, va uint64, write bool) (uint64, error) {
+	env.Perf.TLBLookups++
+	tlb := env.Q.TLBHit
+	f, ok := env.TLB.Lookup(as.ASID, VPN(va))
+	if !ok {
+		var err error
+		if f, err = as.walk(env, va); err != nil {
+			return 0, err
+		}
+		tlb = 0 // the walk charged itself
+	}
+	pa := uint64(f)<<mem.PageShift | va&mem.PageMask
+	env.Perf.CacheRefs++
+	if env.Cache != nil && env.Cache.Access(pa) {
+		env.Clock.AdvanceTicks(tlb + env.Q.CacheHit)
+		return pa, nil
+	}
+	env.Clock.AdvanceTicks(tlb)
+	env.chargeWordMiss(pa, write)
+	return pa, nil
+}
+
 // ReadWord performs one charged 8-byte load. va must not cross a page.
 func (as *AddressSpace) ReadWord(env *Env, va uint64) (uint64, error) {
-	pa, err := as.Translate(env, va)
+	pa, err := as.wordAccess(env, va, false)
 	if err != nil {
 		return 0, err
 	}
-	env.chargeWordAccess(pa, false)
 	env.Perf.BytesRead += 8
 	f := as.Phys.Frame(mem.FrameID(pa >> mem.PageShift))
 	off := pa & mem.PageMask
@@ -388,11 +421,10 @@ func (as *AddressSpace) ReadWord(env *Env, va uint64) (uint64, error) {
 
 // WriteWord performs one charged 8-byte store. va must not cross a page.
 func (as *AddressSpace) WriteWord(env *Env, va uint64, val uint64) error {
-	pa, err := as.Translate(env, va)
+	pa, err := as.wordAccess(env, va, true)
 	if err != nil {
 		return err
 	}
-	env.chargeWordAccess(pa, true)
 	env.Perf.BytesWrite += 8
 	f := as.Phys.Frame(mem.FrameID(pa >> mem.PageShift))
 	off := pa & mem.PageMask

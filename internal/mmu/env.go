@@ -14,6 +14,12 @@ import (
 type Env struct {
 	Clock *sim.Clock
 	Cost  *sim.CostModel
+	// Q is Cost's per-access charges, quantised once (QuantizeCharges):
+	// the word-access and run-settlement paths add them to the clock as
+	// integers instead of re-quantising the same float64 on every access.
+	// NewEnv and machine.NewContext fill it; a hand-built Env must too,
+	// or its TLB and LLC hits and walks cost nothing.
+	Q     Charges
 	Perf  *sim.Perf
 	TLB   *TLB
 	Cache *cache.Cache   // nil disables cache simulation (latency = DRAM)
@@ -66,12 +72,33 @@ type NUMA interface {
 	LatencyAtN(pa uint64, n int) float64
 }
 
+// Charges is a cost model's fixed per-access charges on the clock's grid.
+// The machine layer quantises them once per machine and every context's
+// Env carries a copy.
+type Charges struct {
+	TLBHit   sim.Ticks // CostModel.TLBHitNs
+	CacheHit sim.Ticks // CostModel.CacheHitNs
+	Walk     sim.Ticks // CostModel.WalkNs()
+}
+
+// QuantizeCharges quantises cost's per-access charges. It panics if one
+// lies outside sim.ToTicks' [0, 2^31) ns, a model machine.New rejects
+// first (sim.CostModel.Validate).
+func QuantizeCharges(cost *sim.CostModel) Charges {
+	return Charges{
+		TLBHit:   sim.ToTicks(cost.TLBHitNs),
+		CacheHit: sim.ToTicks(cost.CacheHitNs),
+		Walk:     sim.ToTicks(cost.WalkNs()),
+	}
+}
+
 // NewEnv builds a self-contained Env (own clock, counters and TLB) for the
 // given cost model — the fixture used throughout the unit tests.
 func NewEnv(cost *sim.CostModel) *Env {
 	return &Env{
 		Clock: sim.NewClock(0),
 		Cost:  cost,
+		Q:     QuantizeCharges(cost),
 		Perf:  &sim.Perf{},
 		TLB:   NewTLB(DefaultTLBEntries),
 	}
@@ -90,9 +117,15 @@ func (e *Env) bandwidth() float64 {
 func (e *Env) chargeWordAccess(pa uint64, write bool) {
 	e.Perf.CacheRefs++
 	if e.Cache != nil && e.Cache.Access(pa) {
-		e.Clock.Advance(e.Cost.CacheHitNs)
+		e.Clock.AdvanceTicks(e.Q.CacheHit)
 		return
 	}
+	e.chargeWordMiss(pa, write)
+}
+
+// chargeWordMiss charges one latency-bound access that missed the LLC:
+// DRAM latency, contended or resolved through the NUMA view.
+func (e *Env) chargeWordMiss(pa uint64, write bool) {
 	e.Perf.CacheMisses++
 	lat := float64(e.Cost.DRAMAccessNs)
 	if e.NUMA != nil {
@@ -103,7 +136,7 @@ func (e *Env) chargeWordAccess(pa uint64, write bool) {
 	if write {
 		lat *= e.Cost.WriteMult()
 	}
-	e.Clock.Advance(sim.Time(lat))
+	e.Clock.AdvanceTicks(sim.ToTicks(sim.Time(lat)))
 }
 
 // chargeBulkAccess accounts for a sequential transfer of n bytes starting

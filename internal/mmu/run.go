@@ -99,9 +99,13 @@ func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write 
 	}
 	idx := 0
 	for words > 0 {
-		f, err := as.translatePage(env, va)
-		if err != nil {
-			return err
+		env.Perf.TLBLookups++
+		f, hit := env.TLB.Lookup(as.ASID, VPN(va))
+		if !hit {
+			var err error
+			if f, err = as.walk(env, va); err != nil {
+				return err
+			}
 		}
 		off := va & mem.PageMask
 		// Words are 8-aligned with 8-multiple strides, so none straddles
@@ -117,16 +121,18 @@ func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write 
 			// Cross-socket stream: the contention boundary settles this
 			// segment per word (the page translation above already covers
 			// word 0; the rest are TLB hits either way).
+			if hit {
+				env.Clock.AdvanceTicks(env.Q.TLBHit)
+			}
 			for i := 0; i < k; i++ {
 				if i > 0 {
 					env.Perf.TLBLookups++
-					env.Clock.Advance(env.Cost.TLBHitNs)
+					env.Clock.AdvanceTicks(env.Q.TLBHit)
 				}
 				env.chargeWordAccess(pa+uint64(i*stride), write)
 			}
 		} else {
 			env.Perf.TLBLookups += uint64(k - 1)
-			env.Clock.AdvanceN(env.Cost.TLBHitNs, k-1)
 			var hits, misses int
 			switch {
 			case env.Cache == nil:
@@ -148,7 +154,7 @@ func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write 
 			}
 			env.Perf.CacheRefs += uint64(k)
 			env.Perf.CacheMisses += uint64(misses)
-			env.Clock.AdvanceN(env.Cost.CacheHitNs, hits)
+			var miss sim.Ticks
 			if misses > 0 {
 				lat := float64(env.Cost.DRAMAccessNs)
 				if env.NUMA != nil {
@@ -159,8 +165,13 @@ func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write 
 				if write {
 					lat *= env.Cost.WriteMult()
 				}
-				env.Clock.AdvanceN(sim.Time(lat), misses)
+				miss = sim.ToTicks(sim.Time(lat))
 			}
+			tlbHits := k - 1 // words after the first hit the TLB by construction
+			if hit {
+				tlbHits++
+			}
+			env.settleSegment(tlbHits, hits, misses, miss)
 		}
 
 		if write {
@@ -186,6 +197,33 @@ func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write 
 	return nil
 }
 
+// segmentTickLimit bounds the per-word charges settleSegment sums in one
+// add. A page segment makes at most 2*512 charges (a TLB hit and an LLC
+// hit or miss per word), so while each is below 2^54 ticks (2^22 ns,
+// about 4 ms) their total stays below 2^64.
+const segmentTickLimit = sim.Ticks(1) << 54
+
+// settleSegment charges a node-local page segment's tlbHits TLB hits,
+// hits LLC hits and misses LLC misses of miss each: one clock add of the
+// integer total, bit-identical to charging them one by one. A cost model
+// with per-word charges past segmentTickLimit takes them one by one.
+func (e *Env) settleSegment(tlbHits, hits, misses int, miss sim.Ticks) {
+	if e.Q.TLBHit|e.Q.CacheHit|miss < segmentTickLimit {
+		e.Clock.AdvanceTicks(sim.Ticks(tlbHits)*e.Q.TLBHit +
+			sim.Ticks(hits)*e.Q.CacheHit + sim.Ticks(misses)*miss)
+		return
+	}
+	for i := 0; i < tlbHits; i++ {
+		e.Clock.AdvanceTicks(e.Q.TLBHit)
+	}
+	for i := 0; i < hits; i++ {
+		e.Clock.AdvanceTicks(e.Q.CacheHit)
+	}
+	for i := 0; i < misses; i++ {
+		e.Clock.AdvanceTicks(miss)
+	}
+}
+
 // exactWords is the per-word fallback: the identical call sequence a
 // caller without the run API would have issued.
 func (as *AddressSpace) exactWords(env *Env, va uint64, stride, words int, write bool, data []uint64) error {
@@ -193,11 +231,9 @@ func (as *AddressSpace) exactWords(env *Env, va uint64, stride, words int, write
 		w := va + uint64(i*stride)
 		switch {
 		case data == nil:
-			pa, err := as.Translate(env, w)
-			if err != nil {
+			if _, err := as.wordAccess(env, w, write); err != nil {
 				return err
 			}
-			env.chargeWordAccess(pa, write)
 			if write {
 				env.Perf.BytesWrite += 8
 			} else {

@@ -51,32 +51,47 @@ func runOps() []runOp {
 	}
 }
 
-// applyOps executes the op sequence on one fixture, returning every word
-// the data-moving reads observed.
+// applyOps executes the op sequence on one fixture through the run API,
+// returning every word the data-moving reads observed.
 func applyOps(t *testing.T, as *AddressSpace, env *Env, ops []runOp) []uint64 {
+	t.Helper()
+	return applyOpsWith(t, settleAPI, as, env, ops)
+}
+
+// settleAPI settles a run through ChargeRun (data == nil), WriteRun or
+// ReadRun.
+func settleAPI(as *AddressSpace, env *Env, r Run, data []uint64) error {
+	switch {
+	case data == nil:
+		return as.ChargeRun(env, r)
+	case r.Write:
+		return as.WriteRun(env, r.VA, data)
+	default:
+		return as.ReadRun(env, r.VA, data)
+	}
+}
+
+// applyOpsWith is applyOps with the settlement routine as a parameter.
+func applyOpsWith(t *testing.T, settle func(*AddressSpace, *Env, Run, []uint64) error,
+	as *AddressSpace, env *Env, ops []runOp) []uint64 {
 	t.Helper()
 	var observed []uint64
 	for i, op := range ops {
-		if !op.data {
-			if err := as.ChargeRun(env, op.run); err != nil {
-				t.Fatalf("op %d: %v", i, err)
+		var buf []uint64
+		if op.data {
+			buf = make([]uint64, op.run.Words)
+			if op.run.Write {
+				for j := range buf {
+					buf[j] = uint64(i)<<32 | uint64(j)
+				}
 			}
-			continue
 		}
-		buf := make([]uint64, op.run.Words)
-		if op.run.Write {
-			for j := range buf {
-				buf[j] = uint64(i)<<32 | uint64(j)
-			}
-			if err := as.WriteRun(env, op.run.VA, buf); err != nil {
-				t.Fatalf("op %d: %v", i, err)
-			}
-			continue
-		}
-		if err := as.ReadRun(env, op.run.VA, buf); err != nil {
+		if err := settle(as, env, op.run, buf); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		observed = append(observed, buf...)
+		if op.data && !op.run.Write {
+			observed = append(observed, buf...)
+		}
 	}
 	return observed
 }
@@ -175,12 +190,12 @@ func decodeFuzzOps(data []byte) []runOp {
 	return ops
 }
 
-// FuzzSettleRun checks closed-form settlement against the per-word path
-// on arbitrary op sequences: dense and strided, charge-only and
-// data-moving, with and without remote NUMA pages. Bit 1 of the first
-// input byte selects the NUMA view (bit 0 once picked a cache locking
-// mode and is ignored, so the checked-in corpus keeps its meaning); the
-// rest decodes as ops (decodeFuzzOps).
+// FuzzSettleRun checks closed-form settlement against the unfused
+// per-word reference (refRun) on arbitrary op sequences: dense and
+// strided, charge-only and data-moving, with and without remote NUMA
+// pages. Bit 1 of the first input byte selects the NUMA view (bit 0 once
+// picked a cache locking mode and is ignored, so the checked-in corpus
+// keeps its meaning); the rest decodes as ops (decodeFuzzOps).
 func FuzzSettleRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -194,12 +209,29 @@ func FuzzSettleRun(f *testing.F) {
 			envB.NUMA, envE.NUMA = numaB, numaE
 		}
 		obsB := applyOps(t, asB, envB, ops)
-		obsE := applyOps(t, asE, envE, ops)
+		obsE := applyOpsWith(t, refRun, asE, envE, ops)
 		checkSettleParity(t, settleFixture{asB, envB, obsB}, settleFixture{asE, envE, obsE})
 		if *numaB != *numaE {
 			t.Errorf("NUMA view counts diverge: batched %+v, exact %+v", *numaB, *numaE)
 		}
 	})
+}
+
+// TestRunHugeChargesMatchExact: a cost model whose per-word charges are
+// too large for a page segment's total to fit one Ticks sum settles
+// charge by charge, still bit-identical to the unfused reference.
+func TestRunHugeChargesMatchExact(t *testing.T) {
+	cost := *sim.XeonGold6130()
+	cost.DRAMAccessNs = 5e6 // 5 ms a miss: past segmentTickLimit
+	asB, envB := runFixture(t, true)
+	asE, envE := runFixture(t, false)
+	envB.Cost, envE.Cost = &cost, &cost
+	if sim.ToTicks(cost.DRAMAccessNs) < segmentTickLimit {
+		t.Fatal("miss charge below segmentTickLimit: the test no longer reaches the one-by-one path")
+	}
+	obsB := applyOps(t, asB, envB, runOps())
+	obsE := applyOpsWith(t, refRun, asE, envE, runOps())
+	checkSettleParity(t, settleFixture{asB, envB, obsB}, settleFixture{asE, envE, obsE})
 }
 
 // TestRunSplitPointsProperty: settling one long run in arbitrary

@@ -76,6 +76,8 @@ func (cm *CostModel) Validate() error {
 		return fmt.Errorf("sim: cost model %q: MemChannels must be positive", cm.Name)
 	case cm.CacheLineSize <= 0 || cm.CacheLineSize&(cm.CacheLineSize-1) != 0:
 		return fmt.Errorf("sim: cost model %q: CacheLineSize must be a positive power of two", cm.Name)
+	case !inTicksRange(cm.TLBHitNs) || !inTicksRange(cm.CacheHitNs) || !inTicksRange(cm.WalkNs()):
+		return fmt.Errorf("sim: cost model %q: TLBHitNs, CacheHitNs and 4*PTWalkLevelNs must lie in [0, 2^31) ns", cm.Name)
 	}
 	return nil
 }

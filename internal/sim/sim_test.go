@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -113,6 +114,9 @@ func TestValidateRejectsBadModels(t *testing.T) {
 		func(c *CostModel) { c.MemChannels = 0 },
 		func(c *CostModel) { c.CacheLineSize = 48 },
 		func(c *CostModel) { c.CacheLineSize = 0 },
+		func(c *CostModel) { c.TLBHitNs = -0.5 },
+		func(c *CostModel) { c.CacheHitNs = Time(math.NaN()) },
+		func(c *CostModel) { c.PTWalkLevelNs = 1 << 29 }, // a 2^31 ns walk
 	}
 	for i, mut := range mutations {
 		cm := *good

@@ -79,11 +79,12 @@ func Min(a, b Time) Time {
 // is quantised to that grid exactly once, on entry, and then accumulated
 // with integer arithmetic — which is associative and commutative, unlike
 // float64 addition. That is the property epoch-batched settlement rests
-// on: charging a quantum d once with count n (AdvanceN) leaves the clock
-// in bit-for-bit the same state as n separate Advance(d) calls, however
-// the sequence is split or regrouped. A float64-accumulating clock cannot
-// offer that (N small charges drift from one batched charge of the same
-// total), which was the rounding-divergence bug this representation fixes.
+// on: n charges of one quantum, summed as Ticks and settled with one
+// AdvanceTicks, leave the clock in bit-for-bit the same state as n
+// separate Advance calls, however the sequence is split or regrouped. A
+// float64-accumulating clock cannot offer that (N small charges drift
+// from one batched charge of the same total), which was the
+// rounding-divergence bug this representation fixes.
 type Clock struct {
 	ns   int64  // whole simulated nanoseconds
 	frac uint64 // sub-ns remainder in 2^-32 ns units; always < 1<<32
@@ -92,7 +93,38 @@ type Clock struct {
 // fracBits is the sub-nanosecond resolution of the clock's fixed-point
 // grid: durations are truncated to multiples of 2^-fracBits ns (~2.3e-10
 // ns), far below anything a cost model charges or a figure prints.
-const fracBits = 32
+const (
+	fracBits = 32
+	fracMask = 1<<fracBits - 1
+)
+
+// Ticks is a duration already quantised onto the clock's grid, packed as
+// whole<<32 | frac: the whole nanoseconds in the high 32 bits and the
+// 2^-32 ns remainder in the low 32. Adding packed values adds durations
+// exactly, so a sum of Ticks — n charges of t are Ticks(n)*t — settles
+// with one AdvanceTicks, bit-identical to advancing by each charge in
+// turn. Charges that repeat (a machine's TLB-hit, LLC-hit and walk
+// costs) are quantised once with ToTicks instead of on every access. A
+// sum must stay below 2^32 ns (about 4.3 s).
+type Ticks uint64
+
+// maxTicksNs bounds what ToTicks accepts: below it, scaling by 2^32 is
+// exact in float64 and stays under 2^63.
+const maxTicksNs = 1 << 31
+
+// ToTicks quantises d, which must lie in [0, 2^31) ns, onto the clock's
+// grid: the packed form of quantize(d), so AdvanceTicks(ToTicks(d)) and
+// Advance(d) leave the clock in the same state. It panics on anything
+// outside that range, NaN included.
+func ToTicks(d Time) Ticks {
+	if !inTicksRange(d) {
+		badDuration(d)
+	}
+	return Ticks(int64(d * (1 << fracBits)))
+}
+
+// inTicksRange reports whether d lies in [0, 2^31) ns; NaN does not.
+func inTicksRange(d Time) bool { return d >= 0 && d < maxTicksNs }
 
 // quantize splits a non-negative duration into whole ns and 2^-32 ns
 // units. The split is exact for the whole part and truncating for the
@@ -105,9 +137,9 @@ const fracBits = 32
 // below does (d - trunc(d) is exact too). Larger values and NaN take the
 // two-step form.
 func quantize(d Time) (int64, uint64) {
-	if d >= 0 && d < 1<<31 {
+	if inTicksRange(d) {
 		x := int64(d * (1 << fracBits))
-		return x >> fracBits, uint64(x) & (1<<fracBits - 1)
+		return x >> fracBits, uint64(x) & fracMask
 	}
 	w := int64(d)
 	return w, uint64((float64(d) - float64(w)) * (1 << fracBits))
@@ -116,6 +148,11 @@ func quantize(d Time) (int64, uint64) {
 // unquantize reconstructs the nearest float64 instant.
 func unquantize(ns int64, frac uint64) Time {
 	return Time(float64(ns) + float64(frac)/(1<<fracBits))
+}
+
+// badDuration panics for a charge the clock cannot take.
+func badDuration(d Time) {
+	panic(fmt.Sprintf("sim: clock advanced by negative or out-of-range duration %v", d))
 }
 
 // NewClock returns a clock starting at the given instant.
@@ -128,42 +165,29 @@ func NewClock(start Time) *Clock {
 // Now returns the current simulated instant.
 func (c *Clock) Now() Time { return unquantize(c.ns, c.frac) }
 
-// Advance moves the clock forward by d. Negative advances are a programming
-// error and panic, because simulated time never runs backwards.
+// Advance moves the clock forward by d. A negative d, NaN, an infinity or
+// anything from 2^63 ns up is a programming error and panics: simulated
+// time never runs backwards, and those values would wrap the
+// whole-nanosecond count.
 func (c *Clock) Advance(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: clock advanced by negative duration %v", d))
+	if !(d >= 0 && d < 1<<63) {
+		badDuration(d)
 	}
-	w, f := quantize(d)
-	t := c.frac + f
-	c.ns += w + int64(t>>fracBits)
-	c.frac = t & (1<<fracBits - 1)
+	c.add(quantize(d))
 }
 
-// AdvanceN advances by n charges of duration d, leaving the clock in
-// exactly the state n successive Advance(d) calls would: the quantised
-// remainder is accumulated with integer multiplication, so batched
-// settlement of a run is bit-identical to the per-word charge sequence.
-func (c *Clock) AdvanceN(d Time, n int) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: clock advanced by negative duration %v", d))
-	}
-	if n <= 0 {
-		return
-	}
-	w, f := quantize(d)
-	// f < 2^32, so chunks of 2^31 charges keep f*chunk (and the carried
-	// remainder) comfortably inside a uint64.
-	for n > 0 {
-		chunk := n
-		if chunk > 1<<31 {
-			chunk = 1 << 31
-		}
-		t := c.frac + f*uint64(chunk)
-		c.ns += w*int64(chunk) + int64(t>>fracBits)
-		c.frac = t & (1<<fracBits - 1)
-		n -= chunk
-	}
+// AdvanceTicks moves the clock forward by a pre-quantised duration or a
+// sum of them: one integer add with carry.
+func (c *Clock) AdvanceTicks(t Ticks) {
+	c.add(int64(t>>fracBits), uint64(t)&fracMask)
+}
+
+// add is the clock's one accumulation routine: w whole ns plus f 2^-32 ns
+// units, carrying the remainder into the whole count.
+func (c *Clock) add(w int64, f uint64) {
+	t := c.frac + f
+	c.ns += w + int64(t>>fracBits)
+	c.frac = t & fracMask
 }
 
 // AdvanceTo moves the clock forward to instant t if t is later than now.

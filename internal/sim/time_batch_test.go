@@ -9,24 +9,24 @@ import (
 // assertions; Now() alone would hide sub-float64 divergence.
 func clockState(c *Clock) (int64, uint64) { return c.ns, c.frac }
 
-// TestClockAdvanceNMatchesLoop is the rounding-divergence regression test:
-// one batched AdvanceN(d, n) must leave the clock bit-identical to n
-// individual Advance(d) calls, for durations with awkward binary
-// remainders.
-func TestClockAdvanceNMatchesLoop(t *testing.T) {
+// TestClockTickProductMatchesLoop is the rounding-divergence regression
+// test: one batched AdvanceTicks(ToTicks(d)*n) must leave the clock
+// bit-identical to n individual Advance(d) calls, for durations with
+// awkward binary remainders.
+func TestClockTickProductMatchesLoop(t *testing.T) {
 	durations := []Time{0, 0.1, 0.3, 0.5, 6, 90, 1.0 / 3, 4096.0 / 12.0, 8.0 / 34.0, 1e-9, 123456.789}
 	counts := []int{0, 1, 2, 3, 7, 8, 100, 4096}
 	for _, d := range durations {
 		for _, n := range counts {
 			batched, serial := &Clock{}, &Clock{}
-			batched.AdvanceN(d, n)
+			batched.AdvanceTicks(ToTicks(d) * Ticks(n))
 			for i := 0; i < n; i++ {
 				serial.Advance(d)
 			}
 			bn, bf := clockState(batched)
 			sn, sf := clockState(serial)
 			if bn != sn || bf != sf {
-				t.Errorf("AdvanceN(%v, %d) = (%d,%d), want per-call state (%d,%d)",
+				t.Errorf("AdvanceTicks(ToTicks(%v)*%d) = (%d,%d), want per-call state (%d,%d)",
 					d, n, bn, bf, sn, sf)
 			}
 		}
@@ -37,9 +37,12 @@ func TestClockAdvanceNMatchesLoop(t *testing.T) {
 // arbitrary split points: charging a multiset of quanta in any grouping
 // and any order leaves the clock in exactly the same state. This is the
 // property that lets run settlement regroup a per-word charge sequence
-// into closed-form batches without changing a single figure.
+// into closed-form batches — tick products per quantum, and tick sums
+// across quanta, each settled with one add — without changing a single
+// figure.
 func TestClockSplitPointsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	cuts := rand.New(rand.NewSource(2)) // the summed pieces' own stream
 	quanta := []Time{0.5, 6, 90, 153, 1.0 / 2.1, 64.0 / 11.0, 0.3, 28}
 	for trial := 0; trial < 200; trial++ {
 		// A random charge sequence of 1..500 quanta.
@@ -62,7 +65,20 @@ func TestClockSplitPointsProperty(t *testing.T) {
 			for j < n && seq[j] == seq[i] && rng.Intn(4) != 0 {
 				j++
 			}
-			grouped.AdvanceN(seq[i], j-i)
+			grouped.AdvanceTicks(ToTicks(seq[i]) * Ticks(j-i))
+			i = j
+		}
+
+		// Sum: cut the sequence into random contiguous pieces of mixed
+		// quanta and settle each piece's tick sum with one add.
+		summed := &Clock{}
+		for i := 0; i < n; {
+			j := i + 1 + cuts.Intn(n-i)
+			var sum Ticks
+			for _, d := range seq[i:j] {
+				sum += ToTicks(d)
+			}
+			summed.AdvanceTicks(sum)
 			i = j
 		}
 
@@ -73,7 +89,7 @@ func TestClockSplitPointsProperty(t *testing.T) {
 		}
 
 		sn, sf := clockState(serial)
-		for name, c := range map[string]*Clock{"grouped": grouped, "permuted": permuted} {
+		for name, c := range map[string]*Clock{"grouped": grouped, "summed": summed, "permuted": permuted} {
 			cn, cf := clockState(c)
 			if cn != sn || cf != sf {
 				t.Fatalf("trial %d: %s state (%d,%d) != serial (%d,%d)",
