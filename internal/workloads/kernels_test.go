@@ -6,6 +6,7 @@ package workloads
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -249,5 +250,89 @@ func TestFindSwapHelpers(t *testing.T) {
 	}
 	if big <= int64(small.TotalBytes()) {
 		t.Error("footprint ordering wrong")
+	}
+}
+
+// checkRadixSort sorts a copy of keys with radixSort and with slices.Sort
+// and fails on the first difference.
+func checkRadixSort(t *testing.T, name string, keys []uint64) {
+	t.Helper()
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	got := slices.Clone(keys)
+	radixSort(got, make([]uint64, len(got)))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s (n=%d): radixSort[%d] = %#x, slices.Sort %#x", name, len(keys), i, got[i], want[i])
+		}
+	}
+}
+
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	random := func(n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = rng.Uint64()
+		}
+		return keys
+	}
+	for _, n := range []int{0, 1, 2, 32 << 10} {
+		checkRadixSort(t, "random", random(n))
+	}
+
+	// Every pass skipped.
+	equal := make([]uint64, 1000)
+	for i := range equal {
+		equal[i] = 0xdeadbeefcafef00d
+	}
+	checkRadixSort(t, "all-equal", equal)
+
+	// Only the top byte differs: one pass runs, so the sorted words end
+	// in the scratch buffer and are copied back.
+	top := make([]uint64, 1000)
+	for i := range top {
+		top[i] = uint64(rng.Intn(256))<<56 | 0x0011223344556677
+	}
+	checkRadixSort(t, "top-byte", top)
+
+	sorted := random(5000)
+	slices.Sort(sorted)
+	checkRadixSort(t, "sorted", sorted)
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	checkRadixSort(t, "reversed", reversed)
+	checkRadixSort(t, "extremes", []uint64{math.MaxUint64, 0, 1, math.MaxUint64, 0, math.MaxUint64 - 1, 1 << 63})
+
+	// Random slices with duplicates: keys drawn from a small pool, some
+	// pools confined to a few low bytes so that the upper passes skip.
+	for c := 0; c < 200; c++ {
+		pool := random(1 + rng.Intn(64))
+		if c%2 == 1 {
+			mask := uint64(1)<<(8*(1+rng.Intn(7))) - 1
+			for i := range pool {
+				pool[i] &= mask
+			}
+		}
+		keys := make([]uint64, rng.Intn(3000))
+		for i := range keys {
+			keys[i] = pool[rng.Intn(len(pool))]
+		}
+		checkRadixSort(t, "duplicates", keys)
+	}
+}
+
+// BenchmarkRadixSort sorts one Parallelsort segment (32K random words).
+func BenchmarkRadixSort(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	orig := make([]uint64, 32<<10)
+	for i := range orig {
+		orig[i] = rng.Uint64()
+	}
+	keys, tmp := make([]uint64, len(orig)), make([]uint64, len(orig))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(keys, orig)
+		radixSort(keys, tmp)
 	}
 }

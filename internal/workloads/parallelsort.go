@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/gc"
 	"repro/internal/heap"
@@ -36,12 +35,13 @@ func Parallelsort() *Spec {
 		Threads:      threads,
 		MinHeapBytes: liveBytes*5/4 + 2<<20,
 		Run: func(j *jvm.JVM, seed int64) error {
+			var sc sortScratch
 			return seededThreads(j, seed, func(t *jvm.Thread, rng *rand.Rand) error {
 				for r := 0; r < rounds; r++ {
 					// Only the last round's result stays rooted
 					// (live-set convention, fft.go).
 					keep := r == rounds-1
-					if err := parallelsortThread(t, rng, segments, segInts, keep); err != nil {
+					if err := parallelsortThread(t, rng, &sc, segments, segInts, keep); err != nil {
 						return err
 					}
 				}
@@ -51,17 +51,39 @@ func Parallelsort() *Spec {
 	}
 }
 
-func parallelsortThread(t *jvm.Thread, rng *rand.Rand, segments, segInts int, keep bool) error {
-	// Phase 1: allocate and fill the segments.
+// sortScratch is the host buffers of one Run call's Parallelsort rounds.
+// Virtual threads run one after another on one goroutine, so every
+// thread and round shares it and nothing is reallocated after the first
+// round. vals and tmp hold one segment (tmp is the radix sort's other
+// buffer); av and bv hold a merge's two inputs and out its output, and
+// out doubles as the buffer the final array is read back into.
+type sortScratch struct{ vals, tmp, av, bv, out []uint64 }
+
+// grow returns (*b)[:n], reallocating *b only when it is too small.
+func grow(b *[]uint64, n int) []uint64 {
+	if cap(*b) < n {
+		*b = make([]uint64, n)
+	}
+	return (*b)[:n]
+}
+
+func parallelsortThread(t *jvm.Thread, rng *rand.Rand, sc *sortScratch, segments, segInts int, keep bool) error {
+	// Phase 1: allocate and fill the segments. The sum and xor of every
+	// generated value are an order-independent checksum of the round,
+	// kept on the host, so the final check sees a lost or duplicated key.
 	segs := make([]*gc.Root, segments)
-	vals := make([]uint64, segInts)
+	vals := grow(&sc.vals, segInts)
+	var sum, xor uint64
 	for s := range segs {
 		r, err := t.AllocRooted(heap.AllocSpec{Payload: segInts * 8, Class: clsSortSegment})
 		if err != nil {
 			return err
 		}
 		for i := range vals {
-			vals[i] = rng.Uint64()
+			v := rng.Uint64()
+			vals[i] = v
+			sum += v
+			xor ^= v
 		}
 		if err := writeWords(t, r.Obj, vals); err != nil {
 			return err
@@ -69,12 +91,15 @@ func parallelsortThread(t *jvm.Thread, rng *rand.Rand, segments, segInts int, ke
 		segs[s] = r
 	}
 
-	// Phase 2: sort each segment into a fresh object (churn).
+	// Phase 2: sort each segment into a fresh object (churn). The charge
+	// models the JVM's n log n comparison sort; the host may sort any way
+	// that leaves the same words (a sorted []uint64 is unique).
+	tmp := grow(&sc.tmp, segInts)
 	for s, r := range segs {
 		if err := readWords(t, r.Obj, vals); err != nil {
 			return err
 		}
-		slices.Sort(vals)
+		radixSort(vals, tmp)
 		chargeOps(t, float64(segInts)*18, 1.0) // ~n log n comparisons+moves
 		fresh, err := t.AllocRooted(heap.AllocSpec{Payload: segInts * 8, Class: clsSortSegment})
 		if err != nil {
@@ -90,11 +115,10 @@ func parallelsortThread(t *jvm.Thread, rng *rand.Rand, segments, segInts int, ke
 	// Phase 3: pairwise merges until one sorted array remains.
 	level := segs
 	width := segInts
-	var bufs mergeBufs
 	for len(level) > 1 {
 		var nextLevel []*gc.Root
 		for i := 0; i+1 < len(level); i += 2 {
-			merged, err := mergePair(t, level[i], level[i+1], width, &bufs)
+			merged, err := mergePair(t, level[i], level[i+1], width, sc)
 			if err != nil {
 				return err
 			}
@@ -106,18 +130,26 @@ func parallelsortThread(t *jvm.Thread, rng *rand.Rand, segments, segInts int, ke
 		width *= 2
 	}
 
-	// Verify: the final array is sorted and has the right length.
-	final := make([]uint64, width)
+	// Verify: the final array has the right length, is sorted, and holds
+	// exactly the generated values (same sum and xor).
+	final := grow(&sc.out, width)
 	if err := readWords(t, level[0].Obj, final); err != nil {
 		return err
 	}
 	if len(final) != segments*segInts {
 		return fmt.Errorf("parallelsort: final length %d", len(final))
 	}
-	for i := 1; i < len(final); i++ {
-		if final[i-1] > final[i] {
+	var gotSum, gotXor uint64
+	for i, v := range final {
+		if i > 0 && final[i-1] > v {
 			return fmt.Errorf("parallelsort: out of order at %d", i)
 		}
+		gotSum += v
+		gotXor ^= v
+	}
+	if gotSum != sum || gotXor != xor {
+		return fmt.Errorf("parallelsort: final checksum (sum %#x, xor %#x), generated (sum %#x, xor %#x)",
+			gotSum, gotXor, sum, xor)
 	}
 	if !keep {
 		t.J.Roots.Remove(level[0])
@@ -125,23 +157,42 @@ func parallelsortThread(t *jvm.Thread, rng *rand.Rand, segments, segInts int, ke
 	return nil
 }
 
-// mergeBufs is per-thread merge scratch, reused across pairwise merges so
-// each merge level reallocates at most once instead of once per pair.
-type mergeBufs struct{ av, bv, out []uint64 }
-
-func (b *mergeBufs) size(width int) (av, bv, out []uint64) {
-	if cap(b.av) < width {
-		b.av = make([]uint64, width)
-		b.bv = make([]uint64, width)
+// radixSort sorts keys ascending: an LSD radix sort over the eight bytes
+// of each key, with tmp (at least len(keys) words) as the other buffer.
+// A pass is skipped when every key has the same byte in that position.
+func radixSort(keys, tmp []uint64) {
+	n := len(keys)
+	if n < 2 {
+		return
 	}
-	if cap(b.out) < 2*width {
-		b.out = make([]uint64, 0, 2*width)
+	src, dst := keys, tmp[:n]
+	for shift := 0; shift < 64; shift += 8 {
+		var cnt [256]int
+		for _, k := range src {
+			cnt[byte(k>>shift)]++
+		}
+		if cnt[byte(src[0]>>shift)] == n {
+			continue
+		}
+		pos := 0
+		for b, c := range cnt {
+			cnt[b] = pos
+			pos += c
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[cnt[b]] = k
+			cnt[b]++
+		}
+		src, dst = dst, src
 	}
-	return b.av[:width], b.bv[:width], b.out[:0]
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
-func mergePair(t *jvm.Thread, a, b *gc.Root, width int, bufs *mergeBufs) (*gc.Root, error) {
-	av, bv, out := bufs.size(width)
+func mergePair(t *jvm.Thread, a, b *gc.Root, width int, sc *sortScratch) (*gc.Root, error) {
+	av, bv, out := grow(&sc.av, width), grow(&sc.bv, width), grow(&sc.out, 2*width)[:0]
 	if err := readWords(t, a.Obj, av); err != nil {
 		return nil, err
 	}

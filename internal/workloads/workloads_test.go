@@ -266,3 +266,33 @@ var errSentinel = &sentinelError{}
 type sentinelError struct{}
 
 func (*sentinelError) Error() string { return "sentinel" }
+
+// Parallelsort's host buffers live in one sortScratch per Run call: once
+// the first round has sized them, a later round reuses every backing
+// array rather than allocating its own.
+func TestParallelsortScratchReuse(t *testing.T) {
+	m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130()})
+	cfg, _ := jvm.ConfigFor(jvm.CollectorSVAGC, 8<<20, 1, 2)
+	j, err := jvm.New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := j.Thread(0)
+	rng := rand.New(rand.NewSource(3))
+	var sc sortScratch
+	backing := func() [5]*uint64 {
+		return [5]*uint64{&sc.vals[0], &sc.tmp[0], &sc.av[0], &sc.bv[0], &sc.out[0]}
+	}
+	if err := parallelsortThread(th, rng, &sc, 4, 1024, false); err != nil {
+		t.Fatal(err)
+	}
+	first := backing()
+	for r := 0; r < 2; r++ {
+		if err := parallelsortThread(th, rng, &sc, 4, 1024, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := backing(); got != first {
+			t.Fatalf("round %d reallocated scratch: %v, first round %v", r+2, got, first)
+		}
+	}
+}
