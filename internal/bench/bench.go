@@ -173,9 +173,9 @@ func (o Options) FaultInjector() (*fault.Injector, error) {
 	return fault.New(seed, plan), nil
 }
 
-// machineConfig is the machine.Config every workload machine is built
-// from, carrying the run's socket/placement options.
-func (o Options) machineConfig() machine.Config {
+// MachineConfig is the machine.Config every workload machine is built
+// from, carrying the run's cost model and socket/placement options.
+func (o Options) MachineConfig() machine.Config {
 	return machine.Config{
 		Cost:       o.cost(),
 		Sockets:    o.sockets(),
@@ -362,8 +362,8 @@ var (
 
 	// harnessRuns / harnessSimNs count every machine run (every hold)
 	// since process start and the simulated time those runs covered; a
-	// run cache hit builds no machine and counts nothing. gcbench reports
-	// them as its end-of-run simulation-rate line.
+	// run cache hit builds no machine and counts nothing. Flags.Finish
+	// reports them as a command's end-of-run harness line.
 	harnessRuns  atomic.Uint64
 	harnessSimNs atomic.Uint64
 )
@@ -446,10 +446,11 @@ func runAll(opt Options, specs []runSpec) (map[runSpec]*runResult, error) {
 	return out, nil
 }
 
-// holdEach runs cell(i) for every i in [0, n) side by side, each in a
+// HoldEach runs cell(i) for every i in [0, n) side by side, each in a
 // machine slot of o's sweep (see hold), and returns the first error in
-// index order.
-func (o Options) holdEach(n int, cell func(i int) (sim.Time, error)) error {
+// index order. A command that builds its own machines (svagc) runs each
+// as a cell, so its runs share the bound and count in HarnessStats.
+func (o Options) HoldEach(n int, cell func(i int) (sim.Time, error)) error {
 	o = o.sweep()
 	return inParallel(n, func(i int) error {
 		return o.hold(func() (sim.Time, error) { return cell(i) })
@@ -515,7 +516,7 @@ func computeWorkload(opt Options, s runSpec) (*runResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown collector %q", s.collector)
 	}
-	mcfg := opt.machineConfig()
+	mcfg := opt.MachineConfig()
 	if mcfg.Fault, err = opt.FaultInjector(); err != nil {
 		return nil, err
 	}

@@ -125,7 +125,7 @@ func OOM1MemoryPressure(opt Options) (*Result, error) {
 	}
 	collectors := []string{jvm.CollectorSVAGC, jvm.CollectorCopy}
 	runs := make([]*oomRun, len(occs)*len(collectors))
-	if err := opt.holdEach(len(runs), func(i int) (_ sim.Time, err error) {
+	if err := opt.HoldEach(len(runs), func(i int) (_ sim.Time, err error) {
 		if runs[i], err = oomOne(opt, collectors[i%2], occs[i/2]); err != nil {
 			return 0, err
 		}

@@ -187,7 +187,7 @@ func OversubFarMemory(opt Options) (*Result, error) {
 			"swap-out", "swap-in", "kswapd", "direct", "post-alloc"},
 	}
 	runs := make([]*ovRun, len(ratios)*len(collectors))
-	if err := opt.holdEach(len(runs), func(i int) (_ sim.Time, err error) {
+	if err := opt.HoldEach(len(runs), func(i int) (_ sim.Time, err error) {
 		if runs[i], err = oversubOne(opt, collectors[i%len(collectors)], ratios[i/len(collectors)]); err != nil {
 			return 0, err
 		}

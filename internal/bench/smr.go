@@ -81,14 +81,12 @@ func SMRLeaderChurn(opt Options) (*Result, error) {
 	}
 	runs := make([]*smr.Result, len(heaps)*len(collectors))
 	traces := make([]*trace.Tracer, len(runs))
-	// smr.Run keeps its replicas' clocks to itself, so an smr1 machine
-	// counts no simulated time.
-	if err := opt.holdEach(len(runs), func(i int) (_ sim.Time, err error) {
+	if err := opt.HoldEach(len(runs), func(i int) (_ sim.Time, err error) {
 		c, hb := collectors[i%len(collectors)], heaps[i/len(collectors)]
 		if runs[i], traces[i], err = smrOne(opt, c, hb); err != nil {
 			return 0, fmt.Errorf("smr1: %s at %d MiB: %w", c, hb>>20, err)
 		}
-		return 0, nil
+		return runs[i].Elapsed, nil
 	}); err != nil {
 		return nil, err
 	}

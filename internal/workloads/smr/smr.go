@@ -121,6 +121,10 @@ type Result struct {
 	// CommitHash is an FNV-1a digest of every round's (round, term,
 	// leader, latency) record — the determinism witness.
 	CommitHash uint64
+	// Elapsed is the simulated time the cluster covered: the latest
+	// replica's application time (mutator clock plus GC) after the last
+	// round.
+	Elapsed sim.Time
 }
 
 // replica is one cluster member: a JVM tenant plus its replicated-log
@@ -381,6 +385,7 @@ func Run(m *machine.Machine, cfg Config) (*Result, error) {
 		if p := r.j.GC.Stats().MaxPause(""); p > res.MaxPause {
 			res.MaxPause = p
 		}
+		res.Elapsed = max(res.Elapsed, r.j.AppTime())
 	}
 	res.Arbiter = arb.Stats()
 	res.CommitHash = h.Sum64()
