@@ -259,18 +259,12 @@ func main() {
 		}
 	}
 
-	mc := opt.MachineConfig()
-	mc.PhysBytes, mc.Swap = *physMiB<<20, opt.Swap
 	traced := opt.Trace || *spillOut != ""
 	// runOne executes one workload on its own machine and renders its
 	// whole report, so every run takes the same path at any list length.
 	runOne := func(i int) run {
 		spec, cfg := specs[i], cfgs[i]
-		// Each machine gets its own injector so every run replays the
-		// exact fault sequence its seed dictates.
-		mcfg := mc
-		mcfg.Fault, _ = opt.FaultInjector() // validated by shared.Options
-		m, err := machine.New(mcfg)
+		m, err := opt.NewMachine(machine.Config{PhysBytes: *physMiB << 20, Swap: opt.Swap})
 		if err != nil {
 			return run{err: err}
 		}
@@ -278,7 +272,7 @@ func main() {
 			m.SetActiveJVMs(*jvms)
 		}
 		var tr *trace.Tracer
-		if traced {
+		if traced { // replaces NewMachine's ring with a -trace-buf sized, spillable one
 			tr = m.EnableTracing(*traceBuf)
 		}
 		var spill *os.File
@@ -384,14 +378,12 @@ type run struct {
 // driven by GC pauses. It prints the cluster's report and returns its
 // tracer and the simulated time the cluster covered.
 func runSMR(opt bench.Options, cfg smr.Config, traceBuf int) (*trace.Tracer, sim.Time, error) {
-	mc := opt.MachineConfig()
-	mc.Fault, _ = opt.FaultInjector() // validated by shared.Options
-	m, err := machine.New(mc)
+	m, err := opt.NewMachine(machine.Config{})
 	if err != nil {
 		return nil, 0, err
 	}
 	var tr *trace.Tracer
-	if opt.Trace {
+	if opt.Trace { // replaces NewMachine's ring with a -trace-buf sized one
 		tr = m.EnableTracing(traceBuf)
 	}
 	if cfg.CapFrames <= 0 {

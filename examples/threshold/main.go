@@ -27,7 +27,8 @@ func main() {
 		}
 		fmt.Printf("%s: SwapVA beats memmove from %d pages (%d KiB objects)\n",
 			cm.Name, be, be*4)
-		points, err := core.ThresholdSweep(cm, 14)
+		newMachine := func() (*svagc.Machine, error) { return svagc.NewMachine(cm), nil }
+		points, err := core.ThresholdSweep(newMachine, 14)
 		if err != nil {
 			log.Fatal(err)
 		}

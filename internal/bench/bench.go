@@ -5,6 +5,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -44,17 +45,17 @@ type Options struct {
 	NUMAPolicy topology.Policy
 	NUMABind   int
 	// FaultPlan / FaultRate / FaultSeed configure deterministic fault
-	// injection on every workload machine (see fault.ParsePlanWithRate).
-	// An empty plan with a zero rate disables injection entirely; the
-	// seed defaults to the workload seed so a run is fully described by
-	// its flags.
+	// injection on every machine NewMachine builds (see
+	// fault.ParsePlanWithRate). An empty plan with a zero rate disables
+	// injection entirely; the seed defaults to the workload seed so a run
+	// is fully described by its flags.
 	FaultPlan string
 	FaultRate float64
 	FaultSeed int64
-	// Trace arms a tracer (machine.EnableTracing) on every workload
-	// machine. The tracer is a run-owned artifact like the run's result:
-	// a memoised run keeps it next to its result, and RunExperiments
-	// lists each experiment's tracers in Result.Traces.
+	// Trace arms a tracer (machine.EnableTracing) on every machine
+	// NewMachine builds. The tracer is a run-owned artifact like the
+	// run's result: a memoised run keeps it next to its result, and
+	// RunExperiments lists each experiment's tracers in Result.Traces.
 	Trace bool
 	// Parallel is the number of machine slots a sweep shares (<= 1 means
 	// one): every machine the harness builds is built and driven while
@@ -62,10 +63,11 @@ type Options struct {
 	// Results are byte-identical at any setting: each figure assembles its
 	// rows from its runs in input order, whichever finished first.
 	Parallel int
-	// Swap overrides the backing-tier shape of the far-memory figures
-	// (currently oversub1); the zero value keeps each figure's built-in
-	// tier. The paper-reproduction figures ignore it — their machines are
-	// never swap-armed, preserving bit-exact parity with the seed.
+	// Swap overrides the backing-tier shape of the machines whose shape
+	// arms a tier: each nonzero field replaces that field of oversub1's
+	// built-in tier, and svagc -phys arms it as given. NewMachine never
+	// reads it; the paper-reproduction figures are never swap-armed,
+	// preserving bit-exact parity with the seed.
 	Swap swaptier.Config
 
 	// traces, when non-nil, collects the tracers of the runs a figure
@@ -75,12 +77,7 @@ type Options struct {
 	slots *slots
 }
 
-func (o Options) cost() *sim.CostModel {
-	if o.Cost == nil {
-		return sim.XeonGold6130()
-	}
-	return o.Cost
-}
+func (o Options) cost() *sim.CostModel { return cmp.Or(o.Cost, sim.XeonGold6130()) }
 
 func (o Options) workers() int {
 	if o.GCWorkers <= 0 {
@@ -89,19 +86,9 @@ func (o Options) workers() int {
 	return o.GCWorkers
 }
 
-func (o Options) seed() int64 {
-	if o.Seed == 0 {
-		return 42
-	}
-	return o.Seed
-}
+func (o Options) seed() int64 { return cmp.Or(o.Seed, 42) }
 
-func (o Options) sockets() int {
-	if o.Sockets <= 0 {
-		return 1
-	}
-	return o.Sockets
-}
+func (o Options) sockets() int { return max(o.Sockets, 1) }
 
 // slots is one sweep's set of Parallel machine slots, the harness's only
 // bound on host concurrency.
@@ -122,7 +109,7 @@ func (o Options) sweep() Options {
 // hold runs cell while holding one of the sweep's machine slots, waiting
 // for one to free up, and counts it in HarnessStats with the simulated
 // time cell reports. cell builds and drives one machine (fig10: one
-// threshold sweep). Every machine.New in this package runs inside a hold
+// threshold sweep). Every NewMachine in this package runs inside a hold
 // and no hold nests, so at most Parallel machines are in flight.
 func (o Options) hold(cell func() (sim.Time, error)) error {
 	s := o.sweep().slots
@@ -137,15 +124,6 @@ func (o Options) hold(cell func() (sim.Time, error)) error {
 	return err
 }
 
-// arm enables tracing on a freshly built workload machine when the run
-// is traced, returning its tracer (nil when untraced).
-func (o Options) arm(m *machine.Machine) *trace.Tracer {
-	if !o.Trace {
-		return nil
-	}
-	return m.EnableTracing(0)
-}
-
 // record lists a run's tracer in the experiment's Result.Traces.
 func (o Options) record(t *trace.Tracer) {
 	if o.traces != nil && t != nil {
@@ -153,35 +131,28 @@ func (o Options) record(t *trace.Tracer) {
 	}
 }
 
-// FaultInjector builds the run's fault injector from the plan/rate/seed
-// options: nil (injection fully disabled) when the resulting plan is
-// inactive, an error when the plan spec does not parse. Each workload
-// machine gets a fresh injector so runs replay identically regardless of
-// host scheduling or cache warm order.
-func (o Options) FaultInjector() (*fault.Injector, error) {
-	if o.FaultPlan == "" && o.FaultRate == 0 {
-		return nil, nil
+// NewMachine builds one machine of the run, the only way the harness and
+// svagc build one. shape names only what the caller pins: a cost model
+// it sweeps or was measured on, sockets and placement, a bounded pool,
+// watermarks, a swap tier. Options fill what shape leaves zero: the cost
+// model, and sockets and placement when shape sets no Sockets. Every
+// machine gets a fresh fault injector, so each replays the fault sequence
+// its seed dictates, and under Trace an armed tracer (m.Tracer()).
+func (o Options) NewMachine(shape machine.Config) (*machine.Machine, error) {
+	shape.Cost = cmp.Or(shape.Cost, o.cost())
+	if shape.Sockets == 0 {
+		shape.Sockets, shape.NUMAPolicy, shape.NUMABind = o.sockets(), o.NUMAPolicy, o.NUMABind
 	}
 	plan, err := fault.ParsePlanWithRate(o.FaultPlan, o.FaultRate)
 	if err != nil {
 		return nil, err
 	}
-	seed := o.FaultSeed
-	if seed == 0 {
-		seed = o.seed()
+	shape.Fault = fault.New(cmp.Or(o.FaultSeed, o.seed()), plan)
+	m, err := machine.New(shape)
+	if err == nil && o.Trace {
+		m.EnableTracing(0)
 	}
-	return fault.New(seed, plan), nil
-}
-
-// MachineConfig is the machine.Config every workload machine is built
-// from, carrying the run's cost model and socket/placement options.
-func (o Options) MachineConfig() machine.Config {
-	return machine.Config{
-		Cost:       o.cost(),
-		Sockets:    o.sockets(),
-		NUMAPolicy: o.NUMAPolicy,
-		NUMABind:   o.NUMABind,
-	}
+	return m, err
 }
 
 // Result is a rendered experiment: a titled table plus free-form notes.
@@ -380,9 +351,9 @@ var (
 //   - Quick: only selects which runs a figure performs, never the outcome
 //     of one run → excluded.
 //   - Parallel, slots: host-side scheduling only → excluded.
-//   - Swap: only read by the far-memory figures (oversub1), which build
-//     their machines directly and never pass through runWorkload — the
-//     cache never sees a swap-armed run → excluded.
+//   - Swap: only read by shapes that arm a tier (oversub1), which never
+//     pass through runWorkload — the cache never sees a swap-armed run →
+//     excluded.
 //   - traces: where an experiment lists the tracers it read → excluded.
 //
 // Floats are serialised with strconv.FormatFloat(f, 'g', -1, 64) — the
@@ -516,17 +487,12 @@ func computeWorkload(opt Options, s runSpec) (*runResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown collector %q", s.collector)
 	}
-	mcfg := opt.MachineConfig()
-	if mcfg.Fault, err = opt.FaultInjector(); err != nil {
-		return nil, err
-	}
 	var r *runResult
 	err = opt.hold(func() (sim.Time, error) {
-		m, err := machine.New(mcfg)
+		m, err := opt.NewMachine(machine.Config{})
 		if err != nil {
 			return 0, err
 		}
-		tr := opt.arm(m)
 		if s.jvms > 1 {
 			m.SetActiveJVMs(s.jvms)
 		}
@@ -548,7 +514,7 @@ func computeWorkload(opt Options, s runSpec) (*runResult, error) {
 			Fulls:     st.Count(gc.KindFull),
 			Phases:    st.PhaseTotals(gc.KindFull),
 			Perf:      j.TotalPerf(),
-			trace:     tr,
+			trace:     m.Tracer(),
 		}
 		return r.AppTime, nil
 	})

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/jvm"
 	"repro/internal/kernel"
 	"repro/internal/machine"
@@ -134,15 +135,15 @@ func Ext3HugePages(opt Options) (*Result, error) {
 		Header: []string{"size", "memmove", "swapva-pte", "swapva-huge",
 			"huge-vs-pte", "huge-vs-memmove"},
 	}
-	cost := opt.cost()
 	for _, mib := range sizesMiB {
 		pages := mib << 8 // MiB -> 4 KiB pages
 		var move, pte, huge sim.Time
 		err := opt.hold(func() (sim.Time, error) {
-			m, err := machine.New(machine.Config{Cost: cost})
+			m, err := opt.NewMachine(machine.Config{})
 			if err != nil {
 				return 0, err
 			}
+			opt.record(m.Tracer())
 			k := kernel.New(m)
 			as := m.NewAddressSpace()
 			raw, err := as.MapRegion(2*pages + 1024)
@@ -157,13 +158,13 @@ func Ext3HugePages(opt Options) (*Result, error) {
 				return 0, err
 			}
 			pteCtx := m.NewContext(0)
-			if err := k.SwapVA(pteCtx, as, a, b, pages, kernel.DefaultOptions()); err != nil {
+			if err := core.SwapOrCopy(pteCtx, k, as, a, b, pages, kernel.DefaultOptions()); err != nil {
 				return 0, err
 			}
 			hugeOpts := kernel.DefaultOptions()
 			hugeOpts.HugeSwap = true
 			hugeCtx := m.NewContext(0)
-			if err := k.SwapVA(hugeCtx, as, a, b, pages, hugeOpts); err != nil {
+			if err := core.SwapOrCopy(hugeCtx, k, as, a, b, pages, hugeOpts); err != nil {
 				return 0, err
 			}
 			move, pte, huge = moveCtx.Clock.Now(), pteCtx.Clock.Now(), hugeCtx.Clock.Now()

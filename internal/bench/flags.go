@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/swaptier"
 	"repro/internal/topology"
@@ -74,7 +75,7 @@ func (f *Flags) Options() (Options, error) {
 	if opt.NUMAPolicy, opt.NUMABind, err = topology.ParsePolicy(f.numaPolicy); err != nil {
 		return Options{}, fmt.Errorf("-numa-policy: %w", err)
 	}
-	if _, err := opt.FaultInjector(); err != nil {
+	if _, err := fault.ParsePlanWithRate(f.faultPlan, f.faultRate); err != nil {
 		return Options{}, fmt.Errorf("-fault-plan/-fault-rate: %w", err)
 	}
 	if err := opt.Swap.Validate(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/jvm"
+	"repro/internal/machine"
 	"repro/internal/topology"
 )
 
@@ -59,8 +60,8 @@ func TestFlagsOptions(t *testing.T) {
 		def.Trace || def.Swap.Enabled() || def.FaultPlan != "" || def.FaultRate != 0 {
 		t.Errorf("defaults: %+v", def)
 	}
-	if fi, err := def.FaultInjector(); fi != nil || err != nil {
-		t.Errorf("default fault injector = %v, %v; want none", fi, err)
+	if m, err := def.NewMachine(machine.Config{}); err != nil || m.FaultInjector() != nil {
+		t.Errorf("default machine: %v, fault injector %v; want none", err, m.FaultInjector())
 	}
 	o, err := parseShared(t, "-machine", "i5-7600", "-gcworkers", "2", "-seed", "7",
 		"-parallel", "3", "-metrics", "m.prom", "-sockets", "2", "-numa-policy", "bind:1",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/core"
@@ -20,15 +21,17 @@ type microFixture struct {
 	va1, va2 uint64
 }
 
-// onMicroFixture builds a fixture on a cfg machine with regions of the
+// onMicroFixture builds a fixture on a shape machine with regions of the
 // given page count, in a machine slot, and runs body on it; body returns
-// the simulated time it measured.
-func onMicroFixture(opt Options, cfg machine.Config, pages int, body func(*microFixture) (sim.Time, error)) error {
+// the simulated time it measured. The figures call it one cell at a time,
+// so it lists each cell's tracer as it goes.
+func onMicroFixture(opt Options, shape machine.Config, pages int, body func(*microFixture) (sim.Time, error)) error {
 	return opt.hold(func() (sim.Time, error) {
-		m, err := machine.New(cfg)
+		m, err := opt.NewMachine(shape)
 		if err != nil {
 			return 0, err
 		}
+		opt.record(m.Tracer())
 		as := m.NewAddressSpace()
 		va1, err := as.MapRegion(pages)
 		if err != nil {
@@ -46,10 +49,7 @@ func onMicroFixture(opt Options, cfg machine.Config, pages int, body func(*micro
 // swaps issued as N separate SwapVA calls versus one aggregated
 // (vectored) call, swept over the per-request page count.
 func Fig6Aggregation(opt Options) (*Result, error) {
-	cost := opt.Cost
-	if cost == nil {
-		cost = sim.CoreI5_7600() // the paper measures Fig. 6 on the i5
-	}
+	cost := cmp.Or(opt.Cost, sim.CoreI5_7600()) // the paper measures Fig. 6 on the i5
 	perReq := []int{1, 2, 4, 8, 16}
 	if opt.Quick {
 		perReq = []int{1, 8}
@@ -72,12 +72,23 @@ func Fig6Aggregation(opt Options) (*Result, error) {
 			}
 			sepCtx := f.m.NewContext(0)
 			for _, r := range reqs {
-				if err := f.k.SwapVA(sepCtx, f.as, r.VA1, r.VA2, r.Pages, kernel.DefaultOptions()); err != nil {
+				if err := core.SwapOrCopy(sepCtx, f.k, f.as, r.VA1, r.VA2, r.Pages, kernel.DefaultOptions()); err != nil {
 					return 0, err
 				}
 			}
 			aggCtx := f.m.NewContext(0)
-			if _, err := f.k.SwapVAVec(aggCtx, f.as, reqs, kernel.DefaultOptions()); err != nil {
+			if _, err := f.k.SwapVAVec(aggCtx, f.as, reqs, kernel.DefaultOptions()); kernel.Degradable(err) {
+				// A faulted vector stops at its failing request: finish
+				// the unapplied ones one call each.
+				for _, r := range reqs {
+					if r.Swapped > 0 {
+						continue
+					}
+					if err := core.SwapOrCopy(aggCtx, f.k, f.as, r.VA1, r.VA2, r.Pages, kernel.DefaultOptions()); err != nil {
+						return 0, err
+					}
+				}
+			} else if err != nil {
 				return 0, err
 			}
 			sep, agg = sepCtx.Clock.Now(), aggCtx.Clock.Now()
@@ -102,10 +113,7 @@ func Fig6Aggregation(opt Options) (*Result, error) {
 // Fig8PMDCaching reproduces Fig. 8: SwapVA with and without PMD caching
 // across multi-page copy sizes.
 func Fig8PMDCaching(opt Options) (*Result, error) {
-	cost := opt.Cost
-	if cost == nil {
-		cost = sim.CoreI5_7600() // Fig. 8 is also an i5 microbenchmark
-	}
+	cost := cmp.Or(opt.Cost, sim.CoreI5_7600()) // Fig. 8 is also an i5 microbenchmark
 	sizes := []int{8, 16, 32, 64, 128, 256, 512}
 	if opt.Quick {
 		sizes = []int{16, 128}
@@ -126,11 +134,11 @@ func Fig8PMDCaching(opt Options) (*Result, error) {
 			withoutOpts.PMDCaching = false
 
 			offCtx := f.m.NewContext(0)
-			if err := f.k.SwapVA(offCtx, f.as, f.va1, f.va2, pages, withoutOpts); err != nil {
+			if err := core.SwapOrCopy(offCtx, f.k, f.as, f.va1, f.va2, pages, withoutOpts); err != nil {
 				return 0, err
 			}
 			onCtx := f.m.NewContext(0)
-			if err := f.k.SwapVA(onCtx, f.as, f.va1, f.va2, pages, withOpts); err != nil {
+			if err := core.SwapOrCopy(onCtx, f.k, f.as, f.va1, f.va2, pages, withOpts); err != nil {
 				return 0, err
 			}
 			off, on = offCtx.Clock.Now(), onCtx.Clock.Now()
@@ -180,7 +188,7 @@ func Fig9MultiCore(opt Options) (*Result, error) {
 				}
 				for i := 0; i < objects; i++ {
 					off := uint64(i*pagesPer) << 12
-					if err := f.k.SwapVA(ctx, f.as, f.va1+off, f.va2+off, pagesPer, opts); err != nil {
+					if err := core.SwapOrCopy(ctx, f.k, f.as, f.va1+off, f.va2+off, pagesPer, opts); err != nil {
 						return 0, err
 					}
 				}
@@ -223,13 +231,21 @@ func Fig10Threshold(opt Options) (*Result, error) {
 		Header: []string{"machine", "pages", "swapva", "memmove", "winner"},
 	}
 	for _, cost := range []*sim.CostModel{sim.XeonGold6130(), sim.XeonGold6240()} {
+		// The cell lists each machine's tracer as the sweep builds it.
+		newMachine := func() (*machine.Machine, error) {
+			m, err := opt.NewMachine(machine.Config{Cost: cost})
+			if err == nil {
+				opt.record(m.Tracer())
+			}
+			return m, err
+		}
 		var points []core.MoveCostPoint
 		var be int
 		err := opt.hold(func() (covered sim.Time, err error) {
-			if points, err = core.ThresholdSweep(cost, maxPages); err != nil {
+			if points, err = core.ThresholdSweep(newMachine, maxPages); err != nil {
 				return 0, err
 			}
-			if be, err = core.BreakEvenPages(cost, 64); err != nil {
+			if be, err = core.BreakEvenPages(newMachine, points, 64); err != nil {
 				return 0, err
 			}
 			for _, p := range points {

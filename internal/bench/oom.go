@@ -11,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // oom1 machine shape: a bounded pool small enough that ballast mappings
@@ -31,6 +32,7 @@ type oomRun struct {
 	evacFail bool
 	mutator  string   // post-GC mutator allocation outcome
 	app      sim.Time // simulated time the JVM covered
+	trace    *trace.Tracer
 }
 
 // oomOne builds a fresh watermarked machine, fills the heap with a
@@ -38,11 +40,7 @@ type oomRun struct {
 // runs one full collection under the named collector. The caller holds
 // a machine slot.
 func oomOne(opt Options, collector string, occ float64) (*oomRun, error) {
-	m, err := machine.New(machine.Config{
-		Cost:       opt.cost(),
-		PhysBytes:  oomPhysFrames << mem.PageShift,
-		Watermarks: oomWatermarks,
-	})
+	m, err := opt.NewMachine(machine.Config{PhysBytes: oomPhysFrames << mem.PageShift, Watermarks: oomWatermarks})
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +76,7 @@ func oomOne(opt Options, collector string, occ float64) (*oomRun, error) {
 			return nil, fmt.Errorf("oom1: ballast to %.1f%%: %w", occ*100, err)
 		}
 	}
-	r := &oomRun{free: m.Phys.FreeFrames()}
+	r := &oomRun{free: m.Phys.FreeFrames(), trace: m.Tracer()}
 
 	pause, err := j.CollectNow()
 	if err != nil {
@@ -135,6 +133,8 @@ func OOM1MemoryPressure(opt Options) (*Result, error) {
 	}
 	for oi, occ := range occs {
 		sv, cp := runs[2*oi], runs[2*oi+1]
+		opt.record(sv.trace)
+		opt.record(cp.trace)
 		mode := "evacuate"
 		if cp.evacFail {
 			mode = "slide (degenerated)"

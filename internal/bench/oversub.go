@@ -29,16 +29,20 @@ const (
 // (counted in compressed bytes) in front of a far device comfortably
 // larger than the biggest swept heap, so capacity never truncates the
 // sweep. Latency/bandwidth stay at the package defaults (datacenter
-// NVMe: 10 µs, 2 GB/s). An enabled Options.Swap (the CLI's -swap-tier /
-// -zpool / -far-lat knobs) replaces the whole shape.
+// NVMe: 10 µs, 2 GB/s). Each nonzero field of Options.Swap (the CLI's
+// -swap-tier, -zpool and -far-lat) overrides that field alone.
 func ovSwapConfig(opt Options) swaptier.Config {
-	if opt.Swap.Enabled() {
-		return opt.Swap
+	c := swaptier.Config{ZpoolBytes: ovPhysBytes / 4, FarBytes: 8 * ovPhysBytes}
+	if opt.Swap.ZpoolBytes != 0 {
+		c.ZpoolBytes = opt.Swap.ZpoolBytes
 	}
-	return swaptier.Config{
-		ZpoolBytes: ovPhysBytes / 4,
-		FarBytes:   8 * ovPhysBytes,
+	if opt.Swap.FarBytes != 0 {
+		c.FarBytes = opt.Swap.FarBytes
 	}
+	if opt.Swap.FarLatNs != 0 {
+		c.FarLatNs = opt.Swap.FarLatNs
+	}
+	return c
 }
 
 // ovRun captures one collector's behaviour at one oversubscription ratio.
@@ -74,23 +78,12 @@ func ovPattern(buf []uint64, salt uint64) {
 // set — the mutator-side fault-in bill of having been swapped. The
 // caller holds a machine slot.
 func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
-	// Unlike the paper figures, this one builds its machine directly (it
-	// never passes through runWorkload): the chaos CI drives the
-	// far_write site through it.
-	fi, err := opt.FaultInjector()
+	// Unlike the paper figures, this one never passes through
+	// runWorkload: the chaos CI drives the far_write site through it.
+	m, err := opt.NewMachine(machine.Config{PhysBytes: ovPhysBytes, Swap: ovSwapConfig(opt)})
 	if err != nil {
 		return nil, err
 	}
-	m, err := machine.New(machine.Config{
-		Cost:      opt.cost(),
-		PhysBytes: ovPhysBytes,
-		Swap:      ovSwapConfig(opt),
-		Fault:     fi,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr := opt.arm(m)
 	heapBytes := int64(ratio * float64(ovPhysBytes))
 	cfg, ok := jvm.ConfigForDeadline(collector, heapBytes, 1, opt.workers(), 0)
 	if !ok {
@@ -126,7 +119,7 @@ func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
 		j.Roots.Remove(g)
 	}
 
-	r := &ovRun{trace: tr}
+	r := &ovRun{trace: m.Tracer()}
 	pause, err := j.CollectNow()
 	if err != nil {
 		return nil, fmt.Errorf("oversub1: %s at %.1fx heap: %w", collector, ratio, err)

@@ -4,14 +4,16 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/swaptier"
 )
 
 // TestOversubDeterminism repeats the quick oversubscription sweep once in
 // process and requires output byte-identical to the shared sweep's: the
 // whole swap plane — reclaimer victim order, tier slot handout,
 // far-device queueing, kswapd wake points — must be a pure function of the
-// configuration. oversub1 builds its machines directly, so this repeat
-// catches host-state leaks the cache-keyed paths cannot; each of its six
+// configuration. oversub1 never passes through the run cache, so this
+// repeat catches host-state leaks the cache-keyed paths cannot; each of its six
 // machines must still take a machine slot and count in HarnessStats.
 func TestOversubDeterminism(t *testing.T) {
 	want := sharedSweep(t).result(t, "oversub1").Format()
@@ -72,6 +74,28 @@ func TestOversubHeadlineShapes(t *testing.T) {
 	sv, cp := parse("4.0x (64 MiB)|svagc"), parse("4.0x (64 MiB)|copygc")
 	if sv >= cp {
 		t.Errorf("at 4x, svagc pause %v >= copygc pause %v: SwapVA lost its oversubscription edge", sv, cp)
+	}
+}
+
+// TestOvSwapConfig: each nonzero Options.Swap field overrides that field
+// of oversub1's built-in tier (zpool ¼ of the 16 MiB RAM, far 8× RAM,
+// default latency), and leaves the others as built.
+func TestOvSwapConfig(t *testing.T) {
+	const zpool, far = 4 << 20, 128 << 20
+	for _, c := range []struct {
+		name       string
+		swap, want swaptier.Config
+	}{
+		{"zero value", swaptier.Config{}, swaptier.Config{ZpoolBytes: zpool, FarBytes: far}},
+		{"-zpool alone", swaptier.Config{ZpoolBytes: 8 << 20}, swaptier.Config{ZpoolBytes: 8 << 20, FarBytes: far}},
+		{"-swap-tier alone", swaptier.Config{FarBytes: 256 << 20}, swaptier.Config{ZpoolBytes: zpool, FarBytes: 256 << 20}},
+		{"-far-lat alone", swaptier.Config{FarLatNs: 25_000}, swaptier.Config{ZpoolBytes: zpool, FarBytes: far, FarLatNs: 25_000}},
+		{"all three", swaptier.Config{FarBytes: 256 << 20, ZpoolBytes: 8 << 20, FarLatNs: 25_000},
+			swaptier.Config{FarBytes: 256 << 20, ZpoolBytes: 8 << 20, FarLatNs: 25_000}},
+	} {
+		if got := ovSwapConfig(Options{Swap: c.swap}); got != c.want {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
+		}
 	}
 }
 

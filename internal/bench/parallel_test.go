@@ -103,7 +103,7 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 		t.Errorf("Quick changed the cache key: %q vs %q", k, variants[0].key)
 	}
 	// Swap is excluded because no run that reaches the cache is ever
-	// swap-armed (oversub1 builds its machines directly): the tier shape
+	// swap-armed (oversub1 never passes through it): the tier shape
 	// must not perturb the key.
 	swapped := Options{Swap: swaptier.Config{FarBytes: 64 << 20, ZpoolBytes: 8 << 20,
 		FarLatNs: 25_000}}
@@ -183,12 +183,12 @@ func TestRunAllFirstErrorInSpecOrder(t *testing.T) {
 }
 
 // TestOneMachineBound sweeps cheap mixed figures — fig1 and fig2 request
-// workload runs side by side, oom1 builds its machines directly — and
-// checks that the sweep's machine slots are the whole bound: at Parallel
-// 1 exactly one machine is ever in flight, at Parallel 3 at most three
-// (and, with five runs ready at once, exactly three). Every machine is
-// counted in HarnessStats: fig1's two runs, fig2's two distinct runs and
-// oom1's six cells.
+// workload runs side by side, oom1 builds its machines outside the run
+// cache — and checks that the sweep's machine slots are the whole bound:
+// at Parallel 1 exactly one machine is ever in flight, at Parallel 3 at
+// most three (and, with five runs ready at once, exactly three). Every
+// machine is counted in HarnessStats: fig1's two runs, fig2's two
+// distinct runs and oom1's six cells.
 func TestOneMachineBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs workloads")

@@ -23,23 +23,14 @@ const (
 )
 
 // smrOne runs one collector's cluster at one heap size on a fresh
-// machine. Like oversub1, this figure builds its machines directly
-// (never passing through runWorkload) — the chaos CI drives the
-// arbiter_stall and cap_race sites through it. The caller holds a
-// machine slot.
+// machine. Like oversub1, this figure never passes through runWorkload —
+// the chaos CI drives the arbiter_stall and cap_race sites through it.
+// The caller holds a machine slot.
 func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, *trace.Tracer, error) {
-	fi, err := opt.FaultInjector()
+	m, err := opt.NewMachine(machine.Config{})
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := machine.New(machine.Config{
-		Cost:  opt.cost(),
-		Fault: fi,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := opt.arm(m)
 	// Each tenant's cap is twice its heap plus slack: room for a copying
 	// collector's to-space, so the cap isolates runaways without
 	// throttling a well-behaved replica mid-collection.
@@ -55,7 +46,7 @@ func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, *trace
 		CapFrames:         capFrames,
 		MaxConcurrentGC:   1,
 	})
-	return r, tr, err
+	return r, m.Tracer(), err
 }
 
 // SMRLeaderChurn sweeps replica heap size for a GC-pause-driven

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/kernel"
@@ -143,4 +144,29 @@ func (p *MovePolicy) MoveObject(ctx *machine.Context, k *kernel.Kernel,
 		return MovedMemmove, err
 	}
 	return MovedMemmove, nil
+}
+
+// swapRetries is how often SwapOrCopy re-issues a transiently failed
+// SwapVA: the collectors' default retry budget.
+const swapRetries = 3
+
+// SwapOrCopy exchanges pages pages at va1 and va2 by SwapVA, recovering
+// from injected faults as the collectors' degradation ladder does, less
+// its backoff: a transient failure, which the kernel rolled back, is
+// re-issued up to swapRetries times, and a call that exhausts them or
+// meets a poisoned frame degrades to a memmove of the span at va2 to va1.
+// On a healthy machine it is exactly one SwapVA call.
+func SwapOrCopy(ctx *machine.Context, k *kernel.Kernel, as *mmu.AddressSpace,
+	va1, va2 uint64, pages int, opts kernel.Options) error {
+
+	err := k.SwapVA(ctx, as, va1, va2, pages, opts)
+	for retry := 0; retry < swapRetries && errors.Is(err, kernel.ErrAgain); retry++ {
+		ctx.Perf.SwapRetries++
+		err = k.SwapVA(ctx, as, va1, va2, pages, opts)
+	}
+	if !kernel.Degradable(err) {
+		return err
+	}
+	ctx.Perf.SwapFallbacks++
+	return k.Memmove(ctx, as, va1, va2, pages<<mem.PageShift)
 }

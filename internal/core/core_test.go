@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -201,15 +202,61 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
+// TestSwapOrCopy: on a healthy machine SwapOrCopy is one SwapVA call; on
+// a machine whose every swap position faults it retries swapRetries
+// times, then degrades to a memmove that still delivers the bytes at va2
+// to va1.
+func TestSwapOrCopy(t *testing.T) {
+	plan, err := fault.ParsePlanWithRate("swapva=1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name                 string
+		fault                *fault.Injector
+		calls, retries, fall uint64
+	}{
+		{"healthy", nil, 1, 0, 0},
+		{"every swap faults", fault.New(7, plan), swapRetries + 1, swapRetries, 1},
+	} {
+		m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130(), Fault: c.fault})
+		k, as, ctx := kernel.New(m), m.NewAddressSpace(), m.NewContext(0)
+		va1, _ := as.MapRegion(4)
+		va2, _ := as.MapRegion(4)
+		want := bytes.Repeat([]byte{0xa5}, 4*mem.PageSize)
+		if err := as.RawWrite(va2, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := SwapOrCopy(ctx, k, as, va1, va2, 4, kernel.DefaultOptions()); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := make([]byte, len(want))
+		if err := as.RawRead(va1, got); err != nil {
+			t.Fatal(err)
+		}
+		p := ctx.Perf
+		if !bytes.Equal(got, want) || p.SwapVACalls != c.calls || p.SwapRetries != c.retries || p.SwapFallbacks != c.fall {
+			t.Errorf("%s: bytes delivered %v, %d SwapVA calls, %d retries, %d fallbacks; want true, %d, %d, %d",
+				c.name, bytes.Equal(got, want), p.SwapVACalls, p.SwapRetries, p.SwapFallbacks, c.calls, c.retries, c.fall)
+		}
+	}
+}
+
+// machinesOf is a machine constructor for the calibration functions: a
+// fresh machine with the given cost model per call.
+func machinesOf(cost *sim.CostModel) func() (*machine.Machine, error) {
+	return func() (*machine.Machine, error) { return machine.New(machine.Config{Cost: cost}) }
+}
+
 func TestBreakEvenMatchesPaperThreshold(t *testing.T) {
-	be, err := BreakEvenPages(sim.XeonGold6130(), 64)
+	be, err := BreakEvenPages(machinesOf(sim.XeonGold6130()), nil, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if be != DefaultThresholdPages {
 		t.Errorf("Gold 6130 break-even = %d pages, paper threshold is %d", be, DefaultThresholdPages)
 	}
-	be2, err := BreakEvenPages(sim.XeonGold6240(), 64)
+	be2, err := BreakEvenPages(machinesOf(sim.XeonGold6240()), nil, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +265,37 @@ func TestBreakEvenMatchesPaperThreshold(t *testing.T) {
 	}
 }
 
+// TestBreakEvenReadsSweep checks that BreakEvenPages reads a sweep's
+// points instead of measuring them again, and measures only past its end:
+// a sweep that covers the break-even builds no machine, a shorter one
+// builds one per page count past it, and both find the same point.
+func TestBreakEvenReadsSweep(t *testing.T) {
+	built := 0
+	counted := func() (*machine.Machine, error) {
+		built++
+		return machinesOf(sim.XeonGold6130())()
+	}
+	for _, swept := range []int{12, 4} {
+		pts, err := ThresholdSweep(machinesOf(sim.XeonGold6130()), swept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built = 0
+		be, err := BreakEvenPages(counted, pts, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if be != DefaultThresholdPages {
+			t.Errorf("sweep of %d: break-even = %d pages, want %d", swept, be, DefaultThresholdPages)
+		}
+		if want := max(be-swept, 0); built != want {
+			t.Errorf("sweep of %d: built %d machines, want %d", swept, built, want)
+		}
+	}
+}
+
 func TestThresholdSweepMonotoneGap(t *testing.T) {
-	pts, err := ThresholdSweep(sim.XeonGold6130(), 20)
+	pts, err := ThresholdSweep(machinesOf(sim.XeonGold6130()), 20)
 	if err != nil {
 		t.Fatal(err)
 	}

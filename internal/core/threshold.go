@@ -20,11 +20,12 @@ type MoveCostPoint struct {
 }
 
 // MeasureMoveCosts measures a single-threaded SwapVA move and memmove of
-// the given page count on a fresh machine with the given cost model,
-// mirroring the paper's single-threaded Fig. 10 microbenchmark. Cold-cache
-// behaviour is used for both (large objects do not fit in cache anyway).
-func MeasureMoveCosts(cost *sim.CostModel, pages int) (MoveCostPoint, error) {
-	m, err := machine.New(machine.Config{Cost: cost})
+// the given page count on a fresh machine from newMachine, mirroring the
+// paper's single-threaded Fig. 10 microbenchmark. Cold-cache behaviour is
+// used for both (large objects do not fit in cache anyway). Under a fault
+// plan the swap recovers as SwapOrCopy does.
+func MeasureMoveCosts(newMachine func() (*machine.Machine, error), pages int) (MoveCostPoint, error) {
+	m, err := newMachine()
 	if err != nil {
 		return MoveCostPoint{}, err
 	}
@@ -40,7 +41,7 @@ func MeasureMoveCosts(cost *sim.CostModel, pages int) (MoveCostPoint, error) {
 	}
 
 	swapCtx := m.NewContext(0)
-	if err := k.SwapVA(swapCtx, as, dst, src, pages, kernel.DefaultOptions()); err != nil {
+	if err := SwapOrCopy(swapCtx, k, as, dst, src, pages, kernel.DefaultOptions()); err != nil {
 		return MoveCostPoint{}, err
 	}
 	moveCtx := m.NewContext(0)
@@ -54,11 +55,12 @@ func MeasureMoveCosts(cost *sim.CostModel, pages int) (MoveCostPoint, error) {
 	}, nil
 }
 
-// ThresholdSweep samples move costs for 1..maxPages pages.
-func ThresholdSweep(cost *sim.CostModel, maxPages int) ([]MoveCostPoint, error) {
+// ThresholdSweep samples move costs for 1..maxPages pages, each on its
+// own machine from newMachine.
+func ThresholdSweep(newMachine func() (*machine.Machine, error), maxPages int) ([]MoveCostPoint, error) {
 	points := make([]MoveCostPoint, 0, maxPages)
 	for p := 1; p <= maxPages; p++ {
-		pt, err := MeasureMoveCosts(cost, p)
+		pt, err := MeasureMoveCosts(newMachine, p)
 		if err != nil {
 			return nil, err
 		}
@@ -68,12 +70,17 @@ func ThresholdSweep(cost *sim.CostModel, maxPages int) ([]MoveCostPoint, error) 
 }
 
 // BreakEvenPages returns the smallest page count at which SwapVA is no
-// more expensive than memmove on the given machine, searching up to
-// maxPages. It returns maxPages+1 if memmove always wins in range.
-func BreakEvenPages(cost *sim.CostModel, maxPages int) (int, error) {
+// more expensive than memmove on machines from newMachine, searching up
+// to maxPages. swept holds the points a ThresholdSweep already measured
+// for 1..len(swept) pages; they are read, not measured again. It returns
+// maxPages+1 if memmove always wins in range.
+func BreakEvenPages(newMachine func() (*machine.Machine, error), swept []MoveCostPoint, maxPages int) (int, error) {
+	var err error
 	for p := 1; p <= maxPages; p++ {
-		pt, err := MeasureMoveCosts(cost, p)
-		if err != nil {
+		var pt MoveCostPoint
+		if p <= len(swept) {
+			pt = swept[p-1]
+		} else if pt, err = MeasureMoveCosts(newMachine, p); err != nil {
 			return 0, err
 		}
 		if pt.SwapVANs <= pt.MemmoveNs {

@@ -144,5 +144,6 @@ func MemmovePolicy() MovePolicy { return core.MemmovePolicy() }
 
 // BreakEvenPages calibrates the SwapVA/memmove crossover for a machine.
 func BreakEvenPages(cost *CostModel, maxPages int) (int, error) {
-	return core.BreakEvenPages(cost, maxPages)
+	newMachine := func() (*Machine, error) { return machine.New(machine.Config{Cost: cost}) }
+	return core.BreakEvenPages(newMachine, nil, maxPages)
 }
