@@ -59,7 +59,7 @@ func main() {
 		tenants   = flag.Int("tenants", 0, "tenant count: replicas for -smr, capped tenants churning in turn for -soak (0 = single-tenant)")
 		tenantCap = flag.Int64("tenant-cap", 0, "per-tenant memory cap in MiB; in workload mode the JVM runs as a capped tenant with its own pressure ladder (0 = uncapped)")
 		gcArb     = flag.Int("gc-arbiter", 0, "arm the machine-wide GC arbiter with this concurrent-collection bound (0 = unarbitrated)")
-		smrHeap   = flag.Int64("smr", 0, "run the raft-style SMR cluster workload with this replica heap size in MiB instead of a -bench workload (reads -gc, -gcworkers, -seed, -machine, -parallel, -tenants, -tenant-cap, -gc-arbiter, the fault and trace flags)")
+		smrHeap   = flag.Int64("smr", 0, "run the raft-style SMR cluster workload with this replica heap size in MiB instead of a -bench workload (reads -gc, -gcworkers, -seed, -machine, -sockets, -numa-policy, -parallel, -tenants, -tenant-cap, -gc-arbiter, the fault and trace flags)")
 	)
 	flag.Parse()
 	opt, err := shared.Options()
@@ -101,7 +101,7 @@ func main() {
 	case *soakDur > 0:
 		mode, reads = "-soak", strings.Fields("soak gc gcworkers seed watchdog tenants tenant-cap swap-tier zpool far-lat")
 	case *smrHeap > 0:
-		mode, reads = "-smr", strings.Fields("smr gc gcworkers seed machine parallel tenants tenant-cap gc-arbiter fault-plan fault-rate fault-seed trace metrics trace-buf")
+		mode, reads = "-smr", strings.Fields("smr gc gcworkers seed machine sockets numa-policy parallel tenants tenant-cap gc-arbiter fault-plan fault-rate fault-seed trace metrics trace-buf")
 	}
 	if mode != "" {
 		flag.Visit(func(f *flag.Flag) {

@@ -40,7 +40,7 @@ func TestBadInvocationsExit2(t *testing.T) {
 			"-fault-rate is not read by -soak"},
 		{[]string{"-soak", "1s", "-phys", "64"}, "-phys is not read by -soak"},
 		{[]string{"-smr", "16", "-gc", "copygc", "-sockets", "2", "-numa-policy", "interleave", "-phys", "1", "-swap-tier", "8"},
-			"-numa-policy is not read by -smr"},
+			"-phys is not read by -smr"},
 		{[]string{"-smr", "16", "-phys", "1"}, "-phys is not read by -smr"},
 		{[]string{"-smr", "16", "-trace-spill", "x.jsonl"}, "-trace-spill is not read by -smr"},
 	} {
@@ -56,5 +56,27 @@ func TestBadInvocationsExit2(t *testing.T) {
 		if !strings.Contains(stderr.String(), c.want) || stdout.Len() > 0 {
 			t.Errorf("%q: stderr %q, stdout %q; want %q on stderr alone", c.args, stderr.String(), stdout.String(), c.want)
 		}
+	}
+}
+
+// TestSMRReadsSocketFlags: -smr builds its machine through the shared
+// options, so -sockets and -numa-policy are accepted and change the
+// cluster's report.
+func TestSMRReadsSocketFlags(t *testing.T) {
+	run := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "SVAGC_RUN_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%q: %v\n%s", args, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	one := run("-smr", "16")
+	two := run("-smr", "16", "-sockets", "2", "-numa-policy", "interleave")
+	if one == "" || one == two {
+		t.Errorf("two interleaved sockets printed the one-socket report:\n%s", two)
 	}
 }

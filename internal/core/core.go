@@ -125,6 +125,8 @@ func PageAligned(addr uint64) bool { return addr&mem.PageMask == 0 }
 // When SwapVA is used, the page span may exceed the object length; the
 // trailing bytes of the last page travel with the object. Compacting
 // collectors arrange (via IfSwapAlign) that those bytes are dead padding.
+// The swap recovers from injected faults as SwapOrCopy does; a swap that
+// degraded to a memmove of the page span reports MovedMemmove.
 func (p *MovePolicy) MoveObject(ctx *machine.Context, k *kernel.Kernel,
 	as *mmu.AddressSpace, source, dest uint64, length int) (MoveMethod, error) {
 
@@ -135,10 +137,12 @@ func (p *MovePolicy) MoveObject(ctx *machine.Context, k *kernel.Kernel,
 		return MovedNothing, nil
 	}
 	if p.Swappable(length) && PageAligned(source) && PageAligned(dest) {
-		if err := k.SwapVA(ctx, as, dest, source, PagesFor(length), p.Swap); err != nil {
-			return MovedSwapVA, err
+		fallbacks := ctx.Perf.SwapFallbacks
+		err := SwapOrCopy(ctx, k, as, dest, source, PagesFor(length), p.Swap)
+		if ctx.Perf.SwapFallbacks > fallbacks {
+			return MovedMemmove, err
 		}
-		return MovedSwapVA, nil
+		return MovedSwapVA, err
 	}
 	if err := k.Memmove(ctx, as, dest, source, length); err != nil {
 		return MovedMemmove, err

@@ -111,6 +111,39 @@ func TestMoveObjectRouting(t *testing.T) {
 	}
 }
 
+// TestMoveObjectDegradesUnderSwapFaults: when every swap faults,
+// MoveObject retries and then memmoves the page span, as SwapOrCopy does:
+// the bytes arrive, no error comes back, and the method says memmove.
+func TestMoveObjectDegradesUnderSwapFaults(t *testing.T) {
+	plan, err := fault.ParsePlanWithRate("swapva=1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130(), Fault: fault.New(7, plan)})
+	k, as, ctx := kernel.New(m), m.NewAddressSpace(), m.NewContext(0)
+	src, _ := as.MapRegion(12)
+	dst, _ := as.MapRegion(12)
+	want := bytes.Repeat([]byte{0x3c, 0xc3}, 6*mem.PageSize)
+	if err := as.RawWrite(src, want); err != nil {
+		t.Fatal(err)
+	}
+	pol := DefaultPolicy()
+	method, err := pol.MoveObject(ctx, k, as, src, dst, len(want))
+	if err != nil || method != MovedMemmove {
+		t.Fatalf("method=%v err=%v, want memmove and no error", method, err)
+	}
+	got := make([]byte, len(want))
+	if err := as.RawRead(dst, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("degraded move did not deliver the source bytes")
+	}
+	if p := ctx.Perf; p.SwapRetries != swapRetries || p.SwapFallbacks != 1 {
+		t.Errorf("%d retries, %d fallbacks; want %d, 1", p.SwapRetries, p.SwapFallbacks, swapRetries)
+	}
+}
+
 // Property: MoveObject delivers the source bytes to the destination
 // regardless of the method chosen.
 func TestMoveObjectDeliversBytes(t *testing.T) {
@@ -246,6 +279,36 @@ func TestSwapOrCopy(t *testing.T) {
 // fresh machine with the given cost model per call.
 func machinesOf(cost *sim.CostModel) func() (*machine.Machine, error) {
 	return func() (*machine.Machine, error) { return machine.New(machine.Config{Cost: cost}) }
+}
+
+// TestMemmoveColumnIgnoresSwapFaults: a degraded swap moves the bytes by
+// memmove on the machine Fig. 10 then measures memmove on, so it warms
+// the LLC and the TLB; the measured memmove must still start cold and
+// cost what it costs on a healthy machine.
+func TestMemmoveColumnIgnoresSwapFaults(t *testing.T) {
+	plan, err := fault.ParsePlanWithRate("swapva=1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := func() (*machine.Machine, error) {
+		return machine.New(machine.Config{Cost: sim.XeonGold6130(), Fault: fault.New(7, plan)})
+	}
+	for _, pages := range []int{1, 4, 12} {
+		healthy, err := MeasureMoveCosts(machinesOf(sim.XeonGold6130()), pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		degraded, err := MeasureMoveCosts(faulty, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if degraded.SwapVANs == healthy.SwapVANs {
+			t.Errorf("%d pages: faulted swap cost %v, healthy %v; the plan did not fire", pages, degraded.SwapVANs, healthy.SwapVANs)
+		}
+		if degraded.MemmoveNs != healthy.MemmoveNs {
+			t.Errorf("%d pages: memmove after a degraded swap cost %v, healthy %v", pages, degraded.MemmoveNs, healthy.MemmoveNs)
+		}
+	}
 }
 
 func TestBreakEvenMatchesPaperThreshold(t *testing.T) {

@@ -33,6 +33,10 @@ type AddressSpace struct {
 	// before any frame is allocated. Installed once at address-space
 	// creation, before any mapping exists.
 	acct Accounter
+
+	// bounce is Copy's scratch page for a segment that is not resident
+	// on both sides, allocated on first use.
+	bounce *[mem.PageSize]byte
 }
 
 // Accounter is the per-tenant charge hook (mem.Tenant wired up by the
@@ -472,10 +476,11 @@ func (as *AddressSpace) bulk(env *Env, va uint64, p []byte, write bool) error {
 // Copy performs a charged memmove of n bytes from src to dst within the
 // address space, handling overlap like memmove. It charges a streaming
 // read of the source plus a streaming write of the destination (declared
-// as two streams); the actual byte movement is frame-to-frame with no
-// simulated cost of its own. With a swap tier armed, bytes may live in
-// tier slots or demand-zero pages, so the movement falls back to a
-// buffered RawRead+RawWrite that understands every residency state.
+// as two streams); the byte movement (moveBytes) has no simulated cost
+// of its own. It moves resident pages frame to frame; with a swap tier
+// armed, a page the charge left swapped out or demand-zero moves through
+// RawRead and RawWrite one page segment at a time, so no Copy allocates
+// a buffer for the range.
 func (as *AddressSpace) Copy(env *Env, dst, src uint64, n int) error {
 	if n <= 0 {
 		return nil
@@ -485,13 +490,6 @@ func (as *AddressSpace) Copy(env *Env, dst, src uint64, n int) error {
 	}
 	if err := as.ChargeStream(env, dst, n, true, false); err != nil {
 		return err
-	}
-	if as.swapper != nil {
-		tmp := make([]byte, n)
-		if err := as.RawRead(src, tmp); err != nil {
-			return err
-		}
-		return as.RawWrite(dst, tmp)
 	}
 	return as.moveBytes(dst, src, n)
 }

@@ -116,63 +116,76 @@ func (as *AddressSpace) ChargeStream(env *Env, va uint64, n int, write, cold boo
 	return as.chargeRange(env, va, n, write)
 }
 
-// moveBytes moves n bytes from src to dst frame-to-frame with memmove
-// overlap semantics and no intermediate buffer. Every page must be
-// resident (callers check that no swap tier is armed).
+// moveBytes moves n bytes from src to dst with memmove overlap semantics,
+// one destination-page segment at a time, holding at most one page of
+// bytes on the host. A segment whose pages are all resident moves frame
+// to frame. Any other segment (a source or destination page swapped out
+// or demand-zero, on a swap-armed space) bounces through the space's
+// scratch page with RawRead and RawWrite, which understand every
+// residency state. Each bounce writes one whole destination segment, so
+// a demand-zero destination page is admitted to the tier with the same
+// bytes, and in the same order, as one RawWrite of the whole range
+// (except in a forward-overlapping move, which must write backward).
 func (as *AddressSpace) moveBytes(dst, src uint64, n int) error {
 	if dst == src || n <= 0 {
 		return nil
 	}
 	if src < dst && dst < src+uint64(n) {
-		// Forward-overlapping move: walk backward so each chunk's source
-		// bytes are read before any earlier chunk overwrites them. Chunk
-		// ends are clamped so neither side crosses a page boundary; within
-		// a chunk, copy has memmove semantics even on a shared frame.
+		// Forward-overlapping move: walk backward so each segment's source
+		// bytes are read before any earlier segment overwrites them.
 		for n > 0 {
-			chunk := n
-			if a := int((src+uint64(n)-1)&mem.PageMask) + 1; a < chunk {
-				chunk = a
-			}
-			if a := int((dst+uint64(n)-1)&mem.PageMask) + 1; a < chunk {
-				chunk = a
-			}
-			s, d := src+uint64(n-chunk), dst+uint64(n-chunk)
-			if err := as.moveChunk(d, s, chunk); err != nil {
+			seg := min(n, int((dst+uint64(n)-1)&mem.PageMask)+1)
+			n -= seg
+			if err := as.moveSegment(dst+uint64(n), src+uint64(n), seg, true); err != nil {
 				return err
 			}
-			n -= chunk
 		}
 		return nil
 	}
 	for n > 0 {
-		chunk := n
-		if a := mem.PageSize - int(src&mem.PageMask); a < chunk {
-			chunk = a
-		}
-		if a := mem.PageSize - int(dst&mem.PageMask); a < chunk {
-			chunk = a
-		}
-		if err := as.moveChunk(dst, src, chunk); err != nil {
+		seg := min(n, mem.PageSize-int(dst&mem.PageMask))
+		if err := as.moveSegment(dst, src, seg, false); err != nil {
 			return err
 		}
-		src += uint64(chunk)
-		dst += uint64(chunk)
-		n -= chunk
+		src += uint64(seg)
+		dst += uint64(seg)
+		n -= seg
 	}
 	return nil
 }
 
-// moveChunk copies one chunk that crosses no page boundary on either side.
-func (as *AddressSpace) moveChunk(dst, src uint64, n int) error {
-	sf, ok := as.Lookup(src)
-	if !ok {
-		return badVA("Copy", src)
+// moveSegment moves n bytes into one destination page. The source may
+// straddle a page boundary: its first lo bytes sit in one page, the rest
+// at the start of the next. A backward move copies the second part first,
+// so a part sharing the destination's frame is read before the other
+// copy overwrites it; within one copy, copy has memmove semantics.
+func (as *AddressSpace) moveSegment(dst, src uint64, n int, backward bool) error {
+	lo := min(n, mem.PageSize-int(src&mem.PageMask))
+	df, dok := as.Lookup(dst)
+	sf, sok := as.Lookup(src)
+	hf, hok := sf, true
+	if lo < n {
+		hf, hok = as.Lookup(src + uint64(lo))
 	}
-	df, ok := as.Lookup(dst)
-	if !ok {
-		return badVA("Copy", dst)
+	if dok && sok && hok {
+		d := as.Phys.Frame(df)[dst&mem.PageMask:][:n]
+		s := as.Phys.Frame(sf)[src&mem.PageMask:][:lo]
+		h := as.Phys.Frame(hf)[:n-lo]
+		if backward {
+			copy(d[lo:], h)
+			copy(d[:lo], s)
+		} else {
+			copy(d[:lo], s)
+			copy(d[lo:], h)
+		}
+		return nil
 	}
-	sOff, dOff := int(src&mem.PageMask), int(dst&mem.PageMask)
-	copy(as.Phys.Frame(df)[dOff:dOff+n], as.Phys.Frame(sf)[sOff:sOff+n])
-	return nil
+	if as.bounce == nil {
+		as.bounce = new([mem.PageSize]byte)
+	}
+	b := as.bounce[:n]
+	if err := as.RawRead(src, b); err != nil {
+		return err
+	}
+	return as.RawWrite(dst, b)
 }

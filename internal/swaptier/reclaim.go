@@ -45,6 +45,17 @@ type Reclaimer struct {
 	tier  *Tier
 	phys  *mem.PhysMem
 	hands map[uint32]uint64 // per-ASID clock hand: next VA to examine
+
+	// Scratch for scanSpace, resliced to zero on every call so that an
+	// activation allocates nothing once the slices have grown.
+	tables  []tableRef
+	evicted []mem.FrameID
+}
+
+// tableRef is one PTE table a scan visits, with the base VA of its span.
+type tableRef struct {
+	base uint64
+	pt   *mmu.PTETable
 }
 
 // NewReclaimer builds the reclaimer over a tier and the frame pool.
@@ -83,15 +94,12 @@ func (r *Reclaimer) Reclaim(rc ReclaimContext, spaces []*mmu.AddressSpace, targe
 // scanSpace runs the clock hand over one address space, evicting up to
 // want cold pages. Returns pages freed and whether the tier filled up.
 func (r *Reclaimer) scanSpace(rc ReclaimContext, as *mmu.AddressSpace, want int) (int, bool) {
-	type tableRef struct {
-		base uint64
-		pt   *mmu.PTETable
-	}
-	var tables []tableRef
+	tables := r.tables[:0]
 	as.ForEachTable(func(base uint64, pt *mmu.PTETable) bool {
 		tables = append(tables, tableRef{base, pt})
 		return true
 	})
+	r.tables = tables
 	if len(tables) == 0 || want <= 0 {
 		return 0, false
 	}
@@ -111,7 +119,7 @@ func (r *Reclaimer) scanSpace(rc ReclaimContext, as *mmu.AddressSpace, want int)
 		}
 	}
 	var (
-		evicted []mem.FrameID
+		evicted = r.evicted[:0]
 		stored  uint64
 		zeros   uint64
 		full    bool
@@ -165,6 +173,7 @@ func (r *Reclaimer) scanSpace(rc ReclaimContext, as *mmu.AddressSpace, want int)
 			r.hands[as.ASID] = va + mem.PageSize
 		}
 	}
+	r.evicted = evicted
 	if len(evicted) == 0 {
 		return 0, full
 	}

@@ -250,3 +250,47 @@ func TestDisabledConfig(t *testing.T) {
 		t.Error("negative size validated")
 	}
 }
+
+// TestReclaimAllocatesNothing: once one activation has grown the
+// reclaimer's scratch slices and the tier's slots, a reclaim that evicts
+// pages across several PTE tables allocates nothing. Each cycle pages the
+// victims back in so that the next activation has work to do.
+func TestReclaimAllocatesNothing(t *testing.T) {
+	const pages = 2*512 + 40 // three PTE tables
+	phys := mem.NewPhysMem(0)
+	as := mmu.NewAddressSpace(1, phys)
+	if err := as.Map(mmu.MmapBase, pages); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		f, _ := as.Lookup(mmu.MmapBase + uint64(i)<<mem.PageShift)
+		copy(phys.Frame(f)[:], pageWith(1+i%64))
+	}
+	tier := New(Config{ZpoolBytes: 64 << 20}, sim.XeonGold6130())
+	r := NewReclaimer(tier, phys)
+	rc := ReclaimContext{Env: testEnv(), Shootdown: func(uint32) {}}
+	spaces := []*mmu.AddressSpace{as}
+	cycle := func() {
+		if freed := r.Reclaim(rc, spaces, 700); freed != 700 {
+			t.Fatalf("Reclaim freed %d frames, want 700", freed)
+		}
+		for i := 0; i < pages; i++ {
+			pt, idx, _ := as.PTETableFor(mmu.MmapBase + uint64(i)<<mem.PageShift)
+			e := pt.Entry(idx)
+			if e.State != mmu.SwapSlot {
+				continue
+			}
+			f, err := phys.AllocFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tier.PageIn(rc.Env, e.Slot, phys.Frame(f)[:])
+			tier.Free(e.Slot)
+			*e = mmu.PTE{Frame: f, Present: true}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("reclaim cycle allocates %v times, want 0", allocs)
+	}
+}
