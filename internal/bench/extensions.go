@@ -144,9 +144,8 @@ func Ext3HugePages(opt Options) (*Result, error) {
 				return 0, err
 			}
 			opt.record(m.Tracer())
-			k := kernel.New(m)
-			as := m.NewAddressSpace()
-			raw, err := as.MapRegion(2*pages + 1024)
+			mv := core.Mover{K: kernel.New(m), AS: m.NewAddressSpace()}
+			raw, err := mv.AS.MapRegion(2*pages + 1024)
 			if err != nil {
 				return 0, err
 			}
@@ -154,17 +153,17 @@ func Ext3HugePages(opt Options) (*Result, error) {
 			b := a + uint64(pages)<<12
 
 			moveCtx := m.NewContext(0)
-			if err := k.Memmove(moveCtx, as, b, a, pages<<12); err != nil {
+			if err := mv.K.Memmove(moveCtx, mv.AS, b, a, pages<<12); err != nil {
 				return 0, err
 			}
 			pteCtx := m.NewContext(0)
-			if err := core.SwapOrCopy(pteCtx, k, as, a, b, pages, kernel.DefaultOptions()); err != nil {
+			if err := mv.Swap(pteCtx, a, b, pages, kernel.DefaultOptions()); err != nil {
 				return 0, err
 			}
 			hugeOpts := kernel.DefaultOptions()
 			hugeOpts.HugeSwap = true
 			hugeCtx := m.NewContext(0)
-			if err := core.SwapOrCopy(hugeCtx, k, as, a, b, pages, hugeOpts); err != nil {
+			if err := mv.Swap(hugeCtx, a, b, pages, hugeOpts); err != nil {
 				return 0, err
 			}
 			move, pte, huge = moveCtx.Clock.Now(), pteCtx.Clock.Now(), hugeCtx.Clock.Now()

@@ -168,6 +168,26 @@ func TestGoldenQuickRuns(t *testing.T) {
 	checkGolden(t, "runs.quick.golden", formatRuns(s.runs))
 }
 
+// TestGoldenFaultedFig11 pins the fault-injected fig11 sweep byte for
+// byte: `gcbench -exp fig11 -quick -sockets 2 -fault-plan all=0.05
+// -fault-seed 7` stdout. The plan fires the pte-lock, ipi-ack, swapva and
+// poison sites, so a changed fault or recovery-ladder charge fails here.
+func TestGoldenFaultedFig11(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the fault-injected fig11 sweep")
+	}
+	defer ResetCache()
+	opt := Options{Quick: true, GCWorkers: 4, Seed: 42, Parallel: 2, Sockets: 2,
+		FaultPlan: "all=0.05", FaultSeed: 7}
+	exps := []*Experiment{{ID: "fig11", Run: Fig11SwapVAGain}}
+	RunExperiments(opt, exps, func(_ int, res *Result, err error, _ float64) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "fig11.faults.golden", res.Format()+"\n")
+	})
+}
+
 // formatRuns renders runs sorted by cache key, each followed by its named
 // sim.Perf counters.
 func formatRuns(runs map[string]*runResult) string {

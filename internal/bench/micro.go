@@ -7,17 +7,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/machine"
-	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// microFixture is a machine + kernel + address space with two mapped
-// regions of the same page count.
+// microFixture is a machine and a mover over one address space with two
+// mapped regions of the same page count.
 type microFixture struct {
 	m        *machine.Machine
-	k        *kernel.Kernel
-	as       *mmu.AddressSpace
+	mv       core.Mover
 	va1, va2 uint64
 }
 
@@ -41,7 +39,7 @@ func onMicroFixture(opt Options, shape machine.Config, pages int, body func(*mic
 		if err != nil {
 			return 0, err
 		}
-		return body(&microFixture{m: m, k: kernel.New(m), as: as, va1: va1, va2: va2})
+		return body(&microFixture{m: m, mv: core.Mover{K: kernel.New(m), AS: as}, va1: va1, va2: va2})
 	})
 }
 
@@ -72,23 +70,12 @@ func Fig6Aggregation(opt Options) (*Result, error) {
 			}
 			sepCtx := f.m.NewContext(0)
 			for _, r := range reqs {
-				if err := core.SwapOrCopy(sepCtx, f.k, f.as, r.VA1, r.VA2, r.Pages, kernel.DefaultOptions()); err != nil {
+				if err := f.mv.Swap(sepCtx, r.VA1, r.VA2, r.Pages, kernel.DefaultOptions()); err != nil {
 					return 0, err
 				}
 			}
 			aggCtx := f.m.NewContext(0)
-			if _, err := f.k.SwapVAVec(aggCtx, f.as, reqs, kernel.DefaultOptions()); kernel.Degradable(err) {
-				// A faulted vector stops at its failing request: finish
-				// the unapplied ones one call each.
-				for _, r := range reqs {
-					if r.Swapped > 0 {
-						continue
-					}
-					if err := core.SwapOrCopy(aggCtx, f.k, f.as, r.VA1, r.VA2, r.Pages, kernel.DefaultOptions()); err != nil {
-						return 0, err
-					}
-				}
-			} else if err != nil {
+			if err := f.mv.SwapVec(aggCtx, reqs, kernel.DefaultOptions()); err != nil {
 				return 0, err
 			}
 			sep, agg = sepCtx.Clock.Now(), aggCtx.Clock.Now()
@@ -134,11 +121,11 @@ func Fig8PMDCaching(opt Options) (*Result, error) {
 			withoutOpts.PMDCaching = false
 
 			offCtx := f.m.NewContext(0)
-			if err := core.SwapOrCopy(offCtx, f.k, f.as, f.va1, f.va2, pages, withoutOpts); err != nil {
+			if err := f.mv.Swap(offCtx, f.va1, f.va2, pages, withoutOpts); err != nil {
 				return 0, err
 			}
 			onCtx := f.m.NewContext(0)
-			if err := core.SwapOrCopy(onCtx, f.k, f.as, f.va1, f.va2, pages, withOpts); err != nil {
+			if err := f.mv.Swap(onCtx, f.va1, f.va2, pages, withOpts); err != nil {
 				return 0, err
 			}
 			off, on = offCtx.Clock.Now(), onCtx.Clock.Now()
@@ -183,12 +170,12 @@ func Fig9MultiCore(opt Options) (*Result, error) {
 				opts := kernel.DefaultOptions()
 				if pinned {
 					ctx.Pin()
-					ctx.ShootdownAll(f.as.ASID)
+					ctx.ShootdownAll(f.mv.AS.ASID)
 					opts.Flush = kernel.FlushLocalOnly
 				}
 				for i := 0; i < objects; i++ {
 					off := uint64(i*pagesPer) << 12
-					if err := core.SwapOrCopy(ctx, f.k, f.as, f.va1+off, f.va2+off, pagesPer, opts); err != nil {
+					if err := f.mv.Swap(ctx, f.va1+off, f.va2+off, pagesPer, opts); err != nil {
 						return 0, err
 					}
 				}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -46,7 +45,7 @@ func NUMA1ShootdownScaling(opt Options) (*Result, error) {
 				ctx := f.m.NewContext(0)
 				for i := 0; i < objects; i++ {
 					off := uint64(i*pagesPer) << 12
-					if err := core.SwapOrCopy(ctx, f.k, f.as, f.va1+off, f.va2+off, pagesPer, kernel.DefaultOptions()); err != nil {
+					if err := f.mv.Swap(ctx, f.va1+off, f.va2+off, pagesPer, kernel.DefaultOptions()); err != nil {
 						return 0, err
 					}
 				}

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -64,127 +61,6 @@ func TestAlignPage(t *testing.T) {
 	}
 }
 
-func TestMoveObjectRouting(t *testing.T) {
-	m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130()})
-	k := kernel.New(m)
-	as := m.NewAddressSpace()
-	ctx := m.NewContext(0)
-	src, _ := as.MapRegion(16)
-	dst, _ := as.MapRegion(16)
-
-	pol := DefaultPolicy()
-
-	// Large object: must swap.
-	method, err := pol.MoveObject(ctx, k, as, src, dst, 12*mem.PageSize)
-	if err != nil || method != MovedSwapVA {
-		t.Fatalf("large: method=%v err=%v", method, err)
-	}
-	// Small object: must memmove.
-	method, err = pol.MoveObject(ctx, k, as, src, dst, 2*mem.PageSize)
-	if err != nil || method != MovedMemmove {
-		t.Fatalf("small: method=%v err=%v", method, err)
-	}
-	// Misaligned large object: defensive memmove.
-	method, err = pol.MoveObject(ctx, k, as, src+8, dst+8, 12*mem.PageSize)
-	if err != nil || method != MovedMemmove {
-		t.Fatalf("misaligned: method=%v err=%v", method, err)
-	}
-	// Identity move: nothing.
-	method, err = pol.MoveObject(ctx, k, as, src, src, 12*mem.PageSize)
-	if err != nil || method != MovedNothing {
-		t.Fatalf("identity: method=%v err=%v", method, err)
-	}
-	// Zero length: nothing.
-	method, err = pol.MoveObject(ctx, k, as, src, dst, 0)
-	if err != nil || method != MovedNothing {
-		t.Fatalf("zero: method=%v err=%v", method, err)
-	}
-	// Negative length: error.
-	if _, err = pol.MoveObject(ctx, k, as, src, dst, -1); err == nil {
-		t.Fatal("negative length accepted")
-	}
-	// Baseline policy: large object still memmoves.
-	base := MemmovePolicy()
-	method, err = base.MoveObject(ctx, k, as, src, dst, 12*mem.PageSize)
-	if err != nil || method != MovedMemmove {
-		t.Fatalf("baseline: method=%v err=%v", method, err)
-	}
-}
-
-// TestMoveObjectDegradesUnderSwapFaults: when every swap faults,
-// MoveObject retries and then memmoves the page span, as SwapOrCopy does:
-// the bytes arrive, no error comes back, and the method says memmove.
-func TestMoveObjectDegradesUnderSwapFaults(t *testing.T) {
-	plan, err := fault.ParsePlanWithRate("swapva=1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130(), Fault: fault.New(7, plan)})
-	k, as, ctx := kernel.New(m), m.NewAddressSpace(), m.NewContext(0)
-	src, _ := as.MapRegion(12)
-	dst, _ := as.MapRegion(12)
-	want := bytes.Repeat([]byte{0x3c, 0xc3}, 6*mem.PageSize)
-	if err := as.RawWrite(src, want); err != nil {
-		t.Fatal(err)
-	}
-	pol := DefaultPolicy()
-	method, err := pol.MoveObject(ctx, k, as, src, dst, len(want))
-	if err != nil || method != MovedMemmove {
-		t.Fatalf("method=%v err=%v, want memmove and no error", method, err)
-	}
-	got := make([]byte, len(want))
-	if err := as.RawRead(dst, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("degraded move did not deliver the source bytes")
-	}
-	if p := ctx.Perf; p.SwapRetries != swapRetries || p.SwapFallbacks != 1 {
-		t.Errorf("%d retries, %d fallbacks; want %d, 1", p.SwapRetries, p.SwapFallbacks, swapRetries)
-	}
-}
-
-// Property: MoveObject delivers the source bytes to the destination
-// regardless of the method chosen.
-func TestMoveObjectDeliversBytes(t *testing.T) {
-	m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130()})
-	k := kernel.New(m)
-	as := m.NewAddressSpace()
-	ctx := m.NewContext(0)
-	pol := DefaultPolicy()
-
-	prop := func(pagesRaw uint8, fill byte) bool {
-		pages := int(pagesRaw)%15 + 1
-		length := pages*mem.PageSize - 24 // not an exact page multiple
-		src, err := as.MapRegion(pages)
-		if err != nil {
-			return false
-		}
-		dst, err := as.MapRegion(pages)
-		if err != nil {
-			return false
-		}
-		data := bytes.Repeat([]byte{fill ^ 0x5A}, length)
-		as.RawWrite(src, data)
-		if _, err := pol.MoveObject(ctx, k, as, src, dst, length); err != nil {
-			return false
-		}
-		got := make([]byte, length)
-		as.RawRead(dst, got)
-		return bytes.Equal(got, data)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMoveMethodString(t *testing.T) {
-	if MovedNothing.String() != "nothing" || MovedMemmove.String() != "memmove" ||
-		MovedSwapVA.String() != "swapva" || MoveMethod(7).String() == "" {
-		t.Error("MoveMethod strings wrong")
-	}
-}
-
 func TestApplicabilityTableI(t *testing.T) {
 	// Exact reproduction of Table I.
 	want := map[GCPhase]map[Optimization]bool{
@@ -232,46 +108,6 @@ func TestEnumStrings(t *testing.T) {
 	}
 	if GCPhase(9).String() != "unknown phase" || Optimization(9).String() != "unknown optimization" {
 		t.Error("unknown enums mislabelled")
-	}
-}
-
-// TestSwapOrCopy: on a healthy machine SwapOrCopy is one SwapVA call; on
-// a machine whose every swap position faults it retries swapRetries
-// times, then degrades to a memmove that still delivers the bytes at va2
-// to va1.
-func TestSwapOrCopy(t *testing.T) {
-	plan, err := fault.ParsePlanWithRate("swapva=1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name                 string
-		fault                *fault.Injector
-		calls, retries, fall uint64
-	}{
-		{"healthy", nil, 1, 0, 0},
-		{"every swap faults", fault.New(7, plan), swapRetries + 1, swapRetries, 1},
-	} {
-		m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130(), Fault: c.fault})
-		k, as, ctx := kernel.New(m), m.NewAddressSpace(), m.NewContext(0)
-		va1, _ := as.MapRegion(4)
-		va2, _ := as.MapRegion(4)
-		want := bytes.Repeat([]byte{0xa5}, 4*mem.PageSize)
-		if err := as.RawWrite(va2, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := SwapOrCopy(ctx, k, as, va1, va2, 4, kernel.DefaultOptions()); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		got := make([]byte, len(want))
-		if err := as.RawRead(va1, got); err != nil {
-			t.Fatal(err)
-		}
-		p := ctx.Perf
-		if !bytes.Equal(got, want) || p.SwapVACalls != c.calls || p.SwapRetries != c.retries || p.SwapFallbacks != c.fall {
-			t.Errorf("%s: bytes delivered %v, %d SwapVA calls, %d retries, %d fallbacks; want true, %d, %d, %d",
-				c.name, bytes.Equal(got, want), p.SwapVACalls, p.SwapRetries, p.SwapFallbacks, c.calls, c.retries, c.fall)
-		}
 	}
 }
 

@@ -23,25 +23,24 @@ type MoveCostPoint struct {
 // the given page count on a fresh machine from newMachine, mirroring the
 // paper's single-threaded Fig. 10 microbenchmark. Cold-cache behaviour is
 // used for both (large objects do not fit in cache anyway). Under a fault
-// plan the swap recovers as SwapOrCopy does.
+// plan the swap climbs the Mover's ladder.
 func MeasureMoveCosts(newMachine func() (*machine.Machine, error), pages int) (MoveCostPoint, error) {
 	m, err := newMachine()
 	if err != nil {
 		return MoveCostPoint{}, err
 	}
-	k := kernel.New(m)
-	as := m.NewAddressSpace()
-	src, err := as.MapRegion(pages)
+	mv := Mover{K: kernel.New(m), AS: m.NewAddressSpace()}
+	src, err := mv.AS.MapRegion(pages)
 	if err != nil {
 		return MoveCostPoint{}, err
 	}
-	dst, err := as.MapRegion(pages)
+	dst, err := mv.AS.MapRegion(pages)
 	if err != nil {
 		return MoveCostPoint{}, err
 	}
 
 	swapCtx := m.NewContext(0)
-	if err := SwapOrCopy(swapCtx, k, as, dst, src, pages, kernel.DefaultOptions()); err != nil {
+	if err := mv.Swap(swapCtx, dst, src, pages, kernel.DefaultOptions()); err != nil {
 		return MoveCostPoint{}, err
 	}
 	// A degraded swap has already moved the bytes by memmove: start the
@@ -49,7 +48,7 @@ func MeasureMoveCosts(newMachine func() (*machine.Machine, error), pages int) (M
 	m.LLC.InvalidateAll()
 	m.Core(0).TLB.FlushAll()
 	moveCtx := m.NewContext(0)
-	if err := k.Memmove(moveCtx, as, dst, src, pages<<12); err != nil {
+	if err := mv.K.Memmove(moveCtx, mv.AS, dst, src, pages<<12); err != nil {
 		return MoveCostPoint{}, err
 	}
 	return MoveCostPoint{

@@ -188,3 +188,86 @@ func TestVerifyHeapOnCleanRun(t *testing.T) {
 	}
 	wd.verify()
 }
+
+// TestRetryBudgetExhaustedExactlyAtCap is the boundary integration: with
+// MaxSwapRetries = 7 (the retry whose backoff first reaches the 64x cap)
+// and every swap failing transiently, each swappable move burns its full
+// budget and then degrades — the collection still completes and the
+// graph survives.
+func TestRetryBudgetExhaustedExactlyAtCap(t *testing.T) {
+	plan, err := fault.ParsePlan("swapva=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := svagcConfig()
+	cfg.Aggregate = false // the single-object ladder, no vectored path
+	cfg.MaxSwapRetries = 7
+	wd, _ := newFaultWorld(t, 16<<20, cfg.Policy, 99, plan, false)
+	c := New("cap", wd.h, wd.roots, cfg)
+
+	buildChaosGraph(wd, 0, 40)
+	if _, err := c.Collect(wd.ctx, gc.CauseExplicit); err != nil {
+		t.Fatalf("collection failed: %v", err)
+	}
+	wd.verify()
+
+	p := wd.ctx.Perf
+	if p.SwapFallbacks == 0 {
+		t.Fatal("swapva=1 produced no degrades")
+	}
+	// Every degraded move exhausted exactly its full retry budget first.
+	if want := p.SwapFallbacks * uint64(cfg.MaxSwapRetries); p.SwapRetries != want {
+		t.Errorf("SwapRetries = %d, want fallbacks(%d) * budget(%d) = %d",
+			p.SwapRetries, p.SwapFallbacks, cfg.MaxSwapRetries, want)
+	}
+}
+
+// TestPoisonedFrameDegradesImmediately: a poisoned frame is permanent ECC
+// damage, so the ladder skips the retry rungs entirely — zero retries,
+// straight to byte copy, and the collection completes.
+func TestPoisonedFrameDegradesImmediately(t *testing.T) {
+	plan, err := fault.ParsePlan("poison=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := svagcConfig()
+	cfg.Aggregate = false
+	wd, _ := newFaultWorld(t, 16<<20, cfg.Policy, 7, plan, false)
+	c := New("poison", wd.h, wd.roots, cfg)
+
+	buildChaosGraph(wd, 0, 40)
+	if _, err := c.Collect(wd.ctx, gc.CauseExplicit); err != nil {
+		t.Fatalf("collection failed: %v", err)
+	}
+	wd.verify()
+
+	p := wd.ctx.Perf
+	if p.SwapFallbacks == 0 {
+		t.Fatal("poison=1 produced no degrades")
+	}
+	if p.SwapRetries != 0 {
+		t.Errorf("poisoned frames were retried %d times; ErrPoisoned must degrade immediately", p.SwapRetries)
+	}
+}
+
+// TestPoisonedVectoredPathDegrades covers the same immediate-degrade rung
+// on the aggregated (SwapVAVec) path.
+func TestPoisonedVectoredPathDegrades(t *testing.T) {
+	plan, err := fault.ParsePlan("poison=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := svagcConfig() // Aggregate: true
+	wd, _ := newFaultWorld(t, 16<<20, cfg.Policy, 11, plan, false)
+	c := New("poison-vec", wd.h, wd.roots, cfg)
+
+	buildChaosGraph(wd, 0, 40)
+	if _, err := c.Collect(wd.ctx, gc.CauseExplicit); err != nil {
+		t.Fatalf("collection failed: %v", err)
+	}
+	wd.verify()
+	if p := wd.ctx.Perf; p.SwapFallbacks == 0 || p.SwapRetries != 0 {
+		t.Errorf("vectored poison path: fallbacks=%d retries=%d, want >0 and 0",
+			p.SwapFallbacks, p.SwapRetries)
+	}
+}

@@ -89,13 +89,6 @@ func (c Config) compactWorkers() int {
 	return c.CompactWorkers
 }
 
-func (c Config) maxRetries() int {
-	if c.MaxSwapRetries <= 0 {
-		return 3
-	}
-	return c.MaxSwapRetries
-}
-
 const (
 	// aggregateBatch bounds the vectored SwapVA batch size.
 	aggregateBatch = 32
@@ -103,25 +96,13 @@ const (
 	safepointNs = 20 * sim.Microsecond
 	// barrierNs is the per-phase synchronisation cost.
 	barrierNs = 2 * sim.Microsecond
-	// retryBackoffNs is the base backoff charged before the first retry
-	// of a transiently failed swap; it doubles per attempt, capped at 64x.
-	retryBackoffNs = 5 * sim.Microsecond
-	// reserveFrames is the GC-critical frame reservation acquired for the
-	// duration of each collection on a watermarked machine: degrade-to-copy
-	// bounce frames draw from it, so compaction cannot fail at the min
-	// watermark, and it is small enough not to dent mutator headroom.
+	// reserveFrames is the GC-critical frame reservation held for the
+	// duration of each collection on a watermarked machine: the mover's
+	// degrade rung draws bounce frames from it, so compaction cannot fail
+	// at the min watermark, and it is small enough not to dent mutator
+	// headroom.
 	reserveFrames = 8
 )
-
-// gcReserve resolves the per-collection frame reservation: reserveFrames
-// on a watermarked machine, and 0 (fully disabled — the bit-identical
-// legacy path) everywhere else.
-func (c *Collector) gcReserve() int {
-	if c.H.AS.Phys.Watermarks().Enabled() {
-		return reserveFrames
-	}
-	return 0
-}
 
 // Collector is a LISP2 mark-compact collector over one heap.
 type Collector struct {
@@ -132,18 +113,23 @@ type Collector struct {
 	cfg   Config
 	stats gc.Stats
 
+	// mv moves every object compaction swaps, its ladder probing the
+	// watchdog between retries.
+	mv core.Mover
 	// wd is the per-collection watchdog state; collections run on one
 	// host goroutine (virtual parallelism), so a plain field suffices.
 	wd watchdog
-	// reserveActive is the frame reservation held for the current
-	// collection (0 = none); degradeToCopy draws bounce frames against it.
-	reserveActive int
 }
 
 // New builds a collector. The name is reported by Name() and in results
 // ("svagc", "lisp2-memmove", ...).
 func New(name string, h *heap.Heap, roots *gc.RootSet, cfg Config) *Collector {
-	return &Collector{H: h, Roots: roots, name: name, cfg: cfg}
+	c := &Collector{H: h, Roots: roots, name: name, cfg: cfg}
+	c.mv = core.Mover{Policy: cfg.Policy, MaxRetries: cfg.MaxSwapRetries, Probe: c.checkMid}
+	if h != nil { // a collector built without a heap only reports its config
+		c.mv.K, c.mv.AS = h.K, h.AS
+	}
+	return c
 }
 
 // Name implements gc.Collector.
@@ -201,20 +187,14 @@ func (c *Collector) CollectRange(ctx *machine.Context, cause gc.Cause,
 	defer restoreStreams()
 	oldTop := c.H.Top()
 
-	// Acquire the GC-critical frame reservation for the collection's
-	// duration: degrade-to-copy bounce frames draw from it, immune to the
-	// min watermark. Failure to reserve is not fatal — the collection
+	// Hold the GC-critical frame reservation for the collection's
+	// duration on a watermarked machine (elsewhere none: the bit-identical
+	// legacy path). Failure to reserve is not fatal: the collection
 	// proceeds reserveless and the ladder still completes (Memmove itself
-	// needs no frames) — so PR 4's always-completes contract holds even on
-	// a machine with zero headroom.
-	if n := c.gcReserve(); n > 0 {
-		if c.H.AS.Phys.Reserve(n) == nil {
-			c.reserveActive = n
-			defer func() {
-				c.H.AS.Phys.ReleaseReserve(c.reserveActive)
-				c.reserveActive = 0
-			}()
-		}
+	// needs no frames), so a collection completes even on a machine with
+	// zero headroom.
+	if phys := c.H.AS.Phys; phys.Watermarks().Enabled() && phys.Reserve(reserveFrames) == nil {
+		defer phys.ReleaseReserve(reserveFrames)
 	}
 	c.wd = watchdog{deadline: c.cfg.PhaseDeadline}
 

@@ -147,8 +147,7 @@ func (c *Collector) forwardPhase(pool *gc.Pool, from, top uint64) (newTop uint64
 			if err := c.H.SetForward(w, o, heap.Object(compPnt)); err != nil {
 				return 0, 0, err
 			}
-			if compPnt != cur && c.cfg.Policy.Swappable(hd.Size) &&
-				core.PageAligned(cur) && core.PageAligned(compPnt) {
+			if compPnt != cur && c.mv.Swaps(hd.Size, cur, compPnt) {
 				swapMoves++
 			}
 			compPnt += uint64(hd.Size)
@@ -292,8 +291,7 @@ func (c *Collector) adjustPhase(pool *gc.Pool, from, top uint64, holders []heap.
 // The queue must be flushed before any memory write (filler or memmove)
 // that could land inside a queued source range.
 type swapQueue struct {
-	k    *kernel.Kernel
-	c    *Collector
+	mv   *core.Mover
 	opts kernel.Options
 	max  int
 	reqs []kernel.SwapReq
@@ -311,7 +309,7 @@ func (q *swapQueue) flush(w *machine.Context) error {
 	if len(q.reqs) == 0 {
 		return nil
 	}
-	err := q.c.flushReqs(w, q.reqs, q.opts)
+	err := q.mv.SwapVec(w, q.reqs, q.opts)
 	q.reqs = q.reqs[:0]
 	return err
 }
@@ -362,7 +360,7 @@ func (c *Collector) compactPhase(pool *gc.Pool, from, top uint64, swapMoves int)
 		}
 		return w
 	}
-	queue := &swapQueue{k: c.H.K, c: c, opts: swapOpts, max: aggregateBatch}
+	queue := &swapQueue{mv: &c.mv, opts: swapOpts, max: aggregateBatch}
 
 	cursor := from
 	cur := from
@@ -404,20 +402,18 @@ func (c *Collector) compactPhase(pool *gc.Pool, from, top uint64, swapMoves int)
 			return err
 		}
 
-		swappable := c.cfg.Policy.Swappable(size) &&
-			core.PageAligned(cur) && core.PageAligned(dest)
 		movedBySwap := false
 		switch {
 		case dest == cur:
 			// In place; nothing moves.
-		case swappable:
+		case c.mv.Swaps(size, cur, dest):
 			movedBySwap = true
 			pages := core.PagesFor(size)
 			if c.cfg.Aggregate {
 				if err := queue.add(write(w), dest, cur, pages); err != nil {
 					return err
 				}
-			} else if err := c.swapOrDegrade(write(w), dest, cur, pages, swapOpts); err != nil {
+			} else if err := c.mv.Swap(write(w), dest, cur, pages, swapOpts); err != nil {
 				return err
 			}
 		default:

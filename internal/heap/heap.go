@@ -266,9 +266,6 @@ func (h *Heap) Alloc(ctx *machine.Context, tlab *TLAB, spec AllocSpec) (Object, 
 	return h.AllocShared(ctx, spec)
 }
 
-// Contains reports whether va lies inside the heap range.
-func (h *Heap) Contains(va uint64) bool { return va >= h.start && va < h.end }
-
 // Walk iterates objects (and fillers) in [from, to) in address order with
 // charged header reads, invoking fn for each. fn returning false stops the
 // walk early.

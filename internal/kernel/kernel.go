@@ -134,6 +134,9 @@ func Degradable(err error) bool {
 // Kernel is the OS instance for one machine.
 type Kernel struct {
 	M *machine.Machine
+	// tx is the swap undo log, reused by every call: the machine has one
+	// owner, so calls never overlap, and a healthy swap allocates nothing.
+	tx txn
 }
 
 // New builds a kernel over m.

@@ -40,9 +40,8 @@ func (k *Kernel) SwapVA(ctx *machine.Context, as *mmu.AddressSpace,
 	ctx.Perf.SwapVACalls++
 	var err error
 	if va1 != va2 { // swapping a range with itself is a no-op
-		var tx txn
 		var touched bool
-		touched, err = k.applySwap(ctx, as, va1, va2, pages, opts, &tx)
+		touched, err = k.applySwap(ctx, as, va1, va2, pages, opts)
 		if err == nil {
 			ctx.Perf.PagesSwapped += uint64(pages)
 		}
@@ -97,13 +96,12 @@ func (k *Kernel) SwapVAVec(ctx *machine.Context, as *mmu.AddressSpace,
 	applied := false
 	total := 0
 	var firstErr error
-	var tx txn // reused across requests: one undo log per syscall
 	for i := range reqs {
 		r := &reqs[i]
 		if r.VA1 == r.VA2 {
 			continue
 		}
-		touched, err := k.applySwap(ctx, as, r.VA1, r.VA2, r.Pages, opts, &tx)
+		touched, err := k.applySwap(ctx, as, r.VA1, r.VA2, r.Pages, opts)
 		applied = applied || touched
 		if err != nil {
 			firstErr = err
@@ -128,8 +126,9 @@ func (k *Kernel) SwapVAVec(ctx *machine.Context, as *mmu.AddressSpace,
 // reports whether any PTE changed even transiently — the caller's cue
 // that a TLB flush is still required after a rollback.
 func (k *Kernel) applySwap(ctx *machine.Context, as *mmu.AddressSpace,
-	va1, va2 uint64, pages int, opts Options, tx *txn) (bool, error) {
+	va1, va2 uint64, pages int, opts Options) (bool, error) {
 
+	tx := &k.tx
 	tx.reset()
 	start := ctx.Clock.Now()
 	var err error

@@ -40,8 +40,8 @@ type undoOp struct {
 }
 
 // txn is the per-request undo log. The zero value is ready to use; reset
-// lets one log be reused across the requests of a vector call so the
-// common all-success path costs at most one allocation per syscall.
+// lets one log be reused across requests and calls, so the all-success
+// path allocates only while the log grows to the largest request.
 type txn struct {
 	ops []undoOp
 }

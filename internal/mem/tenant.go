@@ -74,14 +74,6 @@ func (t *Tenant) Name() string {
 	return t.name
 }
 
-// CapFrames returns the hard cap. Nil-safe (0 when disabled).
-func (t *Tenant) CapFrames() int {
-	if t == nil {
-		return 0
-	}
-	return t.cap
-}
-
 // ChargePages charges n pages against the cap, failing with a *CapError
 // (wrapping ErrTenantCap) when the charge would exceed it. The charge
 // happens before any physical frame is touched, so a refusal leaves the

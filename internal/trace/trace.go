@@ -399,11 +399,6 @@ func (t *Tracer) NewBuffer(core int) *Buffer {
 	return b
 }
 
-// Buffers returns the number of registered per-context buffers.
-func (t *Tracer) Buffers() int {
-	return len(t.bufs)
-}
-
 // Merge returns every buffered event across all contexts, ordered by
 // simulated timestamp (ties broken by TID, then per-buffer emission
 // order). Call it after the simulated work has completed.

@@ -19,7 +19,6 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/gc"
 	"repro/internal/heap"
 	"repro/internal/jvm"
 	"repro/internal/mem"
@@ -175,14 +174,6 @@ func fillPayload(t *jvm.Thread, o heap.Object, numRefs, n int, seed uint64) erro
 		buf[i] = byte(s >> 56)
 	}
 	return t.J.Heap.WritePayload(t.Ctx, o, numRefs, 0, buf)
-}
-
-// replaceRoot swaps a root for a new object, dropping the old referent.
-func replaceRoot(j *jvm.JVM, slot **gc.Root, o heap.Object) {
-	if *slot != nil {
-		j.Roots.Remove(*slot)
-	}
-	*slot = j.Roots.Add(o)
 }
 
 // minInt is an integer min for pre-generics call sites.
