@@ -158,6 +158,59 @@ func TestBackoffCapBoundary(t *testing.T) {
 	}
 }
 
+// TestMoveObjectDegradesUnderSwapFaults: a large aligned object that
+// Algorithm 3 routes to SwapVA still arrives when every swap faults; the
+// ladder spends its retry budget and then memmoves it.
+func TestMoveObjectDegradesUnderSwapFaults(t *testing.T) {
+	r := newMoverRig(t, 7, mustPlan(t, "swapva=1"))
+	const pages = 12
+	src, dst := r.region(t, pages, 0x3c), r.region(t, pages, 0xc3)
+	want := r.read(t, src, pages*mem.PageSize)
+	if !r.mv.Swaps(len(want), src, dst) {
+		t.Fatal("a 12-page aligned object is not routed to SwapVA")
+	}
+	if err := r.mv.Swap(r.ctx, dst, src, pages, r.mv.Policy.Swap); err != nil {
+		t.Fatalf("degraded move returned %v, want no error", err)
+	}
+	if !bytes.Equal(r.read(t, dst, len(want)), want) {
+		t.Error("degraded move did not deliver the source bytes")
+	}
+	p := r.ctx.Perf
+	if p.SwapRetries != defaultRetries || p.SwapFallbacks != 1 || p.MemmoveCalls != 1 {
+		t.Errorf("%d retries, %d fallbacks, %d memmove calls; want %d, 1, 1",
+			p.SwapRetries, p.SwapFallbacks, p.MemmoveCalls, defaultRetries)
+	}
+}
+
+// TestSwapOrCopy: a swap-armed move of a page span delivers its bytes on a
+// healthy machine with one SwapVA call, and under a plan where every swap
+// faults after the retry budget with one fallback to memmove.
+func TestSwapOrCopy(t *testing.T) {
+	const pages = 4
+	for _, c := range []struct {
+		name                 string
+		plan                 string
+		calls, retries, fall uint64
+	}{
+		{"healthy", "", 1, 0, 0},
+		{"every swap faults", "swapva=1", defaultRetries + 1, defaultRetries, 1},
+	} {
+		r := newMoverRig(t, 7, mustPlan(t, c.plan))
+		va1 := r.region(t, pages, 0)
+		va2 := r.region(t, pages, 0xa5)
+		want := r.read(t, va2, pages*mem.PageSize)
+		if err := r.mv.Swap(r.ctx, va1, va2, pages, kernel.DefaultOptions()); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := r.read(t, va1, len(want))
+		p := r.ctx.Perf
+		if !bytes.Equal(got, want) || p.SwapVACalls != c.calls || p.SwapRetries != c.retries || p.SwapFallbacks != c.fall {
+			t.Errorf("%s: bytes delivered %v, %d SwapVA calls, %d retries, %d fallbacks; want true, %d, %d, %d",
+				c.name, bytes.Equal(got, want), p.SwapVACalls, p.SwapRetries, p.SwapFallbacks, c.calls, c.retries, c.fall)
+		}
+	}
+}
+
 var errProbe = errors.New("probe abort")
 
 // TestMoverRungs drives each rung of the single-object ladder and checks
