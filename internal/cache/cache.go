@@ -19,52 +19,70 @@ const MaxWays = 16
 // machine, by one host goroutine. A probe is the single hottest operation
 // in the whole simulator: every charged word and every line of every bulk
 // transfer lands here, so a probe does O(1) work whatever the
-// associativity.
+// associativity, and its common cases read one host cache line.
 //
 // Ways fill in ascending order and are only ever emptied all at once
-// (InvalidateAll), so a set's victim is way fill while the set has an
-// empty way, and its least recently used way after that. The hit/miss
-// sequence is exactly that of a cache that stamps every way with a per-set
-// access counter and evicts the first way with the smallest stamp.
+// (InvalidateAll), so a set's victim is its lowest empty way while it has
+// one, and its least recently used way after that. The hit/miss sequence
+// is exactly that of a cache that stamps every way with a per-set access
+// counter and evicts the first way with the smallest stamp, for every
+// physical address below 2^47 (a uint32 frame number times 4 KiB stays
+// below 2^44).
 type Cache struct {
-	sets      int
-	ways      int
-	lineShift uint
-	setBits   uint // log2(sets): a line's tag bits start here
+	rows      []row // one per set
 	setMask   uint64
-	tags      []uint64 // sets*ways entries; 0 = invalid
-	meta      []setMeta
-
-	// lastLine is line+1 of the cache's most recent access (0 = none): a
-	// one-entry filter in front of the probe. A repeat of the very last
-	// line is necessarily a hit, and touching an already-MRU way does not
-	// change the set's LRU order, so the repeat can skip the probe
-	// entirely — word-sequential charge loops (8 words per line) take the
-	// fast path 7 times out of 8, with results exactly those of the
-	// unfiltered cache.
-	lastLine uint64
+	lineShift uint
+	setBits   uint // log2(sets): a line's tag is line >> setBits
+	top       uint // the MRU nibble's shift in a row's order: 4*(ways-1)
+	blank     row  // an empty set
 }
 
-// setMeta is one set's replacement state.
-type setMeta struct {
-	// fp holds one tag fingerprint byte per way, way i in byte i%8 of
-	// fp[i/8]: 0x80 | the low 7 tag bits, so an empty way (0) never
-	// matches. Fingerprints only pick candidate ways; every candidate is
-	// confirmed against its full tag.
-	fp [2]uint64
-	// order lists the fill valid ways from least to most recently used,
-	// one 4-bit way index per nibble with the LRU in the low nibble.
-	// Nibbles at and above fill are zero.
+// row is one set: 128 bytes, two host cache lines of a page-aligned slice.
+// The first line holds all a probe reads before it knows the outcome, so
+// an MRU hit, and a miss whose fingerprints match no way, read one host
+// line; a miss then writes its way's tag half in the second.
+//
+// A way's tag (line >> setBits, below 2^47) is split in two: its low
+// fpBits are the way's fingerprint and the rest is hi. A probe compares its
+// fingerprint with all the set's ways at once and confirms a matching way
+// against hi, so a way matches exactly when its whole tag does.
+type row struct {
+	// mru is the line held by the most recently used way, or noLine while
+	// the set is empty. Touching the MRU way again changes no replacement
+	// state, so a probe that matches mru is a finished hit. A repeat of
+	// the cache's previous line always is one.
+	mru uint64
+	// order lists every way from least to most recently used, one 4-bit
+	// way index per nibble with the LRU in the low nibble. Empty ways
+	// count as less recently used than any filled one and queue in
+	// ascending order, so the low nibble is always the victim: the lowest
+	// empty way while the set has one, its LRU way after that. Nibbles
+	// above the MRU's are zero.
 	order uint64
-	fill  uint8
+	// fp holds way i's fingerprint in 16-bit lane i%4 of fp[i/4]; an
+	// empty way's is 0.
+	fp [MaxWays / 4]uint64
+	_  [2]uint64 // hi starts the second host line
+	// hi[i] is the high part of way i's tag, or emptyHi, which no tag
+	// reaches, while way i is empty.
+	hi [MaxWays]uint32
 }
 
 const (
-	bytes01   = 0x0101010101010101
-	bytes80   = 0x8080808080808080
-	nibbles1  = 0x1111111111111111
-	nibbles8  = 0x8888888888888888
-	fpTagMask = 0x7f
+	fpBits = 16 // a way's fingerprint is the low fpBits of its tag
+	fpMask = 1<<fpBits - 1
+
+	lanes1 = 0x0001000100010001 // 1 in every 16-bit lane
+	lanes7 = 0x7fff7fff7fff7fff
+	lanes8 = 0x8000800080008000 // every lane's high bit
+
+	nibbles1 = 0x1111111111111111
+	nibbles8 = 0x8888888888888888
+
+	// noLine is an empty set's mru, and emptyHi an empty way's hi. No
+	// line, and no tag's high part, reaches them.
+	noLine  = ^uint64(0)
+	emptyHi = ^uint32(0)
 )
 
 // New builds a cache of the given total size in bytes with the given
@@ -86,15 +104,22 @@ func New(sizeBytes, ways, lineSize int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d sets (size %d, %d-way, %dB lines) is not a positive power of two",
 			sets, sizeBytes, ways, lineSize)
 	}
-	return &Cache{
-		sets:      sets,
-		ways:      ways,
+	c := &Cache{
+		rows:      make([]row, sets),
+		setMask:   uint64(sets - 1),
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		setBits:   uint(bits.TrailingZeros(uint(sets))),
-		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, sets*ways),
-		meta:      make([]setMeta, sets),
-	}, nil
+		top:       4 * uint(ways-1),
+		blank:     row{mru: noLine},
+	}
+	for w := range ways {
+		c.blank.order |= uint64(w) << (4 * uint(w))
+	}
+	for w := range c.blank.hi {
+		c.blank.hi[w] = emptyHi
+	}
+	c.InvalidateAll()
+	return c, nil
 }
 
 // MustNew is New for known-good static configurations; it panics on error.
@@ -114,113 +139,103 @@ func (c *Cache) LineSize() int { return 1 << c.lineShift }
 // Deprecated: caches are single-owner; there is nothing to declare.
 func (c *Cache) SetExclusive(bool) {}
 
-// probe touches one line (identified by its line number) within its set
-// and reports whether it hit. On a miss the line is installed, evicting
-// the set's LRU entry.
-func (c *Cache) probe(line uint64) bool {
-	tag := line + 1 // +1 so tag 0 stays "invalid"
-	set := int(line & c.setMask)
-	s := &c.meta[set]
-	base := set * c.ways
-	top := 4 * uint(s.fill-1) // the MRU nibble's shift; unused when fill == 0
-	// A hit on the MRU way leaves the recency order as it is.
-	if s.fill > 0 && c.tags[base+int(s.order>>top&0xf)] == tag {
-		return true
-	}
-	fp := 0x80 | line>>c.setBits&fpTagMask
-	pat := fp * bytes01
-	for k := range s.fp {
-		x := s.fp[k] ^ pat
-		// Zero bytes of x are the ways whose fingerprint matches. The
-		// test flags every zero byte; it may also flag a valid way's byte
-		// just above one, which the full-tag comparison rejects. Empty
-		// ways XOR to fp, whose high bit is set, so they are never
-		// flagged.
-		for m := (x - bytes01) &^ x & bytes80; m != 0; m &= m - 1 {
-			way := 8*k + bits.TrailingZeros64(m)>>3
-			if c.tags[base+way] == tag {
-				s.touch(way, top)
-				return true
-			}
-		}
-	}
-	var way int
-	if w := int(s.fill); w < c.ways {
-		way = w
-		s.order |= uint64(w) << (4 * uint(w))
-		s.fill++
-	} else {
-		way = int(s.order & 0xf)
-		s.order = s.order>>4 | uint64(way)<<(4*uint(w-1))
-	}
-	c.tags[base+way] = tag
-	shift := 8 * uint(way&7)
-	s.fp[way>>3] = s.fp[way>>3]&^(0xff<<shift) | fp<<shift
-	return false
-}
-
-// touch moves way, which is not the MRU, to the MRU position top (the
-// shift of the set's highest valid nibble).
-func (s *setMeta) touch(way int, top uint) {
-	// The lowest zero nibble of x is way's position: way occurs once
-	// among the valid nibbles, and the zero nibbles above them can only
-	// match way 0, which is always valid and so sits lower.
-	x := s.order ^ uint64(way)*nibbles1
-	p := uint(bits.TrailingZeros64((x-nibbles1)&^x&nibbles8)) &^ 3
-	low := s.order & (1<<p - 1)
-	s.order = low | s.order>>(p+4)<<p | uint64(way)<<top
-}
-
 // Access touches the line containing physical address pa and returns
 // whether it hit. On a miss the line is installed, evicting the set's LRU
-// entry. Writes and reads are treated alike (allocate-on-write).
+// entry. Writes and reads are treated alike (allocate-on-write). Access
+// inlines into its callers, so a hit on the set's MRU line costs no call.
 func (c *Cache) Access(pa uint64) bool {
 	line := pa >> c.lineShift
-	if c.lastLine == line+1 {
-		return true
-	}
-	hit := c.probe(line)
-	c.lastLine = line + 1
-	return hit
+	return c.rows[line&c.setMask].mru == line || c.probe(line)
 }
 
 // AccessRange touches every line in [pa, pa+n) and returns the number of
 // hits and misses. It is the bulk-transfer entry point used by streaming
-// copies.
+// copies, whose lines mostly either are their set's MRU or match no way's
+// fingerprint; the loop settles both without a call.
 func (c *Cache) AccessRange(pa uint64, n int) (hits, misses int) {
 	if n <= 0 {
 		return 0, 0
 	}
 	first := pa >> c.lineShift
 	last := (pa + uint64(n) - 1) >> c.lineShift
-	// The filter applies to the opening line only: further into the range
-	// the loop's own probes intervene, and a wrapping range (longer than
-	// the cache's set span) could even have evicted a filtered line.
-	line := first
-	if c.lastLine == first+1 {
-		hits++
-		line++
+	rows, mask, setBits, top := c.rows, c.setMask, c.setBits&63, c.top
+	for line := first; line <= last; line++ {
+		r := &rows[line&mask]
+		if r.mru == line {
+			continue
+		}
+		tag := line >> setBits
+		pat := tag & fpMask * lanes1
+		x0, x1, x2, x3 := r.fp[0]^pat, r.fp[1]^pat, r.fp[2]^pat, r.fp[3]^pat
+		// Some lane of x is zero, a way whose fingerprint matches, exactly
+		// when this is nonzero.
+		if ((x0-lanes1)&^x0|(x1-lanes1)&^x1|(x2-lanes1)&^x2|(x3-lanes1)&^x3)&lanes8 != 0 {
+			if !c.probe(line) {
+				misses++
+			}
+			continue
+		}
+		r.fill(line, tag, top)
+		misses++
 	}
-	for ; line <= last; line++ {
-		if c.probe(line) {
-			hits++
-		} else {
-			misses++
+	return int(last-first+1) - misses, misses
+}
+
+// probe touches line, which is not its set's MRU, and reports whether it
+// hit. On a miss the line is installed in the set's victim way.
+func (c *Cache) probe(line uint64) bool {
+	r := &c.rows[line&c.setMask]
+	tag := line >> c.setBits
+	pat := tag & fpMask * lanes1
+	hi := uint32(tag >> fpBits)
+	for k, f := range r.fp {
+		x := f ^ pat
+		// The high bit of each zero lane of x: a way whose fingerprint
+		// matches, to be confirmed against hi.
+		for m := ^((x&lanes7 + lanes7) | x) & lanes8; m != 0; m &= m - 1 {
+			way := 4*k + bits.TrailingZeros64(m)>>4
+			if r.hi[way] == hi {
+				r.touch(way, c.top)
+				r.mru = line
+				return true
+			}
 		}
 	}
-	c.lastLine = last + 1
-	return hits, misses
+	r.fill(line, tag, c.top)
+	return false
+}
+
+// fill installs line, whose tag is tag, in the set's victim way and makes
+// it the MRU.
+func (r *row) fill(line, tag uint64, top uint) {
+	way := r.order & 0xf
+	r.order = r.order>>4 | way<<(top&63)
+	r.hi[way] = uint32(tag >> fpBits)
+	k, shift := way>>2&3, fpBits*(way&3)
+	r.fp[k] = r.fp[k]&^(fpMask<<shift) | tag&fpMask<<shift
+	r.mru = line
+}
+
+// touch moves way, which is not the MRU, to the MRU position top.
+func (r *row) touch(way int, top uint) {
+	// The lowest zero nibble of x is way's position: way occurs once
+	// among the nibbles up to top, and the zero nibbles above them can
+	// only match way 0, which sits lower.
+	x := r.order ^ uint64(way)*nibbles1
+	p := uint(bits.TrailingZeros64((x-nibbles1)&^x&nibbles8)) &^ 3
+	low := r.order & (1<<p - 1)
+	r.order = low | r.order>>(p+4)<<p | uint64(way)<<top
 }
 
 // InvalidateAll empties the cache.
 func (c *Cache) InvalidateAll() {
-	clear(c.tags)
-	clear(c.meta)
-	c.lastLine = 0
+	for i := range c.rows {
+		c.rows[i] = c.blank
+	}
 }
 
 // Sets and Ways expose the geometry for tests.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return len(c.rows) }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
+func (c *Cache) Ways() int { return int(c.top/4) + 1 }

@@ -32,7 +32,7 @@ func (w *twin) access(pa uint64) {
 	w.t.Helper()
 	w.op++
 	if got, want := w.c.Access(pa), w.ref.Access(pa); got != want {
-		w.t.Fatalf("%d-way op %d: Access(%#x) hit=%v, reference %v", w.c.ways, w.op, pa, got, want)
+		w.t.Fatalf("%d-way op %d: Access(%#x) hit=%v, reference %v", w.c.Ways(), w.op, pa, got, want)
 	}
 }
 
@@ -43,7 +43,7 @@ func (w *twin) accessRange(pa uint64, n int) {
 	rh, rm := w.ref.AccessRange(pa, n)
 	if h != rh || m != rm {
 		w.t.Fatalf("%d-way op %d: AccessRange(%#x, %d) = %d/%d, reference %d/%d",
-			w.c.ways, w.op, pa, n, h, m, rh, rm)
+			w.c.Ways(), w.op, pa, n, h, m, rh, rm)
 	}
 }
 
@@ -53,11 +53,11 @@ func (w *twin) invalidateAll() {
 	w.ref.InvalidateAll()
 }
 
-// collidingLine returns a line of set set whose tag is tag + 128*k: lines
-// that differ only in k share a set and a tag fingerprint, so every probe
-// among them has to be settled by the full tag.
+// collidingLine returns a line of set set whose tag is tag + k<<fpBits:
+// lines that differ only in k share a set and a tag fingerprint, so every
+// probe among them has to be settled by the rest of the tag.
 func collidingLine(sets int, set, tag, k uint64) uint64 {
-	return set + uint64(sets)*(tag+128*k)
+	return set + uint64(sets)*(tag+k<<fpBits)
 }
 
 // TestCacheTwinRandom runs seeded random operation mixes through Cache
@@ -146,13 +146,50 @@ func TestCacheTwinMachineGeometry(t *testing.T) {
 	}
 }
 
+// TestCacheTwinMachineScale holds the machine's LLC (2 MiB, 16-way,
+// 64-byte lines) to the reference across the physical address space a
+// machine can have: a uint32 frame number times 4 KiB, 2^44 bytes. The
+// regions sit 2^32 to 2^43 apart, so lines at one offset in each share a
+// set and a fingerprint and differ only in the tag bits above them; a
+// cache that kept fewer tag bits than an address below 2^44 needs reports
+// hits the reference does not. Streams run longer than the cache, region
+// after region, so every line they install evicts one of another region.
+func TestCacheTwinMachineScale(t *testing.T) {
+	const space = 1 << 44
+	w := newTwin(t, 2<<20, 16, 64)
+	bases := []uint64{0, 1 << 32, 1 << 36, 1 << 38, 1 << 40, 1<<43 | 1<<41, space - 16<<20}
+	for _, b := range bases {
+		w.accessRange(b, 3<<20)
+	}
+	for _, b := range bases {
+		w.accessRange(b+2<<20, 1<<20)
+	}
+	rng := rand.New(rand.NewSource(44))
+	for i := 0; i < 20_000; i++ {
+		pa := bases[rng.Intn(len(bases))] + rng.Uint64()%(8<<20)
+		switch r := rng.Intn(100); {
+		case r < 1:
+			w.accessRange(pa, rng.Intn(4<<20)) // up to two caches long
+		case r < 30:
+			w.accessRange(pa&^4095, 4096)
+		case r < 50:
+			for j := uint64(0); j < 16; j++ { // word-sequential: MRU re-hits
+				w.access(pa&^7 + 8*j)
+			}
+		default:
+			w.access(pa)
+		}
+	}
+}
+
 // FuzzCacheTwin requires Cache and the reference to agree on every
 // operation of a generated sequence. The geometry is 1-16 ways over 1-16
-// sets; each op is four bytes: a kind and in-line offset, two bytes that
-// pick a line from a pool whose lines 128*sets apart share a set and a
-// fingerprint, and a range length of up to 32 lines (several set spans on
-// the smaller geometries, so ranges wrap). The seed corpus is in
-// testdata/fuzz/FuzzCacheTwin.
+// sets; each op is four bytes: a kind and in-line offset, a byte that
+// picks a line from a pool, a byte whose low 3 bits pick one of eight
+// lines that share that line's set and fingerprint and whose high 5 bits
+// are address bits 39-43, and a range length of up to 32 lines (several
+// set spans on the smaller geometries, so ranges wrap). The seed corpus
+// is in testdata/fuzz/FuzzCacheTwin.
 func FuzzCacheTwin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, waysB, setsB uint8, ops []byte) {
 		const line = 64
@@ -162,7 +199,7 @@ func FuzzCacheTwin(f *testing.F) {
 		for ; len(ops) >= 4; ops = ops[4:] {
 			kind, sel, k, n := ops[0], ops[1], ops[2], ops[3]
 			ln := collidingLine(sets, uint64(sel)%uint64(sets), uint64(sel)/uint64(sets)%32, uint64(k%8))
-			pa := ln*line + uint64(kind>>4)*4
+			pa := ln*line + uint64(kind>>4)*4 + uint64(k>>3)<<39
 			switch kind % 16 {
 			case 15:
 				w.invalidateAll()

@@ -185,8 +185,8 @@ func (k *Kernel) swapBody(ctx *machine.Context, as *mmu.AddressSpace,
 			// One pointer swap relocates 512 pages: charge two walks to
 			// the PMD level plus the locked exchange.
 			t0 := ctx.Clock.Now()
-			ctx.Clock.Advance(2*3*ctx.Cost.PTWalkLevelNs +
-				2*ctx.Cost.PTELockNs + 2*ctx.Cost.PTEUpdateNs)
+			ctx.Clock.Advance(sim.Time(2*3*ctx.Cost.PTWalkLevelNs) +
+				sim.Time(2*ctx.Cost.PTELockNs) + sim.Time(2*ctx.Cost.PTEUpdateNs))
 			if err := as.SwapPMDEntries(a, b); err != nil {
 				return err
 			}

@@ -52,15 +52,15 @@ func (v *NUMAView) nodeOf(pa uint64) int {
 // interconnect hop scaled by the link's own contention.
 func (v *NUMAView) LatencyAt(pa uint64) float64 {
 	node := v.nodeOf(pa)
-	lat := float64(v.m.Cost.DRAMAccessNs) * v.m.buses[node].LatencyFactor()
+	lat := float64(float64(v.m.Cost.DRAMAccessNs) * v.m.buses[node].LatencyFactor())
 	if node == v.socket {
 		v.perf.NUMALocal++
 		v.buf.ObserveNUMA(false, 0)
 		return lat
 	}
 	topo := v.m.topo
-	lat += float64(topo.RemoteLatNs()) * topo.LinkLatencyFactor(v.m.TotalStreams()) *
-		v.brownoutFactor()
+	lat += float64(float64(topo.RemoteLatNs()) * topo.LinkLatencyFactor(v.m.TotalStreams()) *
+		v.brownoutFactor())
 	v.perf.NUMARemote++
 	v.buf.ObserveNUMA(true, 0)
 	return lat

@@ -163,5 +163,5 @@ func (e *Env) chargeBulkAccess(pa uint64, n int, write bool) {
 		bw /= e.Cost.WriteMult()
 	}
 	e.Clock.Advance(sim.CopyNs(misses*line, bw) +
-		sim.Time(hits)*e.Cost.CacheHitNs)
+		sim.Time(sim.Time(hits)*e.Cost.CacheHitNs))
 }

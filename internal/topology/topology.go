@@ -168,8 +168,8 @@ func (t *Topology) ShootdownNs(cost *sim.CostModel, fromSocket int) sim.Time {
 	if intra+inter <= 0 {
 		return 0
 	}
-	return cost.IPIBaseNs + sim.Time(intra)*cost.IPIPerCoreNs +
-		sim.Time(inter)*t.remoteIPINs
+	return cost.IPIBaseNs + sim.Time(sim.Time(intra)*cost.IPIPerCoreNs) +
+		sim.Time(sim.Time(inter)*t.remoteIPINs)
 }
 
 // RemoteLatNs returns the extra latency of one remote DRAM access before

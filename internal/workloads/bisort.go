@@ -11,17 +11,19 @@ import (
 
 // Bisort is the JOlden bitonic-sort benchmark: a binary tree of small
 // pointer-linked nodes whose values are sorted by recursive bitonic
-// merges of value swaps. The paper sets 2M entries; scaled here to 8K
+// merges of value swaps. The paper sets 2M entries; scaled here to 4K
 // nodes per thread. All objects are far below the swapping threshold, so
 // this benchmark exercises the collectors' small-object paths and the
 // write barrier (subtree churn rewrites parent references) — the contrast
 // case where SwapVA cannot help much.
 func Bisort() *Spec {
-	const (
-		threads = 8
-		nodes   = 4096 // per thread; paper input 2M entries
-		rounds  = 8
-	)
+	return bisortSpec(4096, 8) // 4096 nodes per thread; paper input 2M entries
+}
+
+// bisortSpec is Bisort over nodes tree nodes per thread and rounds sort
+// rounds, its heap sized to match.
+func bisortSpec(nodes, rounds int) *Spec {
+	const threads = 8
 	nodeBytes := int64(heap.AllocSpec{NumRefs: 2, Payload: 8}.TotalBytes())
 	liveBytes := int64(threads) * int64(nodes) * nodeBytes
 	return &Spec{

@@ -85,7 +85,7 @@ func fftThread(t *jvm.Thread, rng *rand.Rand, points, iters, window int) error {
 		for i := range data {
 			data[i] *= inv
 		}
-		chargeOps(t, 10*float64(points)*math.Log2(float64(points))+float64(2*points), 1.0)
+		chargeOps(t, float64(10*float64(points)*math.Log2(float64(points)))+float64(2*points), 1.0)
 		if err := writeFloats(t, outR.Obj, 0, 0, data); err != nil {
 			return err
 		}
@@ -116,7 +116,7 @@ func fftThread(t *jvm.Thread, rng *rand.Rand, points, iters, window int) error {
 func energy(data []float64) float64 {
 	var e float64
 	for _, v := range data {
-		e += v * v
+		e += float64(v * v)
 	}
 	return e
 }
@@ -153,11 +153,11 @@ func fft(data []float64, inverse bool) {
 			for k := 0; k < half; k++ {
 				a, b := start+k, start+k+half
 				aRe, aIm := data[2*a], data[2*a+1]
-				bRe := data[2*b]*curRe - data[2*b+1]*curIm
-				bIm := data[2*b]*curIm + data[2*b+1]*curRe
+				bRe := float64(data[2*b]*curRe) - float64(data[2*b+1]*curIm)
+				bIm := float64(data[2*b]*curIm) + float64(data[2*b+1]*curRe)
 				data[2*a], data[2*a+1] = aRe+bRe, aIm+bIm
 				data[2*b], data[2*b+1] = aRe-bRe, aIm-bIm
-				curRe, curIm = curRe*wRe-curIm*wIm, curRe*wIm+curIm*wRe
+				curRe, curIm = float64(curRe*wRe)-float64(curIm*wIm), float64(curRe*wIm)+float64(curIm*wRe)
 			}
 		}
 	}

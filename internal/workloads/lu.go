@@ -85,7 +85,7 @@ func luThread(t *jvm.Thread, rng *rand.Rand, nb, kBlocks int) error {
 				return err
 			}
 			for x := range buf {
-				v := rng.Float64() - 0.5
+				v := float64(rng.Float64()) - 0.5
 				buf[x] = v
 				rowSums[bi*nb+x/nb] += math.Abs(v)
 			}
@@ -187,7 +187,7 @@ func luInPlace(a []float64, nb int) error {
 			a[i*nb+k] /= p
 			l := a[i*nb+k]
 			for j := k + 1; j < nb; j++ {
-				a[i*nb+j] -= l * a[k*nb+j]
+				a[i*nb+j] -= float64(l * a[k*nb+j])
 			}
 		}
 	}
@@ -201,7 +201,7 @@ func trsmLower(lu, b []float64, nb int) {
 		for k := 0; k < i; k++ {
 			l := lu[i*nb+k]
 			for j := 0; j < nb; j++ {
-				b[i*nb+j] -= l * b[k*nb+j]
+				b[i*nb+j] -= float64(l * b[k*nb+j])
 			}
 		}
 	}
@@ -218,7 +218,7 @@ func trsmUpper(b, lu []float64, nb int) {
 		for k := j + 1; k < nb; k++ {
 			u := lu[j*nb+k]
 			for i := 0; i < nb; i++ {
-				b[i*nb+k] -= b[i*nb+j] * u
+				b[i*nb+k] -= float64(b[i*nb+j] * u)
 			}
 		}
 	}
@@ -235,7 +235,7 @@ func gemmSub(c, a, b []float64, nb int) {
 			row := b[k*nb:]
 			crow := c[i*nb:]
 			for j := 0; j < nb; j++ {
-				crow[j] -= av * row[j]
+				crow[j] -= float64(av * row[j])
 			}
 		}
 	}

@@ -110,7 +110,7 @@ func pagerankRun(j *jvm.JVM, seed int64, nodes, edges, partitions, iters int, da
 			for e := 0; e < perPart; e++ {
 				w := binary.LittleEndian.Uint64(edgeBuf[8*e:])
 				src, dst := int(w>>32), int(w&0xffffffff)
-				next[dst] += damping * contrib[src]
+				next[dst] += float64(damping * contrib[src])
 			}
 			chargeOps(t, 3*float64(perPart), 1.0)
 		}

@@ -73,7 +73,7 @@ func sorThread(t *jvm.Thread, rng *rand.Rand, rows, cols, sweeps int, omega floa
 				return err
 			}
 			for c := 1; c < cols-1; c++ {
-				mid[c] = omega*0.25*(up[c]+down[c]+mid[c-1]+mid[c+1]) + (1-omega)*mid[c]
+				mid[c] = float64(omega*0.25*(up[c]+down[c]+mid[c-1]+mid[c+1])) + float64((1-omega)*mid[c])
 			}
 			chargeOps(t, 6*float64(cols), 1.0)
 			// Functional update: the new row is a fresh object, the old

@@ -63,7 +63,7 @@ func sparseThread(t *jvm.Thread, rng *rand.Rand, nnz, blocks, rows, iters int) e
 			return err
 		}
 		for i := range vals {
-			vals[i] = 1 + rng.Float64()
+			vals[i] = 1 + float64(rng.Float64())
 		}
 		if err := writeFloats(t, r.Obj, 0, 0, vals); err != nil {
 			return err
@@ -119,7 +119,7 @@ func sparseThread(t *jvm.Thread, rng *rand.Rand, nnz, blocks, rows, iters int) e
 			cb := colOf[b]
 			for k, v := range vals {
 				// nnz >= rows, so every row is touched
-				y[rowOf[k]] += v * x[cb[k]]
+				y[rowOf[k]] += float64(v * x[cb[k]])
 			}
 			chargeOps(t, 2*float64(nnz), 1.0)
 		}
@@ -153,7 +153,7 @@ func sparseThread(t *jvm.Thread, rng *rand.Rand, nnz, blocks, rows, iters int) e
 				return err
 			}
 			for i := range vals {
-				vals[i] = 1 + rng.Float64()
+				vals[i] = 1 + float64(rng.Float64())
 			}
 			if err := writeFloats(t, nr.Obj, 0, 0, vals); err != nil {
 				return err

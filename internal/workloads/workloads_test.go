@@ -83,6 +83,21 @@ func TestSparseVariantsPanicOnBadDivisor(t *testing.T) {
 	SparseLarge(3)
 }
 
+// smokeBisort is Bisort at half its nodes and three of its eight rounds:
+// every collector still collects the small-object tree (once to four
+// times at seed 42), in about a sixth of the full spec's host time. The
+// registry's Bisort is what the figures run; the smoke tests below check
+// only that a workload completes, collects and leaves a walkable heap.
+func smokeBisort() *Spec { return bisortSpec(2048, 3) }
+
+// smokeSized returns s, or its smoke-test size where it has one.
+func smokeSized(s *Spec) *Spec {
+	if s.Name == "Bisort" {
+		return smokeBisort()
+	}
+	return s
+}
+
 // runOn executes a spec under the given collector preset at the given
 // heap factor, returning the JVM for inspection.
 func runOn(t *testing.T, s *Spec, collector string, factor float64) *jvm.JVM {
@@ -108,7 +123,7 @@ func runOn(t *testing.T, s *Spec, collector string, factor float64) *jvm.JVM {
 // consistent heap.
 func TestAllWorkloadsRunUnderSVAGC(t *testing.T) {
 	for _, s := range Registry() {
-		s := s
+		s := smokeSized(s)
 		t.Run(s.Name, func(t *testing.T) {
 			j := runOn(t, s, jvm.CollectorSVAGC, 1.2)
 			if j.GCCount("") == 0 {
@@ -142,6 +157,7 @@ func TestWorkloadsRunUnderBaselines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			s = smokeSized(s)
 			t.Run(collector+"/"+name, func(t *testing.T) {
 				j := runOn(t, s, collector, 1.3)
 				if j.GCCount("") == 0 {
@@ -160,8 +176,10 @@ func TestSwapVAUsageByWorkloadShape(t *testing.T) {
 	if p := j.TotalPerf(); p.PagesSwapped == 0 {
 		t.Error("Sigverify (1 MiB objects) swapped no pages")
 	}
-	bis, _ := ByName("Bisort")
-	j = runOn(t, bis, jvm.CollectorSVAGC, 1.2)
+	j = runOn(t, smokeBisort(), jvm.CollectorSVAGC, 1.2)
+	if j.GCCount("") == 0 {
+		t.Error("Bisort ran no GC at 1.2x min heap")
+	}
 	if p := j.TotalPerf(); p.PagesSwapped != 0 {
 		t.Errorf("Bisort (small objects) swapped %d pages", p.PagesSwapped)
 	}
