@@ -151,7 +151,8 @@ func (c *Cache) Access(pa uint64) bool {
 // AccessRange touches every line in [pa, pa+n) and returns the number of
 // hits and misses. It is the bulk-transfer entry point used by streaming
 // copies, whose lines mostly either are their set's MRU or match no way's
-// fingerprint; the loop settles both without a call.
+// fingerprint, and so are settled by the first host line of their row.
+// lookup, touch and fill inline: the loop makes no call.
 func (c *Cache) AccessRange(pa uint64, n int) (hits, misses int) {
 	if n <= 0 {
 		return 0, 0
@@ -170,10 +171,11 @@ func (c *Cache) AccessRange(pa uint64, n int) (hits, misses int) {
 		// Some lane of x is zero, a way whose fingerprint matches, exactly
 		// when this is nonzero.
 		if ((x0-lanes1)&^x0|(x1-lanes1)&^x1|(x2-lanes1)&^x2|(x3-lanes1)&^x3)&lanes8 != 0 {
-			if !c.probe(line) {
-				misses++
+			if way := r.lookup(tag); way >= 0 {
+				r.touch(way, top)
+				r.mru = line
+				continue
 			}
-			continue
 		}
 		r.fill(line, tag, top)
 		misses++
@@ -186,6 +188,17 @@ func (c *Cache) AccessRange(pa uint64, n int) (hits, misses int) {
 func (c *Cache) probe(line uint64) bool {
 	r := &c.rows[line&c.setMask]
 	tag := line >> c.setBits
+	if way := r.lookup(tag); way >= 0 {
+		r.touch(way, c.top)
+		r.mru = line
+		return true
+	}
+	r.fill(line, tag, c.top)
+	return false
+}
+
+// lookup returns the way holding tag, or -1.
+func (r *row) lookup(tag uint64) int {
 	pat := tag & fpMask * lanes1
 	hi := uint32(tag >> fpBits)
 	for k, f := range r.fp {
@@ -193,16 +206,12 @@ func (c *Cache) probe(line uint64) bool {
 		// The high bit of each zero lane of x: a way whose fingerprint
 		// matches, to be confirmed against hi.
 		for m := ^((x&lanes7 + lanes7) | x) & lanes8; m != 0; m &= m - 1 {
-			way := 4*k + bits.TrailingZeros64(m)>>4
-			if r.hi[way] == hi {
-				r.touch(way, c.top)
-				r.mru = line
-				return true
+			if way := 4*k + bits.TrailingZeros64(m)>>4; r.hi[way] == hi {
+				return way
 			}
 		}
 	}
-	r.fill(line, tag, c.top)
-	return false
+	return -1
 }
 
 // fill installs line, whose tag is tag, in the set's victim way and makes

@@ -128,33 +128,17 @@ func TestCacheTwinFingerprintSet(t *testing.T) {
 	}
 }
 
-// TestCacheTwinMachineGeometry streams the default machine LLC (2 MiB,
-// 16-way) through page-sized ranges larger than the cache, interleaved
-// with word probes, as allocation zeroing and compaction copies do.
-func TestCacheTwinMachineGeometry(t *testing.T) {
-	w := newTwin(t, 2<<20, 16, 64)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 3000; i++ {
-		base := rng.Uint64() % (8 << 20)
-		if rng.Intn(4) == 0 {
-			for j := 0; j < 64; j++ {
-				w.access(base + uint64(j*8))
-			}
-			continue
-		}
-		w.accessRange(base&^4095, 4096)
-	}
-}
-
-// TestCacheTwinMachineScale holds the machine's LLC (2 MiB, 16-way,
+// TestCacheTwinMachineGeometry holds the machine's LLC (2 MiB, 16-way,
 // 64-byte lines) to the reference across the physical address space a
 // machine can have: a uint32 frame number times 4 KiB, 2^44 bytes. The
 // regions sit 2^32 to 2^43 apart, so lines at one offset in each share a
 // set and a fingerprint and differ only in the tag bits above them; a
 // cache that kept fewer tag bits than an address below 2^44 needs reports
 // hits the reference does not. Streams run longer than the cache, region
-// after region, so every line they install evicts one of another region.
-func TestCacheTwinMachineScale(t *testing.T) {
+// after region, so every line they install evicts one of another region;
+// then page-sized ranges, as allocation zeroing and compaction copies
+// make, mix with word probes.
+func TestCacheTwinMachineGeometry(t *testing.T) {
 	const space = 1 << 44
 	w := newTwin(t, 2<<20, 16, 64)
 	bases := []uint64{0, 1 << 32, 1 << 36, 1 << 38, 1 << 40, 1<<43 | 1<<41, space - 16<<20}
