@@ -85,7 +85,7 @@ func TestSparseVariantsPanicOnBadDivisor(t *testing.T) {
 
 // smokeBisort is Bisort at half its nodes and three of its eight rounds:
 // every collector still collects the small-object tree (once to four
-// times at seed 42), in about a sixth of the full spec's host time. The
+// times at seed 42), in about a seventh of the full spec's host time. The
 // registry's Bisort is what the figures run; the smoke tests below check
 // only that a workload completes, collects and leaves a walkable heap.
 func smokeBisort() *Spec { return bisortSpec(2048, 3) }
