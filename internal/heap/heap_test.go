@@ -437,3 +437,30 @@ func TestFragmentationBounded(t *testing.T) {
 		t.Errorf("fragmentation %.2f%% exceeds the paper's ~5%% bound", 100*frac)
 	}
 }
+
+// TestRefsAllocatesNothing: Refs loads the slots straight into dst, with
+// no bounce buffer at any slot count.
+func TestRefsAllocatesNothing(t *testing.T) {
+	h, ctx := newHeap(t, 1<<20, core.DefaultPolicy())
+	for _, n := range []int{2, 16} {
+		o, err := h.AllocShared(ctx, AllocSpec{NumRefs: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.SetRef(ctx, o, n-1, o); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]Object, n)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := h.Refs(ctx, o, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Refs of %d slots: %v allocations per call, want 0", n, allocs)
+		}
+		if dst[n-1] != o || dst[0] != 0 {
+			t.Errorf("Refs of %d slots read %#x..%#x, want 0..%#x", n, dst[0], dst[n-1], o)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package heap
 
-import "repro/internal/machine"
+import (
+	"unsafe"
+
+	"repro/internal/machine"
+)
 
 // Batched (declared-run) accessors. Each helper is the run-API
 // counterpart of a per-word loop elsewhere in the package, with the same
@@ -15,20 +19,10 @@ func (h *Heap) Refs(ctx *machine.Context, o Object, dst []Object) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	var stack [8]uint64
-	buf := stack[:]
-	if len(dst) > len(buf) {
-		buf = make([]uint64, len(dst))
-	} else {
-		buf = buf[:len(dst)]
-	}
-	if err := h.AS.ReadRun(&ctx.Env, o.RefSlotVA(0), buf); err != nil {
-		return err
-	}
-	for i, w := range buf {
-		dst[i] = Object(w)
-	}
-	return nil
+	// An Object is its header's address as a uint64, so the slots' words
+	// load straight into dst.
+	words := unsafe.Slice((*uint64)(unsafe.Pointer(&dst[0])), len(dst))
+	return h.AS.ReadRun(&ctx.Env, o.RefSlotVA(0), words)
 }
 
 // ReadPayloadWords reads len(dst) consecutive 8-byte payload words

@@ -401,9 +401,16 @@ func (pm *PhysMem) release(id FrameID) {
 // out-of-range ID, which always indicates a translation bug.
 func (pm *PhysMem) Frame(id FrameID) *[PageSize]byte {
 	if id == NilFrame || int(id) >= len(pm.table) {
-		panic(fmt.Sprintf("mem: invalid frame %d", id))
+		badFrame(id)
 	}
 	return pm.table[id]
+}
+
+// badFrame is Frame's panic, kept out of line so that Frame inlines.
+//
+//go:noinline
+func badFrame(id FrameID) {
+	panic(fmt.Sprintf("mem: invalid frame %d", id))
 }
 
 // FramesInUse reports the number of live frames.

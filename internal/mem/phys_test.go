@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -24,6 +25,28 @@ func TestAllocFrameBasics(t *testing.T) {
 	pm.Frame(f1)[0] = 0xAB
 	if pm.Frame(f2)[0] != 0 {
 		t.Error("frames share storage")
+	}
+}
+
+// TestFramePanicsOnInvalidID: Frame of NilFrame or of an ID past the
+// frame table is a translation bug and panics with the frame named, from
+// the out-of-line helper that lets Frame inline.
+func TestFramePanicsOnInvalidID(t *testing.T) {
+	pm := NewPhysMem(0)
+	f, err := pm.AllocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []FrameID{NilFrame, f + 1, f + 1000} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "mem: invalid frame") {
+					t.Errorf("Frame(%d) panicked with %q, want \"mem: invalid frame ...\"", id, msg)
+				}
+			}()
+			pm.Frame(id)
+		}()
 	}
 }
 

@@ -357,14 +357,18 @@ func TestRunValidation(t *testing.T) {
 // it so a change that silently
 // knocks runs back onto the per-word path shows up as a step change.
 func BenchmarkChargeRun(b *testing.B) {
-	bench := func(b *testing.B, r Run) {
+	fixture := func(b *testing.B, pages int, llc *cache.Cache) (*AddressSpace, *Env) {
 		as := NewAddressSpace(1, mem.NewPhysMem(0))
-		if err := as.Map(MmapBase, 16); err != nil {
+		if err := as.Map(MmapBase, pages); err != nil {
 			b.Fatal(err)
 		}
 		env := NewEnv(sim.XeonGold6130())
-		env.Cache = cache.MustNew(1<<15, 8, 64)
+		env.Cache = llc
 		env.Batch = true
+		return as, env
+	}
+	bench := func(b *testing.B, r Run) {
+		as, env := fixture(b, 16, cache.MustNew(1<<15, 8, 64))
 		b.SetBytes(int64(8 * r.Words))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -378,5 +382,24 @@ func BenchmarkChargeRun(b *testing.B) {
 	})
 	b.Run("strided", func(b *testing.B) {
 		bench(b, Run{VA: MmapBase, Stride: 64, Words: 512})
+	})
+	// node is Bisort's child read (heap.Refs): the two reference slots of
+	// a 48-byte node — 24-byte header, two refs, one payload word — read
+	// as one 2-word ReadRun, node after node in allocation order over
+	// 2 MiB, so one read in four straddles a line. The LLC has the
+	// machine's geometry (2 MiB, 16-way), which holds the nodes, as it
+	// holds most of Bisort's tree.
+	b.Run("node", func(b *testing.B) {
+		const span, nodeBytes = 2 << 20, 48
+		as, env := fixture(b, span/mem.PageSize, cache.MustNew(2<<20, 16, 64))
+		var lr [2]uint64
+		b.SetBytes(int64(8 * len(lr)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			va := MmapBase + uint64(i%(span/nodeBytes))*nodeBytes + 24
+			if err := as.ReadRun(env, va, lr[:]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }

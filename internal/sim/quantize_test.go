@@ -72,7 +72,7 @@ func TestTicksMatchAdvance(t *testing.T) {
 	}
 	awkward := []float64{
 		0, math.Copysign(0, -1), 5e-324, 1e-9, 0x1p-33, 0x1p-32, math.Nextafter(0x1p-32, 1),
-		0.1, 0.3, 0.5, 1.0 / 3, 1.0 / 2.1, 8.0 / 34.0, 64.0 / 11.0, 4096.0 / 12.0,
+		0.1, 0.3, 0.5, 1.0 / 3, 1.0 / 2.1, 4.0 / 2.1, 8.0 / 34.0, 64.0 / 11.0, 4096.0 / 12.0,
 		6, 28, 90, 153, 123456.789, 1e6 + 1e-7, 1 << 30, math.Nextafter(1<<31, 0),
 	}
 	for _, d := range awkward {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gc"
 	"repro/internal/heap"
 	"repro/internal/jvm"
+	"repro/internal/sim"
 )
 
 // Bisort is the JOlden bitonic-sort benchmark: a binary tree of small
@@ -72,11 +73,14 @@ func bisortThread(t *jvm.Thread, rng *rand.Rand, nodes, rounds int) error {
 		return err
 	}
 
+	// A compare-exchange's compute charge, chargeOps(t, 4, 1.0),
+	// quantised once for the sort's every compare.
+	cmpCost := sim.ToTicks(t.Ctx.Cost.CyclesNs(4))
 	for round := 0; round < rounds; round++ {
-		if err := bisortRec(t, root.Obj, false); err != nil {
+		if err := bisortRec(t, root.Obj, false, cmpCost); err != nil {
 			return err
 		}
-		if err := bisortRec(t, root.Obj, true); err != nil {
+		if err := bisortRec(t, root.Obj, true, cmpCost); err != nil {
 			return err
 		}
 		// Churn: replace a subtree with freshly allocated nodes holding
@@ -164,8 +168,8 @@ func children(t *jvm.Thread, o heap.Object) (l, r heap.Object, err error) {
 
 // bisortRec sorts the perfect subtree rooted at o into ascending
 // (descending when down) in-order sequence — the JOlden kernel's
-// swap-based bitonic recursion.
-func bisortRec(t *jvm.Thread, o heap.Object, down bool) error {
+// swap-based bitonic recursion. cmpCost is one compare's compute charge.
+func bisortRec(t *jvm.Thread, o heap.Object, down bool, cmpCost sim.Ticks) error {
 	if o == 0 {
 		return nil
 	}
@@ -176,18 +180,18 @@ func bisortRec(t *jvm.Thread, o heap.Object, down bool) error {
 	if l == 0 && r == 0 {
 		return nil
 	}
-	if err := bisortRec(t, l, !down); err != nil {
+	if err := bisortRec(t, l, !down, cmpCost); err != nil {
 		return err
 	}
-	if err := bisortRec(t, r, down); err != nil {
+	if err := bisortRec(t, r, down, cmpCost); err != nil {
 		return err
 	}
-	return bimerge(t, o, down)
+	return bimerge(t, o, down, cmpCost)
 }
 
 // bimerge merges the bitonic sequence under o into monotone order by
 // value swaps along symmetric paths.
-func bimerge(t *jvm.Thread, o heap.Object, down bool) error {
+func bimerge(t *jvm.Thread, o heap.Object, down bool, cmpCost sim.Ticks) error {
 	l, r, err := children(t, o)
 	if err != nil {
 		return err
@@ -195,7 +199,7 @@ func bimerge(t *jvm.Thread, o heap.Object, down bool) error {
 	if l == 0 && r == 0 {
 		return nil
 	}
-	if err := compareExchangeTrees(t, l, r, down); err != nil {
+	if err := compareExchangeTrees(t, l, r, down, cmpCost); err != nil {
 		return err
 	}
 	// The root value participates via rotation through the left spine:
@@ -205,23 +209,23 @@ func bimerge(t *jvm.Thread, o heap.Object, down bool) error {
 		if c == 0 {
 			continue
 		}
-		if err := compareExchangeNodes(t, o, c, down); err != nil {
+		if err := compareExchangeNodes(t, o, c, down, cmpCost); err != nil {
 			return err
 		}
 	}
-	if err := bimerge(t, l, down); err != nil {
+	if err := bimerge(t, l, down, cmpCost); err != nil {
 		return err
 	}
-	return bimerge(t, r, down)
+	return bimerge(t, r, down, cmpCost)
 }
 
 // compareExchangeTrees pairwise compare-exchanges corresponding nodes of
 // two equal-shape subtrees.
-func compareExchangeTrees(t *jvm.Thread, a, b heap.Object, down bool) error {
+func compareExchangeTrees(t *jvm.Thread, a, b heap.Object, down bool, cmpCost sim.Ticks) error {
 	if a == 0 || b == 0 {
 		return nil
 	}
-	if err := compareExchangeNodes(t, a, b, down); err != nil {
+	if err := compareExchangeNodes(t, a, b, down, cmpCost); err != nil {
 		return err
 	}
 	al, ar, err := children(t, a)
@@ -232,13 +236,13 @@ func compareExchangeTrees(t *jvm.Thread, a, b heap.Object, down bool) error {
 	if err != nil {
 		return err
 	}
-	if err := compareExchangeTrees(t, al, bl, down); err != nil {
+	if err := compareExchangeTrees(t, al, bl, down, cmpCost); err != nil {
 		return err
 	}
-	return compareExchangeTrees(t, ar, br, down)
+	return compareExchangeTrees(t, ar, br, down, cmpCost)
 }
 
-func compareExchangeNodes(t *jvm.Thread, a, b heap.Object, down bool) error {
+func compareExchangeNodes(t *jvm.Thread, a, b heap.Object, down bool, cmpCost sim.Ticks) error {
 	av, err := nodeValue(t, a)
 	if err != nil {
 		return err
@@ -247,7 +251,7 @@ func compareExchangeNodes(t *jvm.Thread, a, b heap.Object, down bool) error {
 	if err != nil {
 		return err
 	}
-	chargeOps(t, 4, 1.0)
+	t.Ctx.Clock.AdvanceTicks(cmpCost)
 	if (av > bv) != down {
 		if err := setNodeValue(t, a, bv); err != nil {
 			return err

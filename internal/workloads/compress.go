@@ -37,6 +37,18 @@ func Compress() *Spec {
 	}
 }
 
+// intn24 is rng.Intn(24), draw for draw: Int31n's rejection loop with
+// its bound and modulus folded to constants, where Intn divides by a
+// variable n on every call.
+func intn24(rng *rand.Rand) int {
+	const bound = 1<<31 - 1 - (1<<31)%24
+	v := rng.Int31()
+	for v > bound {
+		v = rng.Int31()
+	}
+	return int(v % 24)
+}
+
 func compressThread(t *jvm.Thread, rng *rand.Rand, inBytes, iters int) error {
 	inSpec := heap.AllocSpec{Payload: inBytes, Class: clsCompressIn}
 	data := make([]byte, inBytes)
@@ -50,7 +62,7 @@ func compressThread(t *jvm.Thread, rng *rand.Rand, inBytes, iters int) error {
 		// Compressible input: runs of slowly varying bytes.
 		v := byte(rng.Intn(256))
 		for i := range data {
-			if rng.Intn(24) == 0 {
+			if intn24(rng) == 0 {
 				v = byte(rng.Intn(256))
 			}
 			data[i] = v

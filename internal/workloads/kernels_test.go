@@ -322,6 +322,24 @@ func TestRadixSortMatchesSlicesSort(t *testing.T) {
 	}
 }
 
+// TestIntn24MatchesIntn: Compress's input draws must stay rng.Intn(24)'s,
+// draw for draw and state for state, or the heap words change: two
+// generators on one seed stay in step over a million draws at each of
+// three seeds.
+func TestIntn24MatchesIntn(t *testing.T) {
+	for _, seed := range []int64{1, 42, 7} {
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < 1_000_000; i++ {
+			if g, w := intn24(got), want.Intn(24); g != w {
+				t.Fatalf("seed %d draw %d: intn24 = %d, Intn(24) = %d", seed, i, g, w)
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Errorf("seed %d: generators out of step after the draws: %d vs %d", seed, g, w)
+		}
+	}
+}
+
 // BenchmarkRadixSort sorts one Parallelsort segment (32K random words).
 func BenchmarkRadixSort(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
