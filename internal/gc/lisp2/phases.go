@@ -1,7 +1,6 @@
 package lisp2
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/heap"
 	"repro/internal/kernel"
 	"repro/internal/machine"
-	"repro/internal/mmu"
 	"repro/internal/trace"
 )
 
@@ -158,12 +156,6 @@ func (c *Collector) forwardPhase(pool *gc.Pool, from, top uint64) (newTop uint64
 	return compPnt, swapMoves, nil
 }
 
-// slotRunMin is the reference count above which adjustPhase plans an
-// object's slot scan from an uncharged raw peek and settles the
-// out-of-range stretches as declared dense runs. Below it the plain
-// per-slot loop is cheaper than the peek.
-const slotRunMin = 8
-
 // adjustPhase (Phase III) rewrites every reference: slots inside live
 // range objects, the root set, and the remembered-set holders' slots.
 // References below from (into the immortal prefix) are left unchanged.
@@ -172,65 +164,10 @@ func (c *Collector) adjustPhase(pool *gc.Pool, from, top uint64, holders []heap.
 		return o != 0 && o.VA() >= from && o.VA() < top
 	}
 
-	// Planned slot scan for many-ref objects: peek the slot values
-	// uncharged (RawRead), then replay the charges in the identical
-	// order the per-slot loop would issue them — maximal stretches of
-	// out-of-range slots settle as one declared dense run, each in-range
-	// slot as the original read-forward-write triple. Bit-exact because
-	// the charged reads don't mutate memory, and the loop's writes only
-	// land in slots already replayed, so the peeked values match what
-	// each charged read would have returned.
-	var rawBuf []byte
-	var vals []uint64
-	fixSlotsPlanned := func(w *machine.Context, o heap.Object, n int) error {
-		if cap(rawBuf) < 8*n {
-			rawBuf = make([]byte, 8*n)
-			vals = make([]uint64, n)
-		}
-		raw := rawBuf[:8*n]
-		if err := c.H.AS.RawRead(o.RefSlotVA(0), raw); err != nil {
-			return err
-		}
-		vs := vals[:n]
-		for i := range vs {
-			vs[i] = binary.LittleEndian.Uint64(raw[8*i:])
-		}
-		for i := 0; i < n; {
-			j := i
-			for j < n && !inRange(heap.Object(vs[j])) {
-				j++
-			}
-			if j > i {
-				if err := c.H.AS.ChargeRun(&w.Env,
-					mmu.Run{VA: o.RefSlotVA(i), Words: j - i}); err != nil {
-					return err
-				}
-				i = j
-				continue
-			}
-			r, err := c.H.Ref(w, o, i)
-			if err != nil {
-				return err
-			}
-			fwd, err := c.H.Forward(w, r)
-			if err != nil {
-				return err
-			}
-			if err := c.H.AS.WriteWord(&w.Env, o.RefSlotVA(i), fwd.VA()); err != nil {
-				return err
-			}
-			i++
-		}
-		return nil
-	}
-
 	fixSlots := func(w *machine.Context, o heap.Object) error {
 		meta, err := c.H.ReadMeta(w, o)
 		if err != nil {
 			return err
-		}
-		if meta.NumRefs >= slotRunMin {
-			return fixSlotsPlanned(w, o, meta.NumRefs)
 		}
 		for i := 0; i < meta.NumRefs; i++ {
 			r, err := c.H.Ref(w, o, i)

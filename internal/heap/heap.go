@@ -50,6 +50,10 @@ type Heap struct {
 	// Allocation statistics.
 	allocatedBytes   uint64
 	allocatedObjects uint64
+
+	// word is rawWord's buffer. RawRead's buffer escapes, so a local
+	// one would be a host allocation per word verified.
+	word [8]byte
 }
 
 // New maps a fresh region of cfg.SizeBytes and builds a heap over it.
@@ -309,25 +313,14 @@ func (h *Heap) VerifyIntegrity(roots []Object) error {
 	}
 	var objs []objInfo
 	cur, top := h.start, h.Top()
-	var w [8]byte
-	readWord := func(va uint64) (uint64, error) {
-		if err := h.AS.RawRead(va, w[:]); err != nil {
-			return 0, err
-		}
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(w[i])
-		}
-		return v, nil
-	}
 	for cur < top {
-		w0, err := readWord(cur)
+		w0, err := h.rawWord(cur)
 		if err != nil {
 			return err
 		}
 		size := int(w0 & sizeMask)
 		if w0&fillerBit == 0 {
-			w1, err := readWord(cur + 8)
+			w1, err := h.rawWord(cur + 8)
 			if err != nil {
 				return err
 			}
@@ -339,7 +332,7 @@ func (h *Heap) VerifyIntegrity(roots []Object) error {
 	// Second pass: every reference resolves to an object start.
 	for _, o := range objs {
 		for i := 0; i < o.numRefs; i++ {
-			ref, err := readWord(o.va + HeaderBytes + 8*uint64(i))
+			ref, err := h.rawWord(o.va + HeaderBytes + 8*uint64(i))
 			if err != nil {
 				return err
 			}
@@ -362,13 +355,11 @@ func (h *Heap) VerifyIntegrity(roots []Object) error {
 func (h *Heap) VerifyWalkable() error {
 	cur := h.start
 	top := h.Top()
-	var w0 [8]byte
 	for cur < top {
-		if err := h.AS.RawRead(cur, w0[:]); err != nil {
+		word, err := h.rawWord(cur)
+		if err != nil {
 			return err
 		}
-		word := uint64(w0[0]) | uint64(w0[1])<<8 | uint64(w0[2])<<16 | uint64(w0[3])<<24 |
-			uint64(w0[4])<<32 | uint64(w0[5])<<40 | uint64(w0[6])<<48 | uint64(w0[7])<<56
 		size := int(word & sizeMask)
 		filler := word&fillerBit != 0
 		if size < MinFillerBytes || cur+uint64(size) > top {

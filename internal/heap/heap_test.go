@@ -464,3 +464,38 @@ func TestRefsAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// The verifiers read raw words through rawWord, whose buffer lives in
+// the Heap: a walk allocates nothing on the host per word it reads, and
+// VerifyIntegrity only its two tables of object starts.
+func TestVerifyAllocations(t *testing.T) {
+	h, ctx := newHeap(t, 1<<20, core.DefaultPolicy())
+	var objs []Object
+	for i := 0; i < 64; i++ {
+		o, err := h.Alloc(ctx, nil, AllocSpec{NumRefs: 2, Payload: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := h.SetRef(ctx, o, 0, objs[i-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		objs = append(objs, o)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := h.VerifyWalkable(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("VerifyWalkable allocates %v times per call, want 0", n)
+	}
+	n := testing.AllocsPerRun(10, func() {
+		if err := h.VerifyIntegrity(objs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 20 {
+		t.Errorf("VerifyIntegrity allocates %v times per call over %d objects, want a few table growths", n, len(objs))
+	}
+}

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -71,17 +72,12 @@ func (h *Heap) bodySum(va uint64, n int) (uint64, error) {
 	return sum, nil
 }
 
-// rawWord reads one raw little-endian word.
+// rawWord reads one raw little-endian word (uncharged).
 func (h *Heap) rawWord(va uint64) (uint64, error) {
-	var w [8]byte
-	if err := h.AS.RawRead(va, w[:]); err != nil {
+	if err := h.AS.RawRead(va, h.word[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(w[i])
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(h.word[:]), nil
 }
 
 // backingSnapshot returns the sorted multiset of page backings across

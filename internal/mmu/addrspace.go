@@ -436,82 +436,6 @@ func (as *AddressSpace) WriteWord(env *Env, va uint64, val uint64) error {
 	return nil
 }
 
-// Read copies len(p) bytes from va into p as a charged sequential stream.
-func (as *AddressSpace) Read(env *Env, va uint64, p []byte) error {
-	env.Perf.BytesRead += uint64(len(p))
-	return as.bulk(env, va, p, false)
-}
-
-// Write copies p to va as a charged sequential stream.
-func (as *AddressSpace) Write(env *Env, va uint64, p []byte) error {
-	env.Perf.BytesWrite += uint64(len(p))
-	return as.bulk(env, va, p, true)
-}
-
-func (as *AddressSpace) bulk(env *Env, va uint64, p []byte, write bool) error {
-	for len(p) > 0 {
-		f, err := as.translatePage(env, va)
-		if err != nil {
-			return err
-		}
-		off := int(va & mem.PageMask)
-		n := mem.PageSize - off
-		if n > len(p) {
-			n = len(p)
-		}
-		pa := uint64(f)<<mem.PageShift | uint64(off)
-		env.chargeBulkAccess(pa, n, write)
-		frame := as.Phys.Frame(f)
-		if write {
-			copy(frame[off:off+n], p[:n])
-		} else {
-			copy(p[:n], frame[off:off+n])
-		}
-		va += uint64(n)
-		p = p[n:]
-	}
-	return nil
-}
-
-// Copy performs a charged memmove of n bytes from src to dst within the
-// address space, handling overlap like memmove. It charges a streaming
-// read of the source plus a streaming write of the destination (declared
-// as two streams); the byte movement (moveBytes) has no simulated cost
-// of its own. It moves resident pages frame to frame; with a swap tier
-// armed, a page the charge left swapped out or demand-zero moves through
-// RawRead and RawWrite one page segment at a time, so no Copy allocates
-// a buffer for the range.
-func (as *AddressSpace) Copy(env *Env, dst, src uint64, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	if err := as.ChargeStream(env, src, n, false, false); err != nil {
-		return err
-	}
-	if err := as.ChargeStream(env, dst, n, true, false); err != nil {
-		return err
-	}
-	return as.moveBytes(dst, src, n)
-}
-
-func (as *AddressSpace) chargeRange(env *Env, va uint64, n int, write bool) error {
-	for n > 0 {
-		f, err := as.translatePage(env, va)
-		if err != nil {
-			return err
-		}
-		off := int(va & mem.PageMask)
-		seg := mem.PageSize - off
-		if seg > n {
-			seg = n
-		}
-		env.chargeBulkAccess(uint64(f)<<mem.PageShift|uint64(off), seg, write)
-		va += uint64(seg)
-		n -= seg
-	}
-	return nil
-}
-
 // RawRead copies bytes out of the address space without charging any
 // simulated cost or touching the TLB. It exists for verification (tests,
 // invariant checks) and host-side plumbing. Non-resident pages are read

@@ -8,17 +8,62 @@ import (
 )
 
 // This file holds the declared-stream entries: bulk (bandwidth-charged)
-// sequential transfers a caller announces up front, the stream duals of
-// the word-run API in run.go. A declared stream charges exactly what the
-// equivalent Read/Write of the same bytes would — same page segmentation,
-// same per-segment chargeBulkAccess — so converting a call site is always
-// bit-exact. What the caller buys is (a) no intermediate byte buffer for
-// word-typed data (ReadWords/WriteWords move words straight between the
-// caller's slice and the backing frames) and (b) a charge-only entry
-// (ChargeStream) for movement the host performs elsewhere.
+// sequential transfers, the stream duals of the word-run API in run.go.
+// Every entry is a thin wrapper over stream, the one page loop that
+// charges a stream: Read and Write move bytes, WriteStream is Write
+// counted as a declared stream, ReadWords and WriteWords move words
+// straight between the caller's slice and the backing frames (no
+// intermediate byte buffer), and ChargeStream charges movement the host
+// performs elsewhere. So converting a call site between them is always
+// bit-exact.
 //
-// Every entry still takes a cold bool, which is ignored and kept only so
-// existing callers compile unchanged.
+// The declared entries still take a cold bool, which is ignored and kept
+// only so existing callers compile unchanged.
+
+// stream charges a sequential n-byte stream at va one page segment at a
+// time: the segment's translation, then chargeBulkAccess on its physical
+// range. It moves each segment's bytes into or out of p, or its words
+// into or out of w, when one is given (both nil charges only); a word
+// stream's va is 8-aligned, so its segments hold whole words. The stream's
+// bytes are counted up front, before any segment can fail.
+func (as *AddressSpace) stream(env *Env, va uint64, n int, write bool, p []byte, w []uint64) error {
+	if write {
+		env.Perf.BytesWrite += uint64(n)
+	} else {
+		env.Perf.BytesRead += uint64(n)
+	}
+	for n > 0 {
+		f, err := as.translatePage(env, va)
+		if err != nil {
+			return err
+		}
+		off := int(va & mem.PageMask)
+		seg := min(n, mem.PageSize-off)
+		env.chargeBulkAccess(uint64(f)<<mem.PageShift|uint64(off), seg, write)
+		frame := as.Phys.Frame(f)[off : off+seg]
+		switch {
+		case p != nil && write:
+			copy(frame, p)
+			p = p[seg:]
+		case p != nil:
+			copy(p, frame)
+			p = p[seg:]
+		case w != nil && write:
+			for i := range seg / 8 {
+				binary.LittleEndian.PutUint64(frame[8*i:], w[i])
+			}
+			w = w[seg/8:]
+		case w != nil:
+			for i := range seg / 8 {
+				w[i] = binary.LittleEndian.Uint64(frame[8*i:])
+			}
+			w = w[seg/8:]
+		}
+		va += uint64(seg)
+		n -= seg
+	}
+	return nil
+}
 
 // streamPerf counts one declared stream of n bytes.
 func streamPerf(env *Env, n int) {
@@ -26,11 +71,20 @@ func streamPerf(env *Env, n int) {
 	env.Perf.StreamBytes += uint64(n)
 }
 
+// Read copies len(p) bytes from va into p as a charged sequential stream.
+func (as *AddressSpace) Read(env *Env, va uint64, p []byte) error {
+	return as.stream(env, va, len(p), false, p, nil)
+}
+
+// Write copies p to va as a charged sequential stream.
+func (as *AddressSpace) Write(env *Env, va uint64, p []byte) error {
+	return as.stream(env, va, len(p), true, p, nil)
+}
+
 // WriteStream is Write with stream accounting. cold is ignored.
 func (as *AddressSpace) WriteStream(env *Env, va uint64, p []byte, cold bool) error {
 	streamPerf(env, len(p))
-	env.Perf.BytesWrite += uint64(len(p))
-	return as.bulk(env, va, p, true)
+	return as.stream(env, va, len(p), true, p, nil)
 }
 
 // ReadWords performs a charged sequential read of 8*len(dst) bytes at va,
@@ -42,28 +96,7 @@ func (as *AddressSpace) ReadWords(env *Env, va uint64, dst []uint64, cold bool) 
 		return fmt.Errorf("mmu: ReadWords: va %#x not 8-aligned", va)
 	}
 	streamPerf(env, 8*len(dst))
-	env.Perf.BytesRead += 8 * uint64(len(dst))
-	for len(dst) > 0 {
-		f, err := as.translatePage(env, va)
-		if err != nil {
-			return err
-		}
-		off := int(va & mem.PageMask)
-		k := (mem.PageSize - off) / 8
-		if k > len(dst) {
-			k = len(dst)
-		}
-		pa := uint64(f)<<mem.PageShift | uint64(off)
-		env.chargeBulkAccess(pa, 8*k, false)
-		frame := as.Phys.Frame(f)
-		for i := 0; i < k; i++ {
-			o := off + 8*i
-			dst[i] = binary.LittleEndian.Uint64(frame[o : o+8])
-		}
-		va += uint64(8 * k)
-		dst = dst[k:]
-	}
-	return nil
+	return as.stream(env, va, 8*len(dst), false, nil, dst)
 }
 
 // WriteWords performs a charged sequential write of 8*len(src) bytes at
@@ -75,28 +108,7 @@ func (as *AddressSpace) WriteWords(env *Env, va uint64, src []uint64, cold bool)
 		return fmt.Errorf("mmu: WriteWords: va %#x not 8-aligned", va)
 	}
 	streamPerf(env, 8*len(src))
-	env.Perf.BytesWrite += 8 * uint64(len(src))
-	for len(src) > 0 {
-		f, err := as.translatePage(env, va)
-		if err != nil {
-			return err
-		}
-		off := int(va & mem.PageMask)
-		k := (mem.PageSize - off) / 8
-		if k > len(src) {
-			k = len(src)
-		}
-		pa := uint64(f)<<mem.PageShift | uint64(off)
-		env.chargeBulkAccess(pa, 8*k, true)
-		frame := as.Phys.Frame(f)
-		for i := 0; i < k; i++ {
-			o := off + 8*i
-			binary.LittleEndian.PutUint64(frame[o:o+8], src[i])
-		}
-		va += uint64(8 * k)
-		src = src[k:]
-	}
-	return nil
+	return as.stream(env, va, 8*len(src), true, nil, src)
 }
 
 // ChargeStream charges a sequential n-byte stream at va without moving
@@ -108,12 +120,28 @@ func (as *AddressSpace) ChargeStream(env *Env, va uint64, n int, write, cold boo
 		return nil
 	}
 	streamPerf(env, n)
-	if write {
-		env.Perf.BytesWrite += uint64(n)
-	} else {
-		env.Perf.BytesRead += uint64(n)
+	return as.stream(env, va, n, write, nil, nil)
+}
+
+// Copy performs a charged memmove of n bytes from src to dst within the
+// address space, handling overlap like memmove. It charges a streaming
+// read of the source plus a streaming write of the destination (declared
+// as two streams); the byte movement (moveBytes) has no simulated cost
+// of its own. It moves resident pages frame to frame; with a swap tier
+// armed, a page the charge left swapped out or demand-zero moves through
+// RawRead and RawWrite one page segment at a time, so no Copy allocates
+// a buffer for the range.
+func (as *AddressSpace) Copy(env *Env, dst, src uint64, n int) error {
+	if n <= 0 {
+		return nil
 	}
-	return as.chargeRange(env, va, n, write)
+	if err := as.ChargeStream(env, src, n, false, false); err != nil {
+		return err
+	}
+	if err := as.ChargeStream(env, dst, n, true, false); err != nil {
+		return err
+	}
+	return as.moveBytes(dst, src, n)
 }
 
 // moveBytes moves n bytes from src to dst with memmove overlap semantics,

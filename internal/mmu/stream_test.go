@@ -1,9 +1,15 @@
 package mmu
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -224,6 +230,280 @@ func TestCopyMemmoveSemantics(t *testing.T) {
 					t.Fatalf("byte %d: got %#x, want %#x", i, got[i], image[i])
 				}
 			}
+		})
+	}
+}
+
+// The ref* functions are the stream entries as they stood before they
+// were folded into one page loop: refBulk behind Read, Write and
+// WriteStream, refChargeRange behind ChargeStream and Copy, and
+// ReadWords and WriteWords each with a loop of its own. They are the
+// reference stream is held to.
+func refBulk(as *AddressSpace, env *Env, va uint64, p []byte, write bool) error {
+	for len(p) > 0 {
+		f, err := as.translatePage(env, va)
+		if err != nil {
+			return err
+		}
+		off := int(va & mem.PageMask)
+		n := mem.PageSize - off
+		if n > len(p) {
+			n = len(p)
+		}
+		pa := uint64(f)<<mem.PageShift | uint64(off)
+		env.chargeBulkAccess(pa, n, write)
+		frame := as.Phys.Frame(f)
+		if write {
+			copy(frame[off:off+n], p[:n])
+		} else {
+			copy(p[:n], frame[off:off+n])
+		}
+		va += uint64(n)
+		p = p[n:]
+	}
+	return nil
+}
+
+func refChargeRange(as *AddressSpace, env *Env, va uint64, n int, write bool) error {
+	for n > 0 {
+		f, err := as.translatePage(env, va)
+		if err != nil {
+			return err
+		}
+		off := int(va & mem.PageMask)
+		seg := mem.PageSize - off
+		if seg > n {
+			seg = n
+		}
+		env.chargeBulkAccess(uint64(f)<<mem.PageShift|uint64(off), seg, write)
+		va += uint64(seg)
+		n -= seg
+	}
+	return nil
+}
+
+func refReadWords(as *AddressSpace, env *Env, va uint64, dst []uint64) error {
+	if va%8 != 0 {
+		return fmt.Errorf("mmu: ReadWords: va %#x not 8-aligned", va)
+	}
+	streamPerf(env, 8*len(dst))
+	env.Perf.BytesRead += 8 * uint64(len(dst))
+	for len(dst) > 0 {
+		f, err := as.translatePage(env, va)
+		if err != nil {
+			return err
+		}
+		off := int(va & mem.PageMask)
+		k := (mem.PageSize - off) / 8
+		if k > len(dst) {
+			k = len(dst)
+		}
+		pa := uint64(f)<<mem.PageShift | uint64(off)
+		env.chargeBulkAccess(pa, 8*k, false)
+		frame := as.Phys.Frame(f)
+		for i := 0; i < k; i++ {
+			o := off + 8*i
+			dst[i] = binary.LittleEndian.Uint64(frame[o : o+8])
+		}
+		va += uint64(8 * k)
+		dst = dst[k:]
+	}
+	return nil
+}
+
+func refWriteWords(as *AddressSpace, env *Env, va uint64, src []uint64) error {
+	if va%8 != 0 {
+		return fmt.Errorf("mmu: WriteWords: va %#x not 8-aligned", va)
+	}
+	streamPerf(env, 8*len(src))
+	env.Perf.BytesWrite += 8 * uint64(len(src))
+	for len(src) > 0 {
+		f, err := as.translatePage(env, va)
+		if err != nil {
+			return err
+		}
+		off := int(va & mem.PageMask)
+		k := (mem.PageSize - off) / 8
+		if k > len(src) {
+			k = len(src)
+		}
+		pa := uint64(f)<<mem.PageShift | uint64(off)
+		env.chargeBulkAccess(pa, 8*k, true)
+		frame := as.Phys.Frame(f)
+		for i := 0; i < k; i++ {
+			o := off + 8*i
+			binary.LittleEndian.PutUint64(frame[o:o+8], src[i])
+		}
+		va += uint64(8 * k)
+		src = src[k:]
+	}
+	return nil
+}
+
+// refStreamOp runs stream op kind on the reference side; it mirrors the
+// switch in TestStreamsMatchReference.
+func refStreamOp(as *AddressSpace, env *Env, kind int, va, src uint64, n int, p []byte, w []uint64) error {
+	switch kind {
+	case 0: // Read
+		env.Perf.BytesRead += uint64(n)
+		return refBulk(as, env, va, p, false)
+	case 1: // Write
+		env.Perf.BytesWrite += uint64(n)
+		return refBulk(as, env, va, p, true)
+	case 2: // WriteStream
+		streamPerf(env, n)
+		env.Perf.BytesWrite += uint64(n)
+		return refBulk(as, env, va, p, true)
+	case 3:
+		return refReadWords(as, env, va, w)
+	case 4:
+		return refWriteWords(as, env, va, w)
+	case 5, 6: // ChargeStream, read and write
+		if n <= 0 {
+			return nil
+		}
+		streamPerf(env, n)
+		if kind == 6 {
+			env.Perf.BytesWrite += uint64(n)
+		} else {
+			env.Perf.BytesRead += uint64(n)
+		}
+		return refChargeRange(as, env, va, n, kind == 6)
+	default: // Copy from src to va
+		if n <= 0 {
+			return nil
+		}
+		for i, a := range []uint64{src, va} {
+			streamPerf(env, n)
+			if i == 1 {
+				env.Perf.BytesWrite += uint64(n)
+			} else {
+				env.Perf.BytesRead += uint64(n)
+			}
+			if err := refChargeRange(as, env, a, n, i == 1); err != nil {
+				return err
+			}
+		}
+		return as.moveBytes(va, src, n)
+	}
+}
+
+// TestStreamsMatchReference drives every stream entry (and Copy, which
+// charges two streams) with random addresses, page-crossing and zero
+// lengths, misaligned word streams and streams that run off the end of
+// the mapping, against the per-entry loops they replaced, with TLB
+// flushes and (on the swap machine) evictions mixed in. After every op
+// the errors, the clocks, the full perf counters and the data read must
+// agree; at the end, the TLBs, the LLCs and the memory must too.
+func TestStreamsMatchReference(t *testing.T) {
+	const span = wordPages * mem.PageSize
+	for _, m := range wordMachines {
+		t.Run(m.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(2))
+			got, ref := newWordFixture(t, m), newWordFixture(t, m)
+			var ops [8]int
+			for op := 0; op < 4000; op++ {
+				off := rng.Intn(span)
+				if rng.Intn(3) == 0 {
+					off = rng.Intn(4 * mem.PageSize) // a few hot pages
+				}
+				n := rng.Intn(3 * mem.PageSize)
+				switch rng.Intn(8) {
+				case 0:
+					n = 0
+				case 1:
+					n = rng.Intn(64)
+				}
+				if off+n > span && rng.Intn(4) != 0 {
+					n = span - off // usually stay inside the mapping
+				}
+				kind := rng.Intn(len(ops))
+				if kind == 3 || kind == 4 {
+					n /= 8 // words
+					if rng.Intn(8) != 0 {
+						off &^= 7
+					}
+				}
+				va := MmapBase + uint64(off)
+				src := MmapBase + uint64(rng.Intn(span-min(n, span-1)))
+				switch r := rng.Intn(16); {
+				case r == 0:
+					got.env.TLB.FlushPage(1, VPN(va))
+					ref.env.TLB.FlushPage(1, VPN(va))
+				case r == 1 && m.swap:
+					got.swap.evict(got.as, got.env, va)
+					ref.swap.evict(ref.as, ref.env, va)
+				}
+				pG, pR := make([]byte, n), make([]byte, n)
+				wG, wR := make([]uint64, n), make([]uint64, n)
+				for i := range pG {
+					pG[i] = byte(rng.Intn(256))
+				}
+				copy(pR, pG)
+				for i := range wG {
+					wG[i] = rng.Uint64()
+				}
+				copy(wR, wG)
+
+				var errG error
+				switch kind {
+				case 0:
+					errG = got.as.Read(got.env, va, pG)
+				case 1:
+					errG = got.as.Write(got.env, va, pG)
+				case 2:
+					errG = got.as.WriteStream(got.env, va, pG, rng.Intn(2) == 0)
+				case 3:
+					errG = got.as.ReadWords(got.env, va, wG, false)
+				case 4:
+					errG = got.as.WriteWords(got.env, va, wG, true)
+				case 5, 6:
+					errG = got.as.ChargeStream(got.env, va, n, kind == 6, false)
+				default:
+					errG = got.as.Copy(got.env, va, src, n)
+				}
+				errR := refStreamOp(ref.as, ref.env, kind, va, src, n, pR, wR)
+				ops[kind]++
+				if (errG == nil) != (errR == nil) {
+					t.Fatalf("op %d (kind %d, va %#x, n %d): error %v, reference %v", op, kind, va, n, errG, errR)
+				}
+				if *got.env.Clock != *ref.env.Clock {
+					t.Fatalf("op %d (kind %d, va %#x, n %d): clock %v, reference %v", op, kind, va, n,
+						got.env.Clock.Now(), ref.env.Clock.Now())
+				}
+				if *got.env.Perf != *ref.env.Perf {
+					t.Fatalf("op %d (kind %d, va %#x, n %d): perf diverges:\nstream:    %+v\nreference: %+v",
+						op, kind, va, n, *got.env.Perf, *ref.env.Perf)
+				}
+				if !bytes.Equal(pG, pR) || !slices.Equal(wG, wR) {
+					t.Fatalf("op %d (kind %d, va %#x, n %d): data read diverges", op, kind, va, n)
+				}
+			}
+			if !reflect.DeepEqual(got.env.TLB, ref.env.TLB) {
+				t.Error("TLB contents diverge")
+			}
+			if !reflect.DeepEqual(got.env.Cache, ref.env.Cache) {
+				t.Error("LLC state diverges")
+			}
+			memG, memR := make([]byte, span), make([]byte, span)
+			if err := got.as.RawRead(MmapBase, memG); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.as.RawRead(MmapBase, memR); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(memG, memR) {
+				t.Errorf("memory diverges at byte %d", firstDiff(memG, memR))
+			}
+			p := got.env.Perf
+			if p.CacheMisses == 0 || p.TLBMisses == 0 || p.StreamRuns == 0 {
+				t.Errorf("traffic missed a case: %d LLC misses, %d TLB misses, %d streams",
+					p.CacheMisses, p.TLBMisses, p.StreamRuns)
+			}
+			if m.swap && got.swap.pageIns < wordPages {
+				t.Errorf("page-ins: %d, want repeated faults", got.swap.pageIns)
+			}
+			t.Logf("ops by kind: %v", ops)
 		})
 	}
 }

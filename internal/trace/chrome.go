@@ -41,19 +41,24 @@ func ChromeTraceOf(tracers ...*Tracer) *ChromeTrace {
 	ct := &ChromeTrace{DisplayTimeUnit: "ns", TraceEvents: []ChromeEvent{}}
 	for pid, t := range tracers {
 		for _, ev := range t.Merge() {
-			ct.TraceEvents = append(ct.TraceEvents, ChromeEvent{
-				Name: ev.Name,
-				Cat:  ev.Kind.Category(),
-				Ph:   "X",
-				TS:   float64(ev.TS) / 1e3,
-				Dur:  float64(ev.Dur) / 1e3,
-				PID:  pid,
-				TID:  ev.TID,
-				Args: &ChromeArgs{Core: ev.Core, Arg1: ev.Arg1, Arg2: ev.Arg2},
-			})
+			ct.TraceEvents = append(ct.TraceEvents, chromeEvent(ev, pid))
 		}
 	}
 	return ct
+}
+
+// chromeEvent converts one event of process pid to the Chrome format.
+func chromeEvent(ev Event, pid int) ChromeEvent {
+	return ChromeEvent{
+		Name: ev.Name,
+		Cat:  ev.Kind.Category(),
+		Ph:   "X",
+		TS:   float64(ev.TS) / 1e3,
+		Dur:  float64(ev.Dur) / 1e3,
+		PID:  pid,
+		TID:  ev.TID,
+		Args: &ChromeArgs{Core: ev.Core, Arg1: ev.Arg1, Arg2: ev.Arg2},
+	}
 }
 
 // Write encodes the trace as JSON.

@@ -25,16 +25,7 @@ func (s *spillSink) write(events []Event) {
 		return
 	}
 	for i := range events {
-		ev := &events[i]
-		if s.err = s.enc.Encode(ChromeEvent{
-			Name: ev.Name,
-			Cat:  ev.Kind.Category(),
-			Ph:   "X",
-			TS:   float64(ev.TS) / 1e3,
-			Dur:  float64(ev.Dur) / 1e3,
-			TID:  ev.TID,
-			Args: &ChromeArgs{Core: ev.Core, Arg1: ev.Arg1, Arg2: ev.Arg2},
-		}); s.err != nil {
+		if s.err = s.enc.Encode(chromeEvent(events[i], 0)); s.err != nil {
 			return
 		}
 		s.flushed++

@@ -437,14 +437,6 @@ func (h *hist) observe(v uint64) {
 	h.n++
 }
 
-func (h *hist) add(o *hist) {
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.sum += o.sum
-	h.n += o.n
-}
-
 // bufMetrics is the per-buffer aggregate state updated on every emit.
 // Everything is fixed-size so the enabled emit path allocates nothing.
 type bufMetrics struct {

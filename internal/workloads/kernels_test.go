@@ -234,9 +234,6 @@ func TestColIndexCoversRows(t *testing.T) {
 }
 
 func TestFindSwapHelpers(t *testing.T) {
-	if minInt(3, 5) != 3 || minInt(5, 3) != 3 {
-		t.Error("minInt wrong")
-	}
 	if depthFor(7) != 3 || depthFor(8) != 3 || depthFor(15) != 4 {
 		t.Errorf("depthFor: %d %d %d", depthFor(7), depthFor(8), depthFor(15))
 	}

@@ -102,7 +102,7 @@ func lruThread(t *jvm.Thread, rng *rand.Rand, entries, keySpace, maxValue, ops i
 			if int(tag) != key {
 				return fmt.Errorf("lru: entry for key %d holds tag %d", key, tag)
 			}
-			n := minInt(e.size, 4096)
+			n := min(e.size, 4096)
 			buf := make([]byte, n)
 			if err := t.J.Heap.ReadPayload(t.Ctx, e.root.Obj, 0, 0, buf); err != nil {
 				return err
@@ -124,7 +124,7 @@ func lruThread(t *jvm.Thread, rng *rand.Rand, entries, keySpace, maxValue, ops i
 			return err
 		}
 		// Fill a prefix so the value has real content beyond the tag.
-		fill := minInt(size, 16<<10)
+		fill := min(size, 16<<10)
 		if err := fillPayloadAt(t, root.Obj, 8, fill-8, uint64(key)); err != nil {
 			return err
 		}

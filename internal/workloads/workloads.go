@@ -90,21 +90,10 @@ func Names() []string {
 
 // --- per-thread driver ------------------------------------------------------
 
-// runThreads executes fn once per virtual mutator thread, sequentially,
-// each with its own deterministic PRNG. Application time is the maximum
-// thread clock, which the JVM accounts for.
-func runThreads(j *jvm.JVM, fn func(t *jvm.Thread, rng *rand.Rand) error) error {
-	for i := 0; i < j.Threads(); i++ {
-		t := j.Thread(i)
-		rng := rand.New(rand.NewSource(int64(i)*7919 + 12345))
-		if err := fn(t, rng); err != nil {
-			return fmt.Errorf("%s thread %d: %w", j.GC.Name(), i, err)
-		}
-	}
-	return nil
-}
-
-// seededThreads is runThreads with an extra caller seed mixed in.
+// seededThreads executes fn once per virtual mutator thread,
+// sequentially, each with its own deterministic PRNG mixing the caller's
+// seed with the thread index. Application time is the maximum thread
+// clock, which the JVM accounts for.
 func seededThreads(j *jvm.JVM, seed int64, fn func(t *jvm.Thread, rng *rand.Rand) error) error {
 	for i := 0; i < j.Threads(); i++ {
 		t := j.Thread(i)
@@ -174,14 +163,6 @@ func fillPayload(t *jvm.Thread, o heap.Object, numRefs, n int, seed uint64) erro
 		buf[i] = byte(s >> 56)
 	}
 	return t.J.Heap.WritePayload(t.Ctx, o, numRefs, 0, buf)
-}
-
-// minInt is an integer min for pre-generics call sites.
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // footprint returns an object's heap footprint including the page

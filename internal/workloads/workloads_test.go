@@ -259,12 +259,12 @@ func TestChecksumAndFillHelpers(t *testing.T) {
 	}
 }
 
-func TestRunThreadsPropagatesErrors(t *testing.T) {
+func TestSeededThreadsPropagatesErrors(t *testing.T) {
 	m := machine.MustNew(machine.Config{Cost: sim.XeonGold6130()})
 	cfg, _ := jvm.ConfigFor(jvm.CollectorSVAGC, 4<<20, 3, 2)
 	j, _ := jvm.New(m, cfg)
 	calls := 0
-	err := runThreads(j, func(th *jvm.Thread, rng *rand.Rand) error {
+	err := seededThreads(j, 1, func(th *jvm.Thread, rng *rand.Rand) error {
 		calls++
 		if th.ID == 1 {
 			return errSentinel
