@@ -30,6 +30,9 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{[]string{"-exp", "fig1", "-quick", "-seed", "0"}, "-seed"},
 		{[]string{"-exp", "fig1", "-quick", "-sockets", "-3"}, "-sockets"},
 		{[]string{"-exp", "fig99"}, "fig99"},
+		// cap-race named a fault site that no longer exists: a plan
+		// naming it is refused, never silently ignored.
+		{[]string{"-exp", "smr1", "-quick", "-fault-plan", "cap-race=0.1"}, "cap-race"},
 	} {
 		cmd := exec.Command(os.Args[0], c.args...)
 		cmd.Env = append(os.Environ(), "GCBENCH_RUN_MAIN=1")

@@ -57,7 +57,7 @@ func main() {
 		soakDur   = flag.Duration("soak", 0, "run the memory-pressure soak loop for this host duration instead of a workload (reads -gc, -gcworkers, -seed, -watchdog, -tenants, -tenant-cap and the swap-tier knobs)")
 		physMiB   = flag.Int64("phys", 0, "bound the simulated machine's physical RAM in MiB (0 = unbounded; required with the swap-tier knobs in workload mode — the soak loop sizes its own pool)")
 		tenants   = flag.Int("tenants", 0, "tenant count: replicas for -smr, capped tenants churning in turn for -soak (0 = single-tenant)")
-		tenantCap = flag.Int64("tenant-cap", 0, "per-tenant memory cap in MiB; in workload mode the JVM runs as a capped tenant with its own pressure ladder (0 = uncapped)")
+		tenantCap = flag.Int64("tenant-cap", 0, "per-tenant memory cap in MiB; in workload mode the JVM runs as a capped tenant (0 = uncapped)")
 		gcArb     = flag.Int("gc-arbiter", 0, "arm the machine-wide GC arbiter with this concurrent-collection bound (0 = unarbitrated)")
 		smrHeap   = flag.Int64("smr", 0, "run the raft-style SMR cluster workload with this replica heap size in MiB instead of a -bench workload (reads -gc, -gcworkers, -seed, -machine, -sockets, -numa-policy, -parallel, -tenants, -tenant-cap, -gc-arbiter, the fault and trace flags)")
 	)
@@ -194,7 +194,7 @@ func main() {
 	}
 
 	// report renders one run's summary.
-	report := func(w io.Writer, spec *workloads.Spec, m *machine.Machine, j *jvm.JVM) {
+	report := func(w io.Writer, spec *workloads.Spec, m *machine.Machine, j *jvm.JVM, tn *mem.Tenant) {
 		st := j.GC.Stats()
 		fmt.Fprintf(w, "%s under %s on %s (%.1fx min heap = %.1f MiB, %d mutator threads, %d GC workers, %d JVMs)\n",
 			spec.Name, j.GC.Name(), m.Cost.Name, *factor, float64(spec.MinHeap(*factor))/(1<<20), spec.Threads, opt.GCWorkers, *jvms)
@@ -209,10 +209,10 @@ func main() {
 		fmt.Fprintf(w, "  moving             %d pages swapped in %d SwapVA calls; %d bytes memmoved\n",
 			p.PagesSwapped, p.SwapVACalls, p.BytesCopied)
 		fmt.Fprintf(w, "  perf               %s\n", p.String())
-		if tn := j.Tenant(); tn != nil {
+		if tn != nil {
 			u := tn.Usage()
-			fmt.Fprintf(w, "  tenant             %s: %d/%d pages charged (peak %d), pressure %s\n",
-				u.Name, u.Charged, u.CapFrames, u.Peak, u.Pressure)
+			fmt.Fprintf(w, "  tenant             %s: %d/%d pages charged (peak %d)\n",
+				u.Name, u.Charged, u.CapFrames, u.Peak)
 		}
 		if m.FaultInjector().Active() {
 			fmt.Fprintf(w, "  faults             %d injected; %d swap retries, %d copy fallbacks, %d rollbacks, %d IPI re-sends (every GC verified)\n",
@@ -303,7 +303,7 @@ func main() {
 		}
 		r := run{sim: j.AppTime(), trace: tr}
 		var b strings.Builder
-		report(&b, spec, m, j)
+		report(&b, spec, m, j, cfg.Tenant)
 		if *histo {
 			// A final full collection compacts the heap so the histogram
 			// reports live objects only (plus alignment fillers).
@@ -408,8 +408,8 @@ func runSMR(opt bench.Options, cfg smr.Config, traceBuf int) (*trace.Tracer, sim
 	}
 	fmt.Printf("  commit hash        %#016x\n", res.CommitHash)
 	for _, u := range m.MemReport().Tenants {
-		fmt.Printf("  tenant %-10s %d/%d pages charged (peak %d), pressure %s\n",
-			u.Name, u.Charged, u.CapFrames, u.Peak, u.Pressure)
+		fmt.Printf("  tenant %-10s %d/%d pages charged (peak %d)\n",
+			u.Name, u.Charged, u.CapFrames, u.Peak)
 	}
 	return tr, res.Elapsed, nil
 }

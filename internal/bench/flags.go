@@ -39,7 +39,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.metrics, "metrics", "", "write a Prometheus text-format metrics snapshot of every machine run")
 	fs.IntVar(&f.sockets, "sockets", 1, "sockets (NUMA nodes) the simulated cores are split over")
 	fs.StringVar(&f.numaPolicy, "numa-policy", "", "page placement on multi-socket machines: first-touch, interleave, or bind[:N]")
-	fs.StringVar(&f.faultPlan, "fault-plan", "", "fault-injection plan: comma-separated site=rate (sites: pte-lock, ipi-ack, swapva, poison, interconnect, far-write, all), e.g. 'swapva=0.01,poison=1e-4'")
+	fs.StringVar(&f.faultPlan, "fault-plan", "", "fault-injection plan: comma-separated site=rate (sites: pte-lock, ipi-ack, swapva, poison, interconnect, far-write, arbiter-stall, all), e.g. 'swapva=0.01,poison=1e-4'")
 	fs.Float64Var(&f.faultRate, "fault-rate", 0, "uniform fault rate applied to every site (per-site -fault-plan entries override it)")
 	fs.Int64Var(&f.faultSeed, "fault-seed", 0, "fault-injection seed; the same seed and plan replay the identical fault sequence (0 = workload seed)")
 	fs.Int64Var(&f.swapTier, "swap-tier", 0, "far (NVMe) swap-tier capacity in MiB (0 with -zpool 0 = no tier override)")

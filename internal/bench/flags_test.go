@@ -1,14 +1,20 @@
 package bench
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/jvm"
+	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // parseShared parses args with only the shared flags registered.
@@ -93,5 +99,58 @@ func TestSMRCellCountsElapsed(t *testing.T) {
 	}
 	if a.Elapsed <= 0 || a.Elapsed != b.Elapsed {
 		t.Errorf("elapsed %v then %v, want equal and > 0", a.Elapsed, b.Elapsed)
+	}
+}
+
+// TestFinishWritesOutputs: Finish writes -trace as Chrome JSON and
+// -metrics as Prometheus text, and an unwritable path fails naming the
+// output.
+func TestFinishWritesOutputs(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.prom")
+	finish := func(args ...string) error {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		opt, err := f.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := opt.NewMachine(machine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := kernel.New(m)
+		as := m.NewAddressSpace()
+		a, _ := as.MapRegion(4)
+		b, _ := as.MapRegion(4)
+		if err := k.SwapVA(m.NewContext(0), as, a, b, 4, kernel.DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		return f.Finish(time.Now(), []*trace.Tracer{m.Tracer()})
+	}
+	if err := finish("-trace", tracePath, "-metrics", metricsPath); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ TraceEvents []json.RawMessage }
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Errorf("trace: %d events, err %v", len(doc.TraceEvents), err)
+	}
+	prom, err := os.ReadFile(metricsPath)
+	if err != nil || !strings.Contains(string(prom), "svagc_") {
+		t.Errorf("metrics: err %v, text %q", err, prom)
+	}
+	missing := filepath.Join(dir, "no-such-dir", "x")
+	if err := finish("-trace", missing); err == nil || !strings.HasPrefix(err.Error(), "trace: ") {
+		t.Errorf("unwritable -trace: err = %v", err)
+	}
+	if err := finish("-metrics", missing); err == nil || !strings.HasPrefix(err.Error(), "metrics: ") {
+		t.Errorf("unwritable -metrics: err = %v", err)
 	}
 }

@@ -216,7 +216,7 @@ func OversubFarMemory(opt Options) (*Result, error) {
 			ovPhysBytes>>20, ovPhysFrames, sc.ZpoolBytes>>20, sc.FarBytes>>20,
 			float64(sc.FarLatNs)/1e3, swaptier.DefaultFarBWGBs),
 		"live set is 40% of the heap, written with a 4:1-compressible pattern; garbage pages are zero-filled and discard for free on write-back",
-		"post-alloc ok at every point: direct reclaim keeps allocation working at 4x oversubscription instead of failing fast",
+		"post-alloc ok at every point: kswapd's background reclaim keeps allocation working at 4x oversubscription, so direct reclaim never runs (direct 0) and nothing fails fast",
 	)
 	return res, nil
 }

@@ -24,7 +24,7 @@ const (
 
 // smrOne runs one collector's cluster at one heap size on a fresh
 // machine. Like oversub1, this figure never passes through runWorkload —
-// the chaos CI drives the arbiter_stall and cap_race sites through it.
+// the chaos CI drives the arbiter_stall site through it.
 // The caller holds a machine slot.
 func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, *trace.Tracer, error) {
 	m, err := opt.NewMachine(machine.Config{})

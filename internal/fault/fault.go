@@ -28,9 +28,6 @@
 //   - arbiter_stall: a GC-arbiter admission decision stalls for
 //     ArbiterStallNs, pushing the requesting tenant's collection start
 //     back as if the arbiter's bookkeeping were contended.
-//   - cap_race: a tenant cap check reads a stale charge counter; the
-//     allocation ladder re-reads and retries, charging a small fixed
-//     re-check cost.
 //
 // Determinism contract: each site has its own sequence number, so the
 // decision *stream* per site is fixed by the seed, and the machine's one
@@ -108,8 +105,6 @@ var siteAliases = map[string]Site{
 	"far-write":      trace.FaultFarWrite,
 	"arbiter_stall":  trace.FaultArbiterStall,
 	"arbiter-stall":  trace.FaultArbiterStall,
-	"cap_race":       trace.FaultCapRace,
-	"cap-race":       trace.FaultCapRace,
 }
 
 // ParsePlan parses a comma-separated "site:rate" list, e.g.
@@ -158,7 +153,7 @@ func ParsePlanWithRate(spec string, rate float64) (Plan, error) {
 		}
 		s, ok := siteAliases[name]
 		if !ok {
-			return p, fmt.Errorf("fault: unknown site %q (want pte-lock, ipi-ack, swapva, poison, interconnect, far-write, arbiter-stall, cap-race, or all)", name)
+			return p, fmt.Errorf("fault: unknown site %q (want pte-lock, ipi-ack, swapva, poison, interconnect, far-write, arbiter-stall, or all)", name)
 		}
 		p.Rate[s] = r
 	}

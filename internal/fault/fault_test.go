@@ -24,18 +24,18 @@ func TestParsePlan(t *testing.T) {
 			trace.FaultPTELockStall: 0.01, trace.FaultIPIAck: 0.01,
 			trace.FaultSwapTransient: 0.01, trace.FaultFramePoison: 0.01,
 			trace.FaultInterconnect: 0.01, trace.FaultFarWrite: 0.01,
-			trace.FaultArbiterStall: 0.01, trace.FaultCapRace: 0.01}},
+			trace.FaultArbiterStall: 0.01}},
 		// Base rate applies everywhere; spec entries override per site.
 		{spec: "swapva=0.9", rate: 0.01, want: map[Site]float64{
 			trace.FaultPTELockStall: 0.01, trace.FaultIPIAck: 0.01,
 			trace.FaultSwapTransient: 0.9, trace.FaultFramePoison: 0.01,
 			trace.FaultInterconnect: 0.01, trace.FaultFarWrite: 0.01,
-			trace.FaultArbiterStall: 0.01, trace.FaultCapRace: 0.01}},
+			trace.FaultArbiterStall: 0.01}},
 		{spec: "swapva=0", rate: 0.01, want: map[Site]float64{
 			trace.FaultPTELockStall: 0.01, trace.FaultIPIAck: 0.01,
 			trace.FaultFramePoison: 0.01, trace.FaultInterconnect: 0.01,
 			trace.FaultFarWrite:     0.01,
-			trace.FaultArbiterStall: 0.01, trace.FaultCapRace: 0.01}},
+			trace.FaultArbiterStall: 0.01}},
 		{spec: "bogus=0.1", err: true},
 		{spec: "swapva", err: true},
 		{spec: "swapva=1.5", err: true},

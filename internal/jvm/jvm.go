@@ -42,10 +42,9 @@ type Config struct {
 	// BaseCore places the JVM's threads starting at this core.
 	BaseCore int
 	// Tenant, when non-nil, charges the JVM's mappings against a
-	// per-tenant cap (machine.NewTenant) and arms the tenant-local
-	// pressure ladder: over-cap episodes throttle this JVM only. Nil — the
-	// default — is the uncapped single-tenant machine, bit-identical to a
-	// build without the plane.
+	// per-tenant cap (machine.NewTenant), checked when heap.New maps the
+	// heap. Nil — the default — is the uncapped single-tenant machine,
+	// bit-identical to a build without the plane.
 	Tenant *mem.Tenant
 	// Arbiter, when non-nil, is the machine-wide GC admission controller:
 	// every collection asks it for a start slot first, so concurrent
@@ -67,8 +66,7 @@ type JVM struct {
 	threads []*Thread
 	oomMax  int
 
-	// Multi-tenant plane (both nil on a zero-config machine).
-	tenant  *mem.Tenant
+	// Multi-tenant plane (nil on a zero-config machine).
 	arbiter *sched.Arbiter
 	name    string   // arbiter identity: tenant name, or "jvm-<asid>"
 	expect  sim.Time // last pause total, the arbiter reservation estimate
@@ -78,11 +76,6 @@ type JVM struct {
 	// watermark (see Thread.checkPressure). True from birth so the first
 	// episode always triggers.
 	pressureArmed bool
-
-	// tenantArmed is the same hysteresis gate for the tenant-local ladder:
-	// one emergency collection per over-cap episode, re-armed when the
-	// tenant's budget recovers above its high watermark.
-	tenantArmed bool
 
 	// sweepTime accumulates the post-GC swap sweep (tail discard + drain)
 	// run on the GC context after each collection when the swap plane is
@@ -148,12 +141,10 @@ func New(m *machine.Machine, cfg Config) (*JVM, error) {
 		GC:      cfg.NewCollector(h, roots),
 		gcCtx:   m.NewContext(cfg.BaseCore % m.NumCores()),
 		oomMax:  4, // minor + escalation + full may all be needed before OOM
-		tenant:  cfg.Tenant,
 		arbiter: cfg.Arbiter,
 		name:    cfg.Tenant.Name(),
 
 		pressureArmed: true,
-		tenantArmed:   true,
 	}
 	if j.name == "" {
 		j.name = fmt.Sprintf("jvm-%d", as.ASID)
@@ -182,9 +173,6 @@ func (j *JVM) Threads() int { return len(j.threads) }
 // Name returns the JVM's arbiter/tenant identity: the tenant's name, or
 // "jvm-<asid>" on an untenanted instance.
 func (j *JVM) Name() string { return j.name }
-
-// Tenant returns the JVM's memory controller, nil when uncapped.
-func (j *JVM) Tenant() *mem.Tenant { return j.tenant }
 
 // Thread returns mutator thread i.
 func (j *JVM) Thread(i int) *Thread { return j.threads[i] }

@@ -21,28 +21,17 @@ var ErrMemoryPressure = errors.New("jvm: memory pressure")
 // reclaim stall of a real kernel, flattened to a deterministic constant.
 const pressureStallNs = sim.Time(20_000)
 
-// capRaceRecheckNs is the fixed cost of re-reading a tenant's charge
-// counter after an injected cap_race fault reported the first read stale.
-const capRaceRecheckNs = sim.Time(200)
-
 // PressureError is the structured fail-fast error returned when the
-// machine is at the min watermark — or, with per-tenant caps armed, when
-// one tenant is at its own min watermark: the allocation is refused and
-// the error carries an OOM-killer-style diagnostic of who holds the
-// frames. Tenant is empty for machine-wide episodes.
+// machine is at the min watermark: the allocation is refused and the
+// error carries an OOM-killer-style diagnostic of who holds the frames.
 type PressureError struct {
 	Level         mem.Pressure
-	Tenant        string
 	HeapOccupancy float64 // this JVM's heap fill fraction at failure
 	Report        machine.MemReport
 }
 
 // Error implements error.
 func (e *PressureError) Error() string {
-	if e.Tenant != "" {
-		return fmt.Sprintf("%v (tenant %s at level %s, heap %.1f%% full)\n%s",
-			ErrMemoryPressure, e.Tenant, e.Level, 100*e.HeapOccupancy, e.Report)
-	}
 	return fmt.Sprintf("%v (level %s, heap %.1f%% full)\n%s",
 		ErrMemoryPressure, e.Level, 100*e.HeapOccupancy, e.Report)
 }
@@ -60,11 +49,6 @@ func (e *PressureError) Unwrap() error { return ErrMemoryPressure }
 // a no-op — the zero-pressure fast path.
 func (t *Thread) checkPressure() error {
 	j := t.J
-	if j.tenant != nil {
-		if err := t.checkTenantPressure(); err != nil {
-			return err
-		}
-	}
 	switch j.M.Phys.PressureLevel() {
 	case mem.PressureMin:
 		if j.M.SwapEnabled() {
@@ -113,77 +97,6 @@ func (t *Thread) checkPressure() error {
 		}
 	}
 	return nil
-}
-
-// checkTenantPressure is the tenant-local ladder, the cgroup analogue of
-// checkPressure: the same stall → emergency GC → fail-fast progression,
-// but driven by this tenant's cap watermarks and throttling only this
-// JVM's threads — a neighbouring tenant's episode never reaches here. The
-// cap_race fault site sits on the pressure read: a fired fault models a
-// stale read of the charge counter, so the thread pays a fixed re-check
-// cost and reads again.
-func (t *Thread) checkTenantPressure() error {
-	j := t.J
-	level := j.tenant.PressureLevel()
-	if t.Ctx.Fault.Enabled(trace.FaultCapRace) && t.Ctx.Fault.Fire(trace.FaultCapRace) {
-		start := t.Ctx.Clock.Now()
-		t.Ctx.Clock.Advance(capRaceRecheckNs)
-		t.Ctx.Perf.CapRaceRetries++
-		t.Ctx.Perf.FaultsInjected++
-		t.Ctx.Trace.Emit(trace.KindFault, "fault:cap-race", start,
-			capRaceRecheckNs, uint64(trace.FaultCapRace), uint64(level))
-		level = j.tenant.PressureLevel()
-	}
-	switch level {
-	case mem.PressureMin:
-		// One last emergency collection if the episode's trigger is still
-		// armed; otherwise refuse the allocation for this tenant only.
-		if j.tenantArmed {
-			j.tenantArmed = false
-			if err := t.tenantEmergencyGC(mem.PressureMin); err != nil {
-				return err
-			}
-			if j.tenant.PressureLevel() != mem.PressureMin {
-				return nil
-			}
-		}
-		report := j.M.MemReport()
-		t.Ctx.Trace.Emit(trace.KindPressure, "pressure:tenant-fail-fast",
-			t.Ctx.Clock.Now(), 0, uint64(mem.PressureMin),
-			uint64(j.tenant.Usage().Charged))
-		return &PressureError{
-			Level:         mem.PressureMin,
-			Tenant:        j.tenant.Name(),
-			HeapOccupancy: j.Heap.Occupancy(),
-			Report:        report,
-		}
-	case mem.PressureLow:
-		if !j.tenantArmed {
-			return nil
-		}
-		j.tenantArmed = false
-		return t.tenantEmergencyGC(mem.PressureLow)
-	default:
-		// Hysteresis: re-arm only after the budget recovers above High.
-		if !j.tenantArmed && j.tenant.AboveHigh() {
-			j.tenantArmed = true
-		}
-	}
-	return nil
-}
-
-// tenantEmergencyGC stalls the allocating thread and runs one collection
-// on behalf of the tenant's pressure episode.
-func (t *Thread) tenantEmergencyGC(level mem.Pressure) error {
-	j := t.J
-	start := t.Ctx.Clock.Now()
-	t.Ctx.Clock.Advance(pressureStallNs)
-	t.Ctx.Perf.PressureStalls++
-	t.Ctx.Perf.EmergencyGCs++
-	t.Ctx.Trace.Emit(trace.KindPressure, "pressure:tenant-emergency-gc", start,
-		pressureStallNs, uint64(level), uint64(j.tenant.Usage().Charged))
-	_, err := j.runGC(gc.CauseMemoryPressure)
-	return err
 }
 
 // reclaimStall is the "reclaim in progress" state between the low and

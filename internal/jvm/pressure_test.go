@@ -11,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/sim"
+	"repro/internal/swaptier"
 )
 
 func pressureMachine(t *testing.T, physBytes int64, wm mem.Watermarks) *machine.Machine {
@@ -178,5 +179,73 @@ func TestPressureRearmAboveHigh(t *testing.T) {
 	}
 	if th.Ctx.Perf.EmergencyGCs != 2 {
 		t.Errorf("second episode: %d emergency collections total, want 2", th.Ctx.Perf.EmergencyGCs)
+	}
+}
+
+// TestSwapPressureRungs drives checkPressure's swap-armed rungs through
+// Thread.Alloc: a heap four times the RAM, backed by a zpool too small to
+// absorb it and no far tier, fills with rooted pages. Between the low and
+// min watermarks reclaimStall wakes kswapd; when that cannot restore
+// headroom the emergency collection runs; at min the allocating thread
+// reclaims directly before the allocation is refused.
+func TestSwapPressureRungs(t *testing.T) {
+	m := machine.MustNew(machine.Config{
+		Cost:      sim.XeonGold6130(),
+		PhysBytes: 2 << 20,
+		Swap:      swaptier.Config{ZpoolBytes: 4 << 10},
+	})
+	tr := m.EnableTracing(0)
+	j, err := New(m, svagcConfig(8<<20, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := j.Thread(0)
+	page := make([]byte, 4096)
+	var allocErr error
+	allocs := 0
+	for allocs < 2000 {
+		r, err := th.AllocRooted(heap.AllocSpec{Payload: len(page)})
+		if err != nil {
+			allocErr = err
+			break
+		}
+		allocs++
+		for i := range page {
+			page[i] = byte(allocs + i)
+		}
+		if err := j.Heap.WritePayload(th.Ctx, r.Obj, 0, 0, page); err != nil {
+			t.Fatalf("payload write %d: %v", allocs, err)
+		}
+	}
+	var pe *PressureError
+	if !errors.As(allocErr, &pe) || pe.Level != mem.PressureMin {
+		t.Fatalf("allocation %d: %v, want a *PressureError at level min", allocs+1, allocErr)
+	}
+	if allocs != 500 {
+		t.Errorf("%d allocations succeeded before fail-fast, want 500", allocs)
+	}
+	p := j.TotalPerf()
+	// Five reclaim stalls, two emergency collections and one direct
+	// reclaim: eight stalls in all.
+	if p.PressureStalls != 8 || p.EmergencyGCs != 2 || p.DirectReclaims != 1 {
+		t.Errorf("PressureStalls/EmergencyGCs/DirectReclaims = %d/%d/%d, want 8/2/1",
+			p.PressureStalls, p.EmergencyGCs, p.DirectReclaims)
+	}
+	names := map[string]int{}
+	for _, ev := range tr.Merge() {
+		names[ev.Name]++
+		if ev.Name == "pressure:reclaim-stall" && ev.Dur < pressureStallNs {
+			t.Errorf("reclaim stall charged %v, want at least %v", ev.Dur, pressureStallNs)
+		}
+	}
+	for name, want := range map[string]int{
+		"pressure:reclaim-stall":  5,
+		"pressure:emergency-gc":   2,
+		"pressure:direct-reclaim": 1,
+		"pressure:fail-fast":      1,
+	} {
+		if names[name] != want {
+			t.Errorf("%d %q events, want %d", names[name], name, want)
+		}
 	}
 }

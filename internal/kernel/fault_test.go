@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -382,6 +383,9 @@ func TestCheckArgsCarriesFaultingVA(t *testing.T) {
 	}
 	if va, ok := FaultingVA(err); !ok || va != a+1 {
 		t.Errorf("FaultingVA = %#x,%v, want %#x,true", va, ok, a+1)
+	}
+	if want := fmt.Sprintf("%v: va %#x", ErrMisaligned, a+1); err.Error() != want {
+		t.Errorf("message %q, want %q", err.Error(), want)
 	}
 	err = f.k.SwapVA(f.ctx, f.as, a, b+9, 1, DefaultOptions())
 	if va, ok := FaultingVA(err); !ok || va != b+9 {

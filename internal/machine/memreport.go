@@ -91,8 +91,8 @@ func (r MemReport) String() string {
 			i, t.ASID, t.Pages, t.Pages<<(mem.PageShift-10))
 	}
 	for _, t := range r.Tenants {
-		fmt.Fprintf(&b, "tenant %s: %d/%d pages charged (peak %d), pressure %s\n",
-			t.Name, t.Charged, t.CapFrames, t.Peak, t.Pressure)
+		fmt.Fprintf(&b, "tenant %s: %d/%d pages charged (peak %d)\n",
+			t.Name, t.Charged, t.CapFrames, t.Peak)
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -53,6 +54,13 @@ func TestConcurrentTenantChargeChurn(t *testing.T) {
 			var ce *mem.CapError
 			if !errors.As(err, &ce) {
 				t.Fatalf("rep %d tenant %d: over-cap error = %v, want *mem.CapError", rep, i, err)
+			}
+			if !errors.Is(err, mem.ErrTenantCap) || !errors.Is(err, mem.ErrNoMemory) {
+				t.Fatalf("rep %d tenant %d: %v matches neither ErrTenantCap nor ErrNoMemory", rep, i, err)
+			}
+			// The message names the tenant, its charge and its cap.
+			if want := fmt.Sprintf("tenant %q over cap: 32/256 pages charged, 512 more requested: ", ts[i].Name()); !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("rep %d tenant %d: message %q, want prefix %q", rep, i, err, want)
 			}
 			checkReport("over-cap")
 		}

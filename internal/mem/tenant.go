@@ -35,35 +35,27 @@ type TenantUsage struct {
 	CapFrames int
 	Charged   int // pages currently charged against the cap
 	Peak      int // high-water mark of Charged
-	Pressure  Pressure
 }
 
 // Tenant is a cgroup-style memory controller for one group of address
-// spaces: a hard cap in frames plus per-tenant min/low/high watermarks
-// scaled from the cap exactly like the machine-wide plane scales from the
-// physical pool. Mapping charges pages against the cap before any frame is
-// allocated, so an over-cap tenant is refused without disturbing the
-// machine-wide allocator, and unmapping uncharges symmetrically. A nil
-// *Tenant disables every check.
+// spaces: a hard cap in frames, plus charge and peak accounting. Mapping
+// charges pages against the cap before any frame is allocated, so an
+// over-cap tenant is refused without disturbing the machine-wide
+// allocator, and unmapping uncharges symmetrically. A nil *Tenant
+// disables every check.
 type Tenant struct {
 	name string
 	cap  int // frames; the hard limit
-	wm   Watermarks
 	used int // pages currently charged
 	peak int
 }
 
-// NewTenant builds a tenant capped at capFrames, with per-tenant
-// watermarks derived via DefaultWatermarks(capFrames).
+// NewTenant builds a tenant capped at capFrames.
 func NewTenant(name string, capFrames int) (*Tenant, error) {
 	if capFrames <= 0 {
 		return nil, fmt.Errorf("mem: tenant %q needs a positive cap (got %d frames)", name, capFrames)
 	}
-	wm := DefaultWatermarks(capFrames)
-	if err := wm.validate(capFrames); err != nil {
-		return nil, fmt.Errorf("mem: tenant %q cap %d too small for watermarks: %w", name, capFrames, err)
-	}
-	return &Tenant{name: name, cap: capFrames, wm: wm}, nil
+	return &Tenant{name: name, cap: capFrames}, nil
 }
 
 // Name returns the tenant's display name. Nil-safe.
@@ -106,55 +98,10 @@ func (t *Tenant) UnchargePages(n int) {
 	}
 }
 
-// PressureLevel maps the tenant's remaining budget onto the watermark
-// ladder, mirroring PhysMem's machine-wide levels: available frames at or
-// below Low mean the tenant should stall and collect, at or below Min mean
-// fail fast. Nil-safe (PressureNone when disabled).
-func (t *Tenant) PressureLevel() Pressure {
-	if t == nil {
-		return PressureNone
-	}
-	avail := t.cap - t.used
-	switch {
-	case avail <= t.wm.Min:
-		return PressureMin
-	case avail <= t.wm.Low:
-		return PressureLow
-	default:
-		return PressureNone
-	}
-}
-
-// AboveHigh reports whether the tenant's free budget has recovered above
-// the high watermark — the hysteresis re-arm point for its emergency-GC
-// trigger. Nil-safe.
-func (t *Tenant) AboveHigh() bool {
-	if t == nil {
-		return true
-	}
-	return t.cap-t.used > t.wm.High
-}
-
-// Watermarks returns the tenant's derived thresholds. Nil-safe.
-func (t *Tenant) Watermarks() Watermarks {
-	if t == nil {
-		return Watermarks{}
-	}
-	return t.wm
-}
-
 // Usage snapshots the tenant's accounting. Nil-safe.
 func (t *Tenant) Usage() TenantUsage {
 	if t == nil {
 		return TenantUsage{}
 	}
-	u := TenantUsage{Name: t.name, CapFrames: t.cap, Charged: t.used, Peak: t.peak}
-	avail := t.cap - t.used
-	switch {
-	case avail <= t.wm.Min:
-		u.Pressure = PressureMin
-	case avail <= t.wm.Low:
-		u.Pressure = PressureLow
-	}
-	return u
+	return TenantUsage{Name: t.name, CapFrames: t.cap, Charged: t.used, Peak: t.peak}
 }

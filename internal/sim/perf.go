@@ -63,7 +63,9 @@ type Perf struct {
 	SwapFallbacks  uint64 // per-object degradations to byte copy
 	SwapRollbacks  uint64 // transactional undos of partial swaps
 	IPIResends     uint64 // shootdown IPIs re-sent after ack timeouts
-	CapRaceRetries uint64 // tenant cap-counter re-reads after injected races
+	// CapRaceRetries is always 0 (its fault site is gone); like the blank
+	// field above, it keeps the digest layout until the next benchmark change.
+	CapRaceRetries uint64
 
 	// Multi-tenant plane (zero unless a GC arbiter is armed).
 	ArbiterWaits  uint64 // collections whose start the arbiter deferred

@@ -68,7 +68,7 @@ type Config struct {
 	Seed int64
 	// Swap, when enabled, arms the far-memory plane on the soak machine.
 	// Each cycle then forces a swap-out/fault-in episode instead of the
-	// min-watermark fail-fast (direct reclaim keeps allocation working),
+	// min-watermark fail-fast (reclaim keeps allocation working),
 	// and two extra leak invariants are checked per cycle: the tier holds
 	// zero slots after the closing full GC, and frames-in-use equals the
 	// heap's resident live prefix exactly. The zero value changes nothing.

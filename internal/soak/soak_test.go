@@ -78,7 +78,22 @@ func TestSoakSwapTier(t *testing.T) {
 		t.Errorf("swap soak moved no pages: %+v", res)
 	}
 	if res.FailFasts != 0 {
-		t.Errorf("%d fail-fasts with a swap tier behind the pool (direct reclaim must serve instead)", res.FailFasts)
+		t.Errorf("%d fail-fasts with a swap tier behind the pool (reclaim must keep allocation working)", res.FailFasts)
+	}
+}
+
+// TestResultString: the one-line summary the soak CLI prints names every
+// counter, and adds the swap traffic only when pages moved.
+func TestResultString(t *testing.T) {
+	r := Result{Cycles: 3, Collections: 9, Degraded: 1, Stalls: 4, Emergency: 2,
+		FailFasts: 3, Baseline: 120, SimTime: 1500 * sim.Microsecond}
+	const want = "3 cycles, 9 collections (1 degraded moves), 4 stalls, 2 emergency GCs, 3 fail-fasts, baseline 120 frames, 1.500ms simulated"
+	if got := r.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	r.SwapOuts, r.SwapIns = 70, 12
+	if got := r.String(); got != want+", 70 swap-outs / 12 swap-ins" {
+		t.Errorf("with swap traffic: String() = %q", got)
 	}
 }
 

@@ -186,12 +186,8 @@ const (
 	// requesting tenant's collection start is pushed back as if the
 	// arbiter's bookkeeping lock were contended.
 	FaultArbiterStall
-	// FaultCapRace models a stale read of a tenant's charge counter on the
-	// allocation path: the ladder re-reads the tenant state and retries,
-	// charging a small fixed re-check cost.
-	FaultCapRace
 
-	NumFaultSites = int(FaultCapRace) + 1
+	NumFaultSites = int(FaultArbiterStall) + 1
 )
 
 // String returns the stable site name used in metrics labels and fault
@@ -212,8 +208,6 @@ func (s FaultSite) String() string {
 		return "far_write"
 	case FaultArbiterStall:
 		return "arbiter_stall"
-	case FaultCapRace:
-		return "cap_race"
 	default:
 		return "unknown"
 	}

@@ -72,8 +72,7 @@ type Config struct {
 	// Seed drives the entry-size jitter (and nothing else).
 	Seed int64
 	// CapFrames, when > 0, gives every replica its own tenant memory cap
-	// of that many frames (machine.NewTenant), arming the per-tenant
-	// pressure ladder.
+	// of that many frames (machine.NewTenant).
 	CapFrames int
 	// MaxConcurrentGC, when > 0, arms the machine-wide GC arbiter with
 	// that concurrency bound; each round the leader declares its

@@ -51,8 +51,9 @@ func TestFacadeCollectorPresets(t *testing.T) {
 			t.Errorf("collector %q, want %q", vm.GC.Name(), name)
 		}
 	}
-	if _, err := svagc.NewJVM(m, svagc.JVMConfig{HeapBytes: 1 << 20, Collector: "zgc"}); err == nil {
-		t.Error("unknown preset accepted")
+	_, err := svagc.NewJVM(m, svagc.JVMConfig{HeapBytes: 1 << 20, Collector: "zgc"})
+	if err == nil || err.Error() != "svagc: unknown collector preset zgc" {
+		t.Errorf("unknown preset: err = %v", err)
 	}
 }
 
@@ -82,6 +83,10 @@ func TestFacadePolicies(t *testing.T) {
 	be, err := svagc.BreakEvenPages(svagc.XeonGold6130(), 32)
 	if err != nil || be != svagc.DefaultThresholdPages {
 		t.Errorf("break-even %d err %v", be, err)
+	}
+	// Fig. 10b's second calibration machine: the 36-core Gold 6240.
+	if m := svagc.NewMachine(svagc.XeonGold6240()); m.Cost.Name != "XeonGold6240" || m.NumCores() != 36 {
+		t.Errorf("XeonGold6240 machine: %s with %d cores", m.Cost.Name, m.NumCores())
 	}
 }
 
