@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -93,7 +95,9 @@ func TestNewMachine(t *testing.T) {
 
 // TestTracedFigures runs traced quick sweeps of the figures that build
 // their machines outside the run cache. Each must list one tracer per
-// machine it built, holding events, and print its untraced golden.
+// machine it built, holding events, and print its untraced golden. The
+// figures' metric snapshots, one section per figure, are pinned by
+// testdata/traced.quick.prom.golden.
 func TestTracedFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the kernel microbenchmarks and oom1")
@@ -113,6 +117,7 @@ func TestTracedFigures(t *testing.T) {
 	}
 	opt := quickOpt
 	opt.Trace = true
+	proms := make([]string, len(exps))
 	RunExperiments(opt, exps, func(i int, res *Result, err error, _ float64) {
 		id := exps[i].ID
 		if err != nil {
@@ -132,5 +137,12 @@ func TestTracedFigures(t *testing.T) {
 		if n := len(trace.ChromeTraceOf(res.Traces...).TraceEvents); n == 0 {
 			t.Errorf("traced %s recorded no events", id)
 		}
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "# experiment %s\n", id)
+		if err := trace.SnapshotOf(res.Traces...).WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		proms[i] = sb.String()
 	})
+	checkGolden(t, "traced.quick.prom.golden", strings.Join(proms, ""))
 }
