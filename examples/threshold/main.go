@@ -42,5 +42,5 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Println("Set the threshold with svagc.Config{ThresholdPages: N} (the paper uses 10).")
+	fmt.Println("Set the threshold with svagc -threshold N (the paper uses 10).")
 }

@@ -44,7 +44,7 @@ func oomOne(opt Options, collector string, occ float64) (*oomRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, ok := jvm.ConfigForDeadline(collector, oomHeapBytes, 1, opt.workers(), 0)
+	cfg, ok := jvm.ConfigFor(collector, oomHeapBytes, 1, opt.workers())
 	if !ok {
 		return nil, fmt.Errorf("oom1: unknown collector %q", collector)
 	}

@@ -85,7 +85,7 @@ func oversubOne(opt Options, collector string, ratio float64) (*ovRun, error) {
 		return nil, err
 	}
 	heapBytes := int64(ratio * float64(ovPhysBytes))
-	cfg, ok := jvm.ConfigForDeadline(collector, heapBytes, 1, opt.workers(), 0)
+	cfg, ok := jvm.ConfigFor(collector, heapBytes, 1, opt.workers())
 	if !ok {
 		return nil, fmt.Errorf("oversub1: unknown collector %q", collector)
 	}

@@ -222,10 +222,13 @@ func (p *Pool) BarrierSync(cost sim.Time) sim.Time {
 	return t
 }
 
-// CollectPerf adds every worker's counters into dst — used both for pause
+// CollectPerf moves every worker's counters into dst — used both for pause
 // records and to roll GC activity into the runtime-wide perf counters.
+// The workers' counters are zeroed, so each count lives in one context's
+// Perf and a sum over every context (the trace snapshot's) counts it once.
 func (p *Pool) CollectPerf(dst *sim.Perf) {
 	for _, w := range p.Workers {
 		dst.Add(w.Perf)
+		w.Perf.Reset()
 	}
 }

@@ -140,6 +140,11 @@ func TestPoolCollectPerf(t *testing.T) {
 	if sum.Syscalls != 7 {
 		t.Errorf("CollectPerf sum = %d", sum.Syscalls)
 	}
+	for i := 0; i < p.Size(); i++ {
+		if got := p.Worker(i).Perf.Syscalls; got != 0 {
+			t.Errorf("worker %d keeps %d syscalls after CollectPerf, want them moved", i, got)
+		}
+	}
 }
 
 func TestPoolMinimumSize(t *testing.T) {

@@ -23,11 +23,11 @@ import (
 // — even transiently before a rollback — so no core can keep a stale
 // translation cached from the aborted window.
 //
-// When the two ranges overlap and opts.Overlap is set, the call dispatches
-// to the cycle-chasing Algorithm 2 (see SwapOverlap); otherwise overlapping
-// ranges are processed by the same sequential pairwise loop, which yields
-// the identical final layout (a rotation of the combined region) at O(2n)
-// cost instead of O(n+δ).
+// When the two ranges overlap and opts.Overlap is set, the call
+// dispatches to the cycle-chasing Algorithm 2 (see swapOverlapBody);
+// otherwise overlapping ranges are processed by the same sequential
+// pairwise loop, which yields the identical final layout (a rotation of
+// the combined region) at O(2n) cost instead of O(n+δ).
 func (k *Kernel) SwapVA(ctx *machine.Context, as *mmu.AddressSpace,
 	va1, va2 uint64, pages int, opts Options) error {
 

@@ -295,10 +295,6 @@ type Context struct {
 	M      *Machine
 	Core   *Core
 	Pinned bool
-	// Trace is the context's event buffer; nil when tracing is disabled.
-	// Emission sites either call the nil-safe Emit directly or guard with
-	// ctx.Trace != nil on per-page hot paths.
-	Trace *trace.Buffer
 	// NUMAView is the context's placement-aware cost view; nil on a flat
 	// (single-socket) machine. Env.NUMA aliases it for the charging layer;
 	// the kernel uses it directly for remote walk and cross-node swap
@@ -332,8 +328,7 @@ func (m *Machine) NewContext(coreID int) *Context {
 		Latency: bus.LatencyFactor,
 	}
 	if m.tracer != nil {
-		ctx.Trace = m.tracer.NewBuffer(coreID)
-		ctx.Env.Trace = ctx.Trace
+		ctx.Trace = m.tracer.NewBuffer(coreID, ctx.Perf)
 	}
 	if !m.topo.Flat() {
 		ctx.NUMAView = &NUMAView{m: m, socket: core.Socket, perf: ctx.Perf,

@@ -14,9 +14,8 @@ import (
 // another node additionally crosses the interconnect, paying the link's
 // latency surcharge or streaming through whichever of the link and the
 // destination bus is narrower. As a side effect the view counts
-// local/remote accesses into the context's perf counters and trace
-// metrics, which is where the NUMA figures and Prometheus series come
-// from.
+// local/remote accesses into the context's perf counters, which is where
+// the NUMA figures and Prometheus series come from.
 //
 // Like sim.Perf and trace.Buffer, a NUMAView is owned by one simulated
 // thread.
@@ -30,8 +29,8 @@ type NUMAView struct {
 
 // brownoutFactor rolls the interconnect-brownout site for one remote
 // access: 1 for a healthy crossing, fault.BrownoutFactor for a
-// browned-out one. This runs on the per-word charge path, so like
-// ObserveNUMA it only bumps fixed-size counters — no events.
+// browned-out one. This runs on the per-word charge path, so it only
+// bumps fixed-size counters — no events.
 func (v *NUMAView) brownoutFactor() float64 {
 	if !v.inj.Enabled(trace.FaultInterconnect) || !v.inj.Fire(trace.FaultInterconnect) {
 		return 1
@@ -55,14 +54,12 @@ func (v *NUMAView) LatencyAt(pa uint64) float64 {
 	lat := float64(float64(v.m.Cost.DRAMAccessNs) * v.m.buses[node].LatencyFactor())
 	if node == v.socket {
 		v.perf.NUMALocal++
-		v.buf.ObserveNUMA(false, 0)
 		return lat
 	}
 	topo := v.m.topo
 	lat += float64(float64(topo.RemoteLatNs()) * topo.LinkLatencyFactor(v.m.TotalStreams()) *
 		v.brownoutFactor())
 	v.perf.NUMARemote++
-	v.buf.ObserveNUMA(true, 0)
 	return lat
 }
 
@@ -74,18 +71,13 @@ func (v *NUMAView) LocalAt(pa uint64) bool {
 }
 
 // LatencyAtN implements mmu.NUMA: it accounts n node-local latency-bound
-// accesses to pa's page exactly as n LatencyAt calls would — local
-// counter, trace observations and all — and returns their shared
-// per-access latency. Batched settlement only calls it for pages LocalAt
-// approved, where the contention factor is constant across the segment.
+// accesses to pa's page exactly as n LatencyAt calls would and returns
+// their shared per-access latency. Batched settlement only calls it for
+// pages LocalAt approved, where the contention factor is constant across
+// the segment.
 func (v *NUMAView) LatencyAtN(pa uint64, n int) float64 {
 	node := v.nodeOf(pa)
 	v.perf.NUMALocal += uint64(n)
-	if v.buf != nil {
-		for i := 0; i < n; i++ {
-			v.buf.ObserveNUMA(false, 0)
-		}
-	}
 	return float64(v.m.Cost.DRAMAccessNs) * v.m.buses[node].LatencyFactor()
 }
 
@@ -98,7 +90,6 @@ func (v *NUMAView) BWAt(pa uint64, n int) float64 {
 	bw := v.m.buses[node].EffectiveGBs()
 	if node == v.socket {
 		v.perf.NUMALocal++
-		v.buf.ObserveNUMA(false, 0)
 		return bw
 	}
 	if link := v.m.topo.LinkGBs(v.m.TotalStreams()) / v.brownoutFactor(); link < bw {
@@ -109,7 +100,6 @@ func (v *NUMAView) BWAt(pa uint64, n int) float64 {
 		n = 0
 	}
 	v.perf.NUMARemoteBytes += uint64(n)
-	v.buf.ObserveNUMA(true, n)
 	return bw
 }
 
@@ -123,7 +113,6 @@ func (v *NUMAView) RemoteWalkNs(pa uint64) sim.Time {
 		return 0
 	}
 	v.perf.NUMARemote++
-	v.buf.ObserveNUMA(true, 0)
 	return v.crossingNs()
 }
 

@@ -43,14 +43,15 @@ type Env struct {
 	// those digests are regenerated.
 	Batch bool
 	// Trace is the context's event ring (nil when tracing is off —
-	// trace.Buffer methods are nil-safe). The swapper emits fault-in and
-	// reclaim events through it so swap episodes appear on timelines.
+	// trace.Buffer methods are nil-safe). Every layer emits through it;
+	// sites on per-page hot paths guard with Trace != nil so they do not
+	// even read the clock.
 	Trace *trace.Buffer
 }
 
 // NUMA is the placement-aware cost view a multi-socket machine installs on
 // each context's Env. Implementations may count local/remote traffic as a
-// side effect (the machine layer feeds perf counters and trace metrics).
+// side effect (the machine layer feeds the Env's perf counters).
 type NUMA interface {
 	// LatencyAt returns the contended latency (ns) of one latency-bound
 	// DRAM access to physical address pa, before the NVM write multiplier.

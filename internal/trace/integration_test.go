@@ -60,8 +60,9 @@ func TestKernelEventsEndToEnd(t *testing.T) {
 		t.Errorf("swap size histogram: count=%d sum=%g, want 1/8",
 			s.SwapPages.Count, s.SwapPages.Sum)
 	}
-	if s.IPIs != uint64(m.NumCores()-1) {
-		t.Errorf("IPIs = %d, want %d", s.IPIs, m.NumCores()-1)
+	if s.Perf != *ctx.Perf || s.Perf.IPIsSent != uint64(m.NumCores()-1) {
+		t.Errorf("snapshot counters %+v, want the context's %+v with %d IPIs",
+			s.Perf, *ctx.Perf, m.NumCores()-1)
 	}
 }
 

@@ -3,44 +3,36 @@ package trace
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-// TestFaultCountersInSnapshotAndPrometheus feeds synthetic fault-plane
-// events through a tracer and checks they surface both as Snapshot
-// counters and as the Prometheus text-format series the CI chaos job
-// scrapes.
+// TestFaultCountersInSnapshotAndPrometheus checks the fault-plane series
+// the CI chaos job scrapes: injections by site from the fault events,
+// and the recovery ladder's counts from the buffer's sim.Perf, so a
+// fallback event that is not a swap degradation (an evacuation sliding
+// in place) adds no svagc_swap_fallbacks_total.
 func TestFaultCountersInSnapshotAndPrometheus(t *testing.T) {
 	tr := New(64)
-	b := tr.NewBuffer(0)
+	// Seven IPIs, five of them re-sent after dropped acks.
+	b := tr.NewBuffer(0, &sim.Perf{SwapRetries: 3, SwapFallbacks: 1,
+		SwapRollbacks: 2, IPIsSent: 12, IPIResends: 5})
 
 	b.Emit(KindFault, "fault", 0, 0, uint64(FaultSwapTransient), 0)
 	b.Emit(KindFault, "fault", 1, 0, uint64(FaultSwapTransient), 0)
 	b.Emit(KindFault, "fault", 2, 0, uint64(FaultFramePoison), 0)
-	// An IPI-ack fault carries the re-sent target count in arg2.
 	b.Emit(KindFault, "fault", 3, 0, uint64(FaultIPIAck), 5)
-	b.Emit(KindRetry, "swap-retry", 4, 0, 0, 0)
-	b.Emit(KindRetry, "swap-retry", 5, 0, 0, 0)
-	b.Emit(KindRetry, "swap-retry", 6, 0, 0, 0)
+	b.ObserveFault(FaultInterconnect)
 	b.Emit(KindFallback, "swap-fallback-memmove", 7, 0, 0, 0)
-	b.Emit(KindRollback, "swap-rollback", 8, 0, 2, 0)
-	b.Emit(KindRollback, "swap-rollback", 9, 0, 1, 0)
+	b.Emit(KindFallback, "evac-degrade-slide", 8, 0, 0, 0)
 
 	s := SnapshotOf(tr)
-	if got := s.FaultsBySite[FaultSwapTransient]; got != 2 {
-		t.Errorf("FaultsBySite[swap_transient] = %d, want 2", got)
-	}
-	if got := s.FaultsBySite[FaultFramePoison]; got != 1 {
-		t.Errorf("FaultsBySite[frame_poison] = %d, want 1", got)
-	}
-	if got := s.FaultsBySite[FaultIPIAck]; got != 1 {
-		t.Errorf("FaultsBySite[ipi_ack] = %d, want 1", got)
-	}
-	if s.SwapRetries != 3 || s.SwapFallbacks != 1 || s.SwapRollbacks != 2 {
-		t.Errorf("retries/fallbacks/rollbacks = %d/%d/%d, want 3/1/2",
-			s.SwapRetries, s.SwapFallbacks, s.SwapRollbacks)
-	}
-	if s.IPIResends != 5 {
-		t.Errorf("IPIResends = %d, want 5", s.IPIResends)
+	for site, want := range map[FaultSite]uint64{
+		FaultSwapTransient: 2, FaultFramePoison: 1, FaultIPIAck: 1, FaultInterconnect: 1,
+	} {
+		if got := s.FaultsBySite[site]; got != want {
+			t.Errorf("FaultsBySite[%s] = %d, want %d", site, got, want)
+		}
 	}
 
 	var sb strings.Builder
@@ -52,10 +44,13 @@ func TestFaultCountersInSnapshotAndPrometheus(t *testing.T) {
 		`svagc_faults_injected_total{site="swap_transient"} 2`,
 		`svagc_faults_injected_total{site="frame_poison"} 1`,
 		`svagc_faults_injected_total{site="ipi_ack"} 1`,
+		`svagc_faults_injected_total{site="interconnect"} 1`,
+		`svagc_trace_events_total{kind="fallback"} 2`,
 		"svagc_swap_retries_total 3",
 		"svagc_swap_fallbacks_total 1",
 		"svagc_swap_rollbacks_total 2",
 		"svagc_ipi_resends_total 5",
+		"svagc_ipis_total 7",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Prometheus output missing %q", want)

@@ -14,7 +14,7 @@ func TestSpillKeepsEveryEvent(t *testing.T) {
 	var out bytes.Buffer
 	tr := New(4)
 	tr.SetSpill(&out)
-	b := tr.NewBuffer(0)
+	b := tr.NewBuffer(0, &sim.Perf{})
 	const n = 19 // 4 full-ring flushes + 3 events left in the ring
 	for i := 0; i < n; i++ {
 		b.Emit(KindBus, "ev", sim.Time(i*100), 50, uint64(i), 0)
@@ -69,7 +69,7 @@ func TestSpillKeepsEveryEvent(t *testing.T) {
 func TestSpillCapsRingSize(t *testing.T) {
 	tr := New(1 << 20)
 	tr.SetSpill(&bytes.Buffer{})
-	b := tr.NewBuffer(0)
+	b := tr.NewBuffer(0, &sim.Perf{})
 	if b.cap != DefaultEventsPerContext {
 		t.Errorf("spill-mode ring cap = %d, want %d", b.cap, DefaultEventsPerContext)
 	}
@@ -83,7 +83,7 @@ func TestSpillReportsWriterError(t *testing.T) {
 	wantErr := errors.New("disk full")
 	tr := New(2)
 	tr.SetSpill(&failWriter{err: wantErr})
-	b := tr.NewBuffer(0)
+	b := tr.NewBuffer(0, &sim.Perf{})
 	for i := 0; i < 8; i++ {
 		b.Emit(KindBus, "ev", sim.Time(i), 1, 0, 0)
 	}

@@ -6,8 +6,11 @@
 // fan-out, bus transfers, and GC phase transitions — is recorded as a
 // structured Event in a per-context ring buffer. The buffers merge by
 // simulated clock into a Chrome trace_event JSON file (chrome.go) and
-// aggregate into a Prometheus-style text snapshot of counters and
-// histograms (metrics.go).
+// aggregate into a Prometheus-style text snapshot (metrics.go). The
+// snapshot reads every count from the contexts' sim.Perf, the same
+// counters the figures print; the tracer adds only what Perf does not
+// hold: events by kind, four histograms, faults by site, and the ring's
+// dropped and spilled counts.
 //
 // Cost discipline: a disabled tracer is a nil *Buffer on the context, and
 // every Emit call starts with a nil-receiver check, so the fast path is a
@@ -16,8 +19,8 @@
 // guard with `if ctx.Trace != nil` so they do not even read the clock.
 //
 // Ownership discipline mirrors sim.Perf: each simulated thread owns its
-// Buffer and writes it without locks; the Tracer only takes its registry
-// lock when a buffer is created and when results are drained, which
+// Buffer and writes it without locks; the Tracer's registry is touched
+// only when a buffer is created and when results are drained, which
 // happens after the simulated work completes.
 package trace
 
@@ -73,8 +76,10 @@ const (
 	// backoff charged to the clock as Dur. Arg1 = attempt number (1-based),
 	// Arg2 = source VA.
 	KindRetry
-	// KindFallback is one per-object degradation from swap to byte-copy
-	// compaction. Arg1 = pages, Arg2 = destination VA.
+	// KindFallback is one move degraded to a slower path: a swap to byte
+	// copy (swap-fallback-memmove, the only one Perf.SwapFallbacks
+	// counts), an overlapping swap to the pairwise body, or an
+	// evacuation to an in-place slide. Arg1 = pages, Arg2 = a VA.
 	KindFallback
 	// KindRollback is one transactional undo of a partially applied swap
 	// request. Arg1 = undo operations replayed, Arg2 = request VA1.
@@ -260,11 +265,12 @@ const DefaultEventsPerContext = 8192
 // Buffer is the per-context event sink. A nil *Buffer is the disabled
 // tracer: every method is nil-safe and the emit path returns immediately.
 // A Buffer is owned by one simulated thread, exactly like the context's
-// sim.Perf counters.
+// sim.Perf counters, which it keeps for the metric snapshot.
 type Buffer struct {
 	tid  int
 	core int
 	cap  int
+	perf *sim.Perf
 
 	events []Event // grows lazily up to cap, then becomes a ring
 	next   int     // oldest slot once the ring is full
@@ -311,13 +317,13 @@ func (b *Buffer) Emit(k Kind, name string, start, dur sim.Time, a1, a2 uint64) {
 		b.dropped++
 	}
 	b.emitted++
-	b.m.observe(k, dur, a1, a2, start)
+	b.m.observe(k, dur, a1, start)
 }
 
 // ObserveFault counts one injected fault without recording an event.
 // Interconnect brownouts fire on the per-access NUMA charge path, far too
-// hot for ring-buffer events, so like ObserveNUMA they update only the
-// fixed-size aggregate counters. Nil-safe like Emit.
+// hot for ring-buffer events, so they update only the fixed-size per-site
+// counters. Nil-safe like Emit.
 func (b *Buffer) ObserveFault(site FaultSite) {
 	if b == nil {
 		return
@@ -329,31 +335,13 @@ func (b *Buffer) ObserveFault(site FaultSite) {
 
 // ObserveLockWait records one PTE-lock queueing delay (simulated ns spent
 // waiting behind another context's critical section) without recording an
-// event. Lock acquisitions sit on the per-page kernel hot path, so like
-// ObserveNUMA this updates only the fixed-size aggregate histogram.
-// Nil-safe like Emit.
+// event. Lock acquisitions sit on the per-page kernel hot path, so this
+// updates only the fixed-size aggregate histogram. Nil-safe like Emit.
 func (b *Buffer) ObserveLockWait(waitNs sim.Time) {
 	if b == nil {
 		return
 	}
 	b.m.lockWait.observe(uint64(waitNs))
-}
-
-// ObserveNUMA counts one placement-resolved access without recording an
-// event: remote says whether it crossed the interconnect, bytes is the
-// transfer size for bulk accesses (0 for latency-bound ones). These land
-// on the per-word charge path, far too hot for ring-buffer events, so
-// they update only the fixed-size aggregate counters. Nil-safe like Emit.
-func (b *Buffer) ObserveNUMA(remote bool, bytes int) {
-	if b == nil {
-		return
-	}
-	if remote {
-		b.m.numaRemote++
-		b.m.numaRemoteBytes += uint64(bytes)
-	} else {
-		b.m.numaLocal++
-	}
 }
 
 // drain returns the buffered events oldest-first.
@@ -386,9 +374,9 @@ func New(eventsPerContext int) *Tracer {
 }
 
 // NewBuffer registers and returns a buffer for a context running on the
-// given core. Called by machine.NewContext.
-func (t *Tracer) NewBuffer(core int) *Buffer {
-	b := &Buffer{tid: len(t.bufs) + 1, core: core, cap: t.perBuf, spill: t.spill}
+// given core whose counters are perf. Called by machine.NewContext.
+func (t *Tracer) NewBuffer(core int, perf *sim.Perf) *Buffer {
+	b := &Buffer{tid: len(t.bufs) + 1, core: core, cap: t.perBuf, perf: perf, spill: t.spill}
 	t.bufs = append(t.bufs, b)
 	return b
 }
@@ -431,41 +419,21 @@ func (h *hist) observe(v uint64) {
 	h.n++
 }
 
-// bufMetrics is the per-buffer aggregate state updated on every emit.
-// Everything is fixed-size so the enabled emit path allocates nothing.
+// bufMetrics is the per-buffer aggregate state updated on every emit:
+// what the context's sim.Perf does not count. Everything is fixed-size so
+// the enabled emit path allocates nothing.
 type bufMetrics struct {
-	kindCount [numKinds]uint64
-	swapPages hist // KindSwapReq: request size in pages
-	lockHold  hist // KindPTELock: critical-section ns
-	lockWait  hist // ObserveLockWait: ns queued behind a PTE lock
-	sdGap     hist // KindShootdown: ns since this context's previous one
-	lastSD    sim.Time
-	hasSD     bool
-	busBytes  uint64
-	ipis      uint64
-
-	// NUMA traffic, fed by ObserveNUMA (accesses) and KindShootdown Arg2
-	// (remote IPI targets).
-	numaLocal       uint64
-	numaRemote      uint64
-	numaRemoteBytes uint64
-	ipisRemote      uint64
-
-	// Fault plane, fed by KindFault/KindRetry/KindFallback/KindRollback
-	// events and by ObserveFault on paths too hot for events.
-	faultBySite [NumFaultSites]uint64
-	retries     uint64
-	fallbacks   uint64
-	rollbacks   uint64
-	ipiResends  uint64
-
-	// Swap tier (internal/swaptier), fed by the reclaim/fault-in events.
-	swapOutPages uint64
-	swapInPages  uint64
-	reclaimRuns  uint64
+	kindCount   [numKinds]uint64
+	faultBySite [NumFaultSites]uint64 // KindFault Arg1, and ObserveFault
+	swapPages   hist                  // KindSwapReq: request size in pages
+	lockHold    hist                  // KindPTELock: critical-section ns
+	lockWait    hist                  // ObserveLockWait: ns queued behind a PTE lock
+	sdGap       hist                  // KindShootdown: ns since this context's previous one
+	lastSD      sim.Time
+	hasSD       bool
 }
 
-func (m *bufMetrics) observe(k Kind, dur sim.Time, a1, a2 uint64, ts sim.Time) {
+func (m *bufMetrics) observe(k Kind, dur sim.Time, a1 uint64, ts sim.Time) {
 	m.kindCount[k]++
 	switch k {
 	case KindSwapReq:
@@ -478,28 +446,9 @@ func (m *bufMetrics) observe(k Kind, dur sim.Time, a1, a2 uint64, ts sim.Time) {
 		}
 		m.lastSD = ts
 		m.hasSD = true
-		m.ipis += a1
-		m.ipisRemote += a2
-	case KindBus:
-		m.busBytes += a1
 	case KindFault:
 		if a1 < uint64(NumFaultSites) {
 			m.faultBySite[a1]++
 		}
-		if FaultSite(a1) == FaultIPIAck {
-			m.ipiResends += a2 // unacked targets re-sent this round
-		}
-	case KindRetry:
-		m.retries++
-	case KindFallback:
-		m.fallbacks++
-	case KindRollback:
-		m.rollbacks++
-	case KindSwapOut:
-		m.swapOutPages += a1
-	case KindSwapIn:
-		m.swapInPages += a1
-	case KindReclaim:
-		m.reclaimRuns++
 	}
 }

@@ -45,7 +45,7 @@ func TestMergeOrdersByClock(t *testing.T) {
 			tr := New(16)
 			total := 0
 			for core, series := range tc.ts {
-				b := tr.NewBuffer(core)
+				b := tr.NewBuffer(core, &sim.Perf{})
 				for _, ts := range series {
 					b.Emit(KindSyscall, "ev", ts, 1, 0, 0)
 					total++
@@ -83,7 +83,7 @@ func TestSteadyStateEmitDoesNotAllocate(t *testing.T) {
 	// Once the ring is at capacity, emission overwrites in place: no
 	// allocation even while tracing is live.
 	tr := New(64)
-	b := tr.NewBuffer(0)
+	b := tr.NewBuffer(0, &sim.Perf{})
 	for i := 0; i < 64; i++ {
 		b.Emit(KindSwapPage, "pte-swap", sim.Time(i), 1, 0, 0)
 	}
@@ -97,7 +97,7 @@ func TestSteadyStateEmitDoesNotAllocate(t *testing.T) {
 
 func TestRingOverflowDropsOldest(t *testing.T) {
 	tr := New(4)
-	b := tr.NewBuffer(0)
+	b := tr.NewBuffer(0, &sim.Perf{})
 	for i := 0; i < 10; i++ {
 		b.Emit(KindBus, "ev", sim.Time(i), 1, uint64(i), 0)
 	}
@@ -122,8 +122,8 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 
 func TestChromeJSONRoundTrips(t *testing.T) {
 	tr := New(16)
-	b0 := tr.NewBuffer(0)
-	b1 := tr.NewBuffer(3)
+	b0 := tr.NewBuffer(0, &sim.Perf{})
+	b1 := tr.NewBuffer(3, &sim.Perf{})
 	b0.Emit(KindSyscall, "SwapVA", 1000, 500, 16, 0)
 	b0.Emit(KindShootdown, "tlb-shootdown", 1500, 200, 15, 7)
 	b1.Emit(KindPhase, "compact", 1200, 800, 4, 0)
@@ -167,8 +167,8 @@ func TestChromeJSONRoundTrips(t *testing.T) {
 
 func TestChromeTraceOfSeparatesMachines(t *testing.T) {
 	t1, t2 := New(8), New(8)
-	t1.NewBuffer(0).Emit(KindSyscall, "a", 1, 1, 0, 0)
-	t2.NewBuffer(0).Emit(KindSyscall, "b", 2, 1, 0, 0)
+	t1.NewBuffer(0, &sim.Perf{}).Emit(KindSyscall, "a", 1, 1, 0, 0)
+	t2.NewBuffer(0, &sim.Perf{}).Emit(KindSyscall, "b", 2, 1, 0, 0)
 	ct := ChromeTraceOf(t1, t2)
 	pids := map[string]int{}
 	for _, ev := range ct.TraceEvents {
@@ -195,22 +195,26 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestSnapshotMetricsAndPrometheus checks the two sources a snapshot
+// reads: histograms and kind counts from the events, every count series
+// from the buffers' sim.Perf.
 func TestSnapshotMetricsAndPrometheus(t *testing.T) {
 	tr := New(32)
-	b := tr.NewBuffer(0)
+	b := tr.NewBuffer(0, &sim.Perf{IPIsSent: 30, BytesCopied: 4096})
 	b.Emit(KindSwapReq, "swap-req", 100, 50, 16, 0)  // 16-page request
 	b.Emit(KindSwapReq, "swap-req", 200, 50, 512, 0) // huge request
 	b.Emit(KindPTELock, "pte-lock", 100, 40, 1, 2)   // 40 ns hold
 	b.Emit(KindShootdown, "tlb-shootdown", 300, 10, 15, 1)
 	b.Emit(KindShootdown, "tlb-shootdown", 1300, 10, 15, 1) // gap = 1000 ns
-	b.Emit(KindBus, "memmove", 400, 100, 4096, 0)
+	// A bus event's byte count is trace detail; the series reads Perf.
+	b.Emit(KindBus, "memmove", 400, 100, 1, 0)
 
 	s := SnapshotOf(tr)
 	if s.EventsByKind["swap_req"] != 2 || s.EventsByKind["shootdown"] != 2 {
 		t.Errorf("kind counts wrong: %v", s.EventsByKind)
 	}
-	if s.IPIs != 30 || s.BusBytes != 4096 {
-		t.Errorf("ipis=%d busbytes=%d, want 30/4096", s.IPIs, s.BusBytes)
+	if s.Perf.IPIsSent != 30 || s.Perf.BytesCopied != 4096 {
+		t.Errorf("ipis=%d busbytes=%d, want 30/4096", s.Perf.IPIsSent, s.Perf.BytesCopied)
 	}
 	if s.SwapPages.Count != 2 || s.SwapPages.Sum != 528 {
 		t.Errorf("swap pages hist: count=%d sum=%g, want 2/528", s.SwapPages.Count, s.SwapPages.Sum)
@@ -227,8 +231,8 @@ func TestSnapshotMetricsAndPrometheus(t *testing.T) {
 	// Merge doubles everything.
 	s2 := SnapshotOf(tr)
 	s2.Merge(s)
-	if s2.IPIs != 60 || s2.SwapPages.Count != 4 {
-		t.Errorf("Merge: ipis=%d swapcount=%d, want 60/4", s2.IPIs, s2.SwapPages.Count)
+	if s2.Perf.IPIsSent != 60 || s2.SwapPages.Count != 4 {
+		t.Errorf("Merge: ipis=%d swapcount=%d, want 60/4", s2.Perf.IPIsSent, s2.SwapPages.Count)
 	}
 
 	var buf bytes.Buffer

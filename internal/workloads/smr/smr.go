@@ -201,7 +201,7 @@ func Run(m *machine.Machine, cfg Config) (*Result, error) {
 			}
 			tenant = t
 		}
-		jcfg, ok := jvm.ConfigForDeadline(cfg.Collector, cfg.HeapBytes, 1, cfg.GCWorkers, 0)
+		jcfg, ok := jvm.ConfigFor(cfg.Collector, cfg.HeapBytes, 1, cfg.GCWorkers)
 		if !ok {
 			return nil, fmt.Errorf("smr: unknown collector %q", cfg.Collector)
 		}
