@@ -31,11 +31,16 @@ func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, *trace
 	if err != nil {
 		return nil, nil, err
 	}
-	// Each tenant's cap is twice its heap plus slack: room for a copying
-	// collector's to-space, so the cap isolates runaways without
-	// throttling a well-behaved replica mid-collection.
-	capFrames := 2*int(heapBytes>>mem.PageShift) + 64
-	r, err := smr.Run(m, smr.Config{
+	r, err := smr.Run(m, smrConfig(opt, collector, heapBytes))
+	return r, m.Tracer(), err
+}
+
+// smrConfig is the cluster smr1 runs for one collector at one heap size.
+// Each tenant's cap is twice its heap plus slack: room for a copying
+// collector's to-space, so the cap isolates runaways without throttling
+// a well-behaved replica mid-collection.
+func smrConfig(opt Options, collector string, heapBytes int64) smr.Config {
+	return smr.Config{
 		Collector:         collector,
 		Replicas:          smrReplicas,
 		HeapBytes:         heapBytes,
@@ -43,10 +48,27 @@ func smrOne(opt Options, collector string, heapBytes int64) (*smr.Result, *trace
 		ElectionTimeoutNs: smrTimeoutNs,
 		GCWorkers:         opt.workers(),
 		Seed:              opt.seed(),
-		CapFrames:         capFrames,
+		CapFrames:         2*int(heapBytes>>mem.PageShift) + 64,
 		MaxConcurrentGC:   1,
-	})
-	return r, m.Tracer(), err
+	}
+}
+
+// smrRow is smr1's table row for one collector's cluster at one heap
+// size.
+func smrRow(collector string, heapBytes int64, r *smr.Result) []string {
+	return []string{
+		fmt.Sprintf("%d MiB", heapBytes>>20),
+		collector,
+		fmt.Sprintf("%d", r.Failovers),
+		fmt.Sprintf("%d", r.Evictions),
+		fmt.Sprintf("%d", r.ReplayEntries),
+		r.P50.String(),
+		r.P99.String(),
+		r.P999.String(),
+		r.Max.String(),
+		r.MaxPause.String(),
+		fmt.Sprintf("%d", r.Arbiter.Waits),
+	}
 }
 
 // SMRLeaderChurn sweeps replica heap size for a GC-pause-driven
@@ -83,21 +105,8 @@ func SMRLeaderChurn(opt Options) (*Result, error) {
 	}
 	for hi, hb := range heaps {
 		for ci, c := range collectors {
-			r := runs[hi*len(collectors)+ci]
 			opt.record(traces[hi*len(collectors)+ci])
-			res.Rows = append(res.Rows, []string{
-				fmt.Sprintf("%d MiB", hb>>20),
-				c,
-				fmt.Sprintf("%d", r.Failovers),
-				fmt.Sprintf("%d", r.Evictions),
-				fmt.Sprintf("%d", r.ReplayEntries),
-				r.P50.String(),
-				r.P99.String(),
-				r.P999.String(),
-				r.Max.String(),
-				r.MaxPause.String(),
-				fmt.Sprintf("%d", r.Arbiter.Waits),
-			})
+			res.Rows = append(res.Rows, smrRow(c, hb, runs[hi*len(collectors)+ci]))
 		}
 	}
 	res.Notes = append(res.Notes,

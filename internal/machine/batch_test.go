@@ -3,44 +3,11 @@ package machine
 import (
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/swaptier"
 )
-
-// TestBatchChargingPredicate pins the one charging rule: every context
-// settles declared runs in closed form unless the machine has a swap
-// tier. Tracing (armed after New, as the CLIs do), fault plans and
-// watermarks do not change the path.
-func TestBatchChargingPredicate(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		arm  func(*Machine)
-		want bool
-	}{
-		{name: "default", cfg: Config{}, want: true},
-		{name: "tracer armed after New", cfg: Config{},
-			arm: func(m *Machine) { m.EnableTracing(16) }, want: true},
-		{name: "fault plan", cfg: Config{Fault: fault.New(1, fault.Uniform(0.5))}, want: true},
-		{name: "armed watermarks", cfg: Config{PhysBytes: 1 << 24,
-			Watermarks: mem.Watermarks{Min: 8, Low: 16, High: 32}}, want: true},
-		{name: "swap tier", cfg: Config{PhysBytes: 1 << 24,
-			Swap: swaptier.Config{ZpoolBytes: 1 << 20}}, want: false},
-	}
-	for _, tc := range cases {
-		tc.cfg.Cost = sim.XeonGold6130()
-		m := MustNew(tc.cfg)
-		if tc.arm != nil {
-			tc.arm(m)
-		}
-		if got := m.NewContext(0).Env.Batch; got != tc.want {
-			t.Errorf("%s: context Env.Batch = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
 
 // chargeSequence drives the same ChargeRun/ReadRun/WriteRun mix on a
 // fresh context of m and returns the context and the words it read.
@@ -100,48 +67,105 @@ func TestObservabilityDoesNotPerturbCharging(t *testing.T) {
 	}
 }
 
-// TestContextChargeRunParity is the machine-level behavioural parity
-// check: the same run sequence settled in closed form and forced down the
-// per-word path must land on identical clocks and counters (modulo the
-// fallback count), through the public Context.ChargeRun entry and the
-// machine-owned LLC/TLB/bus wiring.
+// TestContextChargeRunParity is the machine-level parity check on a
+// swap-armed machine: a ChargeRun/ReadRun/WriteRun sequence over a
+// working set twice the frame pool, so page-ins reclaim in the middle of
+// runs, must leave the clock, the counters, the data read and the tier
+// exactly where the same accesses issued as ReadWord/WriteWord loops on
+// an identical machine leave them. Only the run counts may differ.
 func TestContextChargeRunParity(t *testing.T) {
-	build := func() (*Context, *mmu.AddressSpace) {
-		m := MustNew(Config{Cost: sim.XeonGold6130()})
+	const pages, poolPages = 96, 48
+	build := func() (*Machine, *Context, *mmu.AddressSpace, uint64) {
+		m := MustNew(Config{Cost: sim.XeonGold6130(), PhysBytes: poolPages << mem.PageShift,
+			Swap: swaptier.Config{ZpoolBytes: 4 << 20}})
 		as := m.NewAddressSpace()
-		if err := as.Map(mmu.MmapBase, 8); err != nil {
+		base, err := as.MapRegion(pages)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return m.NewContext(0), as
+		return m, m.NewContext(0), as, base
 	}
-	ctxB, asB := build()
-	ctxE, asE := build()
-	ctxE.Env.Batch = false
-	runs := []mmu.Run{
-		{VA: mmu.MmapBase, Words: 900, Write: true},
-		{VA: mmu.MmapBase + 128, Words: 900},
-		{VA: mmu.MmapBase + 16, Stride: 72, Words: 333},
-		{VA: mmu.MmapBase + 16, Stride: 72, Words: 333}, // warm re-scan
-		{VA: mmu.MmapBase + 4096, Words: 1, Write: true},
+	mR, ctxR, asR, base := build()
+	mW, ctxW, asW, _ := build()
+
+	// Write runs move data; charge-only runs are loads, which a ReadWord
+	// loop can issue without storing anything.
+	ops := []mmu.Run{
+		{VA: base, Words: pages * mem.PageSize / 8, Write: true}, // every page: twice the pool
+		{VA: base + 64, Words: 5000},                             // the oldest pages, swapped out
+		{VA: base + 16, Stride: 72, Words: 4000},
+		{VA: base + 24, Stride: mem.PageSize, Words: pages}, // one word a page
+		{VA: base + 8<<mem.PageShift, Words: 3000, Write: true},
+		{VA: base + 5<<mem.PageShift + 8, Words: 9000},
 	}
-	for _, r := range runs {
-		if err := ctxB.ChargeRun(asB, r); err != nil {
-			t.Fatal(err)
+	var readR, readW []uint64
+	for i, r := range ops {
+		stride := uint64(max(r.Stride, 8))
+		var data []uint64
+		if r.Write || r.Stride == 0 {
+			data = make([]uint64, r.Words)
+			for j := range data {
+				data[j] = uint64(i)<<32 | uint64(j)*0x9e3779b9
+			}
 		}
-		if err := ctxE.ChargeRun(asE, r); err != nil {
-			t.Fatal(err)
+		var err error
+		switch {
+		case r.Write:
+			err = asR.WriteRun(&ctxR.Env, r.VA, data)
+		case data != nil:
+			err = asR.ReadRun(&ctxR.Env, r.VA, data)
+			readR = append(readR, data...)
+		default:
+			err = ctxR.ChargeRun(asR, r)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		for j := 0; j < r.Words; j++ {
+			va := r.VA + uint64(j)*stride
+			if r.Write {
+				err = asW.WriteWord(&ctxW.Env, va, data[j])
+			} else {
+				var v uint64
+				v, err = asW.ReadWord(&ctxW.Env, va)
+				if data != nil {
+					readW = append(readW, v)
+				}
+			}
+			if err != nil {
+				t.Fatalf("op %d word %d: %v", i, j, err)
+			}
 		}
 	}
-	if got, want := ctxB.Clock.Now(), ctxE.Clock.Now(); got != want {
-		t.Errorf("clock diverges: batched %v, exact %v", got, want)
+
+	if got, want := ctxR.Clock.Now(), ctxW.Clock.Now(); got != want {
+		t.Errorf("clock diverges: runs %v, words %v", got, want)
 	}
-	pB, pE := *ctxB.Perf, *ctxE.Perf
-	if pB.RunFallbacks != 0 || pE.RunFallbacks != uint64(len(runs)) {
-		t.Errorf("fallback counts: batched %d (want 0), exact %d (want %d)",
-			pB.RunFallbacks, pE.RunFallbacks, len(runs))
+	for i := range readR {
+		if readR[i] != readW[i] {
+			t.Fatalf("data diverges at word %d: %#x vs %#x", i, readR[i], readW[i])
+		}
 	}
-	pB.RunFallbacks, pE.RunFallbacks = 0, 0
-	if pB != pE {
-		t.Errorf("perf diverges:\nbatched: %+v\nexact:   %+v", pB, pE)
+	pR, pW := *ctxR.Perf, *ctxW.Perf
+	if pR.RunFallbacks != uint64(len(ops)) {
+		t.Errorf("RunFallbacks = %d, want %d (one per run on a swap-armed space)", pR.RunFallbacks, len(ops))
+	}
+	pR.ChargeRuns, pR.RunWords, pR.RunFallbacks = 0, 0, 0
+	if pR != pW {
+		t.Errorf("perf diverges:\nruns:  %+v\nwords: %+v", pR, pW)
+	}
+	if sR, sW := mR.SwapTier().Stats(), mW.SwapTier().Stats(); sR != sW {
+		t.Errorf("tier diverges:\nruns:  %+v\nwords: %+v", sR, sW)
+	}
+	kR, kW := mR.KswapdPerf(), mW.KswapdPerf()
+	if kR == nil || kW == nil {
+		t.Fatal("the sequence never woke kswapd: page-ins did not reclaim")
+	}
+	if *kR != *kW {
+		t.Errorf("kswapd diverges:\nruns:  %+v\nwords: %+v", *kR, *kW)
+	}
+	if pR.SwapInPages == 0 || kR.ReclaimRuns == 0 {
+		t.Errorf("%d pages faulted back in, %d reclaim runs: want both > 0",
+			pR.SwapInPages, kR.ReclaimRuns)
 	}
 }

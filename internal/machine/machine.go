@@ -335,18 +335,12 @@ func (m *Machine) NewContext(coreID int) *Context {
 			buf: ctx.Trace, inj: m.fault}
 		ctx.Env.NUMA = ctx.NUMAView
 	}
-	// Closed-form settlement is bit-identical to the per-word path, so
-	// tracing, fault plans and watermarks all batch. A swap tier keeps
-	// the per-word path only because recorded benchmark digests hash
-	// Perf.RunFallbacks (see mmu.Env.Batch).
-	ctx.Env.Batch = m.swap == nil
 	return ctx
 }
 
 // ChargeRun declares a strided access run on as and settles its cost in
-// closed form (per word on a swap-armed machine; the charges are
-// identical). This is the epoch-batched charging entry workloads use for
-// accesses whose data lives host-side.
+// closed form, page segment by page segment. This is the epoch-batched
+// charging entry workloads use for accesses whose data lives host-side.
 func (ctx *Context) ChargeRun(as *mmu.AddressSpace, r mmu.Run) error {
 	return as.ChargeRun(&ctx.Env, r)
 }

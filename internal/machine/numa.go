@@ -106,10 +106,11 @@ func (v *NUMAView) BWAt(pa uint64, n int) float64 {
 // RemoteWalkNs returns the surcharge a full page-table walk pays when the
 // walked PTE's frame lives on another node: each of the walk's levels is a
 // dependent remote access, but only the surcharge beyond the already
-// charged local walk is returned. Zero for local frames; a remote frame
-// counts as one remote access.
+// charged local walk is returned. Zero for local frames. The walk counts
+// as one access, local or remote.
 func (v *NUMAView) RemoteWalkNs(pa uint64) sim.Time {
 	if v.nodeOf(pa) == v.socket {
+		v.perf.NUMALocal++
 		return 0
 	}
 	v.perf.NUMARemote++

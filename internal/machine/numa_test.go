@@ -119,8 +119,8 @@ func TestNUMAViewCountsLocalAndRemote(t *testing.T) {
 		t.Errorf("one-sided store %v is not half the pairwise swap %v", store, swap)
 	}
 
-	if ctx.Perf.NUMALocal != 2 { // LatencyAt + BWAt on the local frame
-		t.Errorf("NUMALocal = %d, want 2", ctx.Perf.NUMALocal)
+	if ctx.Perf.NUMALocal != 3 { // LatencyAt + BWAt + RemoteWalkNs on the local frame
+		t.Errorf("NUMALocal = %d, want 3", ctx.Perf.NUMALocal)
 	}
 	if ctx.Perf.NUMARemote != 3 { // LatencyAt + BWAt + RemoteWalkNs on the remote frame
 		t.Errorf("NUMARemote = %d, want 3", ctx.Perf.NUMARemote)

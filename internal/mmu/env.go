@@ -33,15 +33,6 @@ type Env struct {
 	// every charged access; a flat (single-socket) machine leaves it nil,
 	// keeping the original cost behaviour bit-for-bit.
 	NUMA NUMA
-	// Batch enables epoch-batched settlement of declared access runs
-	// (ChargeRun/ReadRun/WriteRun integrate each run in closed form
-	// instead of charging word by word). Settlement is bit-identical
-	// either way. The machine layer sets it on every context except on a
-	// swap-armed machine, which keeps the per-word path (counted in
-	// Perf.RunFallbacks) only because recorded benchmark digests hash
-	// that counter; the flag, the per-word path and the counter go once
-	// those digests are regenerated.
-	Batch bool
 	// Trace is the context's event ring (nil when tracing is off —
 	// trace.Buffer methods are nil-safe). Every layer emits through it;
 	// sites on per-page hot paths guard with Trace != nil so they do not

@@ -15,9 +15,7 @@ import (
 // LLC, bus and NUMA costs of the whole run in closed form, page segment by
 // page segment. The contract is bit-exactness: a settled run leaves the
 // clock, the perf counters, the TLB and the cache in exactly the state the
-// equivalent per-word call sequence would, so figures are byte-identical
-// whichever path executes (see Env.Batch for when the per-word path
-// runs).
+// equivalent per-word call sequence would.
 type Run struct {
 	// VA is the address of the first word; must be 8-byte aligned.
 	VA uint64
@@ -70,16 +68,15 @@ func (as *AddressSpace) WriteRun(env *Env, va uint64, src []uint64) error {
 
 // settleRun counts the run and charges (and, when data is non-nil,
 // moves) its words; a run whose va is not 8-aligned is rejected first.
-// With Env.Batch set it settles the run one page segment at a time
-// through settlePage, so a run inside one page makes exactly one call;
-// otherwise it replays the exact per-word sequence. Both paths produce
-// bit-identical clock, counter, TLB and cache state: the fixed-point
-// clock makes the charge multiset order-independent, each page's first
-// word pays the real translation while the rest are TLB hits by
-// construction, and per-line cache probes are shared with the per-word
-// path (cache.AccessRange's set-level integration), so word-level hits
-// are exactly words minus line misses. ReadRun and WriteRun are one call
-// to it, so they inline into their callers.
+// It settles the run one page segment at a time through settlePage, so a
+// run inside one page makes exactly one call, bit-identical to the
+// per-word sequence: the fixed-point clock makes the charge multiset
+// order-independent, each page's first word pays the real translation
+// (a page-in included) while the rest are TLB hits by construction, and
+// per-line cache probes are shared with the per-word path
+// (cache.AccessRange's set-level integration), so word-level hits are
+// exactly words minus line misses. ReadRun and WriteRun are one call to
+// it, so they inline into their callers.
 func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write bool, data []uint64) error {
 	if va%8 != 0 {
 		return fmt.Errorf("mmu: run at va %#x not 8-aligned", va)
@@ -89,9 +86,8 @@ func (as *AddressSpace) settleRun(env *Env, va uint64, stride, words int, write 
 	if words == 0 {
 		return nil
 	}
-	if !env.Batch {
+	if as.swapper != nil {
 		env.Perf.RunFallbacks++
-		return as.exactWords(env, va, stride, words, write, data)
 	}
 	for words > 0 {
 		k, err := as.settlePage(env, va, stride, words, write, data)
@@ -256,34 +252,4 @@ func (e *Env) settleEach(tlbHits, hits, misses int, miss sim.Ticks) {
 	for i := 0; i < misses; i++ {
 		e.Clock.AdvanceTicks(miss)
 	}
-}
-
-// exactWords is the per-word fallback: the identical call sequence a
-// caller without the run API would have issued.
-func (as *AddressSpace) exactWords(env *Env, va uint64, stride, words int, write bool, data []uint64) error {
-	for i := 0; i < words; i++ {
-		w := va + uint64(i*stride)
-		switch {
-		case data == nil:
-			if _, err := as.wordAccess(env, w, write); err != nil {
-				return err
-			}
-			if write {
-				env.Perf.BytesWrite += 8
-			} else {
-				env.Perf.BytesRead += 8
-			}
-		case write:
-			if err := as.WriteWord(env, w, data[i]); err != nil {
-				return err
-			}
-		default:
-			v, err := as.ReadWord(env, w)
-			if err != nil {
-				return err
-			}
-			data[i] = v
-		}
-	}
-	return nil
 }

@@ -11,17 +11,19 @@ import (
 )
 
 // runFixture is one (address space, env) pair with a small LLC, mapped
-// over enough pages for multi-page runs. batch selects the settlement
-// path under test.
-func runFixture(t *testing.T, batch bool) (*AddressSpace, *Env) {
+// over enough pages for multi-page runs. A non-nil sw arms the space
+// first, so its pages map demand-zero and fault in through sw.
+func runFixture(t *testing.T, sw *testSwapper) (*AddressSpace, *Env) {
 	t.Helper()
 	as := NewAddressSpace(1, mem.NewPhysMem(0))
+	if sw != nil {
+		as.SetSwapper(sw)
+	}
 	if err := as.Map(MmapBase, 16); err != nil {
 		t.Fatal(err)
 	}
 	env := NewEnv(sim.XeonGold6130())
 	env.Cache = cache.MustNew(1<<15, 8, 64) // small: long runs wrap and evict
-	env.Batch = batch
 	return as, env
 }
 
@@ -104,10 +106,10 @@ type settleFixture struct {
 	obs []uint64
 }
 
-// checkSettleParity asserts that a batched and an exact fixture ended in
-// the same state: the clock, every counter except RunFallbacks (the one
-// that says which path ran), the observed data, and the cache and TLB
-// state as seen by a follow-up per-word probe sweep.
+// checkSettleParity asserts that a fixture settled through the run API
+// (b) and one settled through the per-word reference (e) ended in the
+// same state: the clock, every counter, the observed data, and the cache
+// and TLB state as seen by a follow-up per-word probe sweep.
 func checkSettleParity(t *testing.T, b, e settleFixture) {
 	t.Helper()
 	if got, want := b.env.Clock.Now(), e.env.Clock.Now(); got != want {
@@ -121,10 +123,8 @@ func checkSettleParity(t *testing.T, b, e settleFixture) {
 			t.Fatalf("data diverges at word %d: %#x vs %#x", i, b.obs[i], e.obs[i])
 		}
 	}
-	pB, pE := *b.env.Perf, *e.env.Perf
-	pB.RunFallbacks, pE.RunFallbacks = 0, 0
-	if pB != pE {
-		t.Errorf("perf diverges:\nbatched: %+v\nexact:   %+v", pB, pE)
+	if *b.env.Perf != *e.env.Perf {
+		t.Errorf("perf diverges:\nbatched: %+v\nexact:   %+v", *b.env.Perf, *e.env.Perf)
 	}
 
 	// The cache and TLB must have evolved identically too: a fresh
@@ -151,18 +151,15 @@ func checkSettleParity(t *testing.T, b, e settleFixture) {
 }
 
 // TestRunBatchedMatchesExact is the core parity property: the same run
-// sequence over identically-mapped spaces leaves a batched env and an
-// exact env with the identical clock, counters, observed data and
-// subsequent cache behaviour.
+// sequence over identically-mapped spaces leaves an env settled in
+// closed form and one settled by the per-word reference (refRun) with
+// the identical clock, counters, observed data and subsequent cache
+// behaviour.
 func TestRunBatchedMatchesExact(t *testing.T) {
-	asB, envB := runFixture(t, true)
-	asE, envE := runFixture(t, false)
+	asB, envB := runFixture(t, nil)
+	asE, envE := runFixture(t, nil)
 	obsB := applyOps(t, asB, envB, runOps())
-	obsE := applyOps(t, asE, envE, runOps())
-	if envE.Perf.RunFallbacks == 0 || envB.Perf.RunFallbacks != 0 {
-		t.Errorf("fallback counting wrong: exact %d (want >0), batched %d (want 0)",
-			envE.Perf.RunFallbacks, envB.Perf.RunFallbacks)
-	}
+	obsE := applyOpsWith(t, refRun, asE, envE, runOps())
 	checkSettleParity(t, settleFixture{asB, envB, obsB}, settleFixture{asE, envE, obsE})
 }
 
@@ -193,17 +190,24 @@ func decodeFuzzOps(data []byte) []runOp {
 // FuzzSettleRun checks closed-form settlement against the unfused
 // per-word reference (refRun) on arbitrary op sequences: dense and
 // strided, charge-only and data-moving, with and without remote NUMA
-// pages. Bit 1 of the first input byte selects the NUMA view (bit 0 once
-// picked a cache locking mode and is ignored, so the checked-in corpus
-// keeps its meaning); the rest decodes as ops (decodeFuzzOps).
+// pages, with and without demand paging. The first input byte selects
+// the mode: bit 1 the NUMA view, bit 2 a swap-armed space whose pages
+// fault in through testSwapper, four resident at most, so long runs
+// evict their own earlier pages and re-reads fault them in again (bit 0
+// once picked a cache locking mode and is ignored, so the checked-in
+// corpus keeps its meaning). The rest decodes as ops (decodeFuzzOps).
 func FuzzSettleRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		mode, ops := data[0], decodeFuzzOps(data[1:])
-		asB, envB := runFixture(t, true)
-		asE, envE := runFixture(t, false)
+		var swB, swE *testSwapper
+		if mode&4 != 0 {
+			swB, swE = &testSwapper{maxResident: 4}, &testSwapper{maxResident: 4}
+		}
+		asB, envB := runFixture(t, swB)
+		asE, envE := runFixture(t, swE)
 		numaB, numaE := &fakeNUMA{}, &fakeNUMA{}
 		if mode&2 != 0 {
 			envB.NUMA, envE.NUMA = numaB, numaE
@@ -214,6 +218,9 @@ func FuzzSettleRun(f *testing.F) {
 		if *numaB != *numaE {
 			t.Errorf("NUMA view counts diverge: batched %+v, exact %+v", *numaB, *numaE)
 		}
+		if swB != nil && swB.pageIns != swE.pageIns {
+			t.Errorf("page-ins diverge: batched %d, exact %d", swB.pageIns, swE.pageIns)
+		}
 	})
 }
 
@@ -223,8 +230,8 @@ func FuzzSettleRun(f *testing.F) {
 func TestRunHugeChargesMatchExact(t *testing.T) {
 	cost := *sim.XeonGold6130()
 	cost.DRAMAccessNs = 5e6 // 5 ms a miss: past segmentTickLimit
-	asB, envB := runFixture(t, true)
-	asE, envE := runFixture(t, false)
+	asB, envB := runFixture(t, nil)
+	asE, envE := runFixture(t, nil)
 	envB.Cost, envE.Cost = &cost, &cost
 	if sim.ToTicks(cost.DRAMAccessNs) < segmentTickLimit {
 		t.Fatal("miss charge below segmentTickLimit: the test no longer reaches the one-by-one path")
@@ -236,40 +243,37 @@ func TestRunHugeChargesMatchExact(t *testing.T) {
 
 // TestRunSplitPointsProperty: settling one long run in arbitrary
 // contiguous pieces — including splits in the middle of a page — must be
-// bit-identical to settling it whole, on both paths. Only the run count
-// itself may differ. This is the property that makes "epoch-batched"
-// well-defined: where the epoch boundaries land cannot matter.
+// bit-identical to the per-word reference settling it whole. Only the
+// run count itself may differ. This is the property that makes
+// "epoch-batched" well-defined: where the epoch boundaries land cannot
+// matter.
 func TestRunSplitPointsProperty(t *testing.T) {
 	const words = 5000
 	seed := time.Now().UnixNano()
 	rng := rand.New(rand.NewSource(seed))
-	for _, batch := range []bool{true, false} {
-		asWhole, envWhole := runFixture(t, batch)
-		if err := asWhole.ChargeRun(envWhole, Run{VA: MmapBase, Words: words, Write: true}); err != nil {
-			t.Fatal(err)
+	asWhole, envWhole := runFixture(t, nil)
+	if err := refRun(asWhole, envWhole, Run{VA: MmapBase, Words: words, Write: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 20; trial++ {
+		asSplit, envSplit := runFixture(t, nil)
+		va, left := uint64(MmapBase), words
+		for left > 0 {
+			n := 1 + rng.Intn(left)
+			if err := asSplit.ChargeRun(envSplit, Run{VA: va, Words: n, Write: true}); err != nil {
+				t.Fatal(err)
+			}
+			va += uint64(8 * n)
+			left -= n
 		}
-		for trial := 0; trial < 20; trial++ {
-			asSplit, envSplit := runFixture(t, batch)
-			va, left := uint64(MmapBase), words
-			for left > 0 {
-				n := 1 + rng.Intn(left)
-				if err := asSplit.ChargeRun(envSplit, Run{VA: va, Words: n, Write: true}); err != nil {
-					t.Fatal(err)
-				}
-				va += uint64(8 * n)
-				left -= n
-			}
-			if got, want := envSplit.Clock.Now(), envWhole.Clock.Now(); got != want {
-				t.Errorf("batch=%v seed=%d trial %d: clock %v split vs %v whole",
-					batch, seed, trial, got, want)
-			}
-			pS, pW := *envSplit.Perf, *envWhole.Perf
-			pS.ChargeRuns, pW.ChargeRuns = 0, 0
-			pS.RunFallbacks, pW.RunFallbacks = 0, 0
-			if pS != pW {
-				t.Errorf("batch=%v seed=%d trial %d: perf diverges:\nsplit: %+v\nwhole: %+v",
-					batch, seed, trial, pS, pW)
-			}
+		if got, want := envSplit.Clock.Now(), envWhole.Clock.Now(); got != want {
+			t.Errorf("seed=%d trial %d: clock %v split vs %v whole", seed, trial, got, want)
+		}
+		pS, pW := *envSplit.Perf, *envWhole.Perf
+		pS.ChargeRuns, pW.ChargeRuns = 0, 0
+		if pS != pW {
+			t.Errorf("seed=%d trial %d: perf diverges:\nsplit: %+v\nwhole: %+v",
+				seed, trial, pS, pW)
 		}
 	}
 }
@@ -303,11 +307,11 @@ func (f *fakeNUMA) LatencyAtN(pa uint64, n int) float64 {
 
 // TestRunNUMARemoteFallsBackPerWord: on a NUMA env, node-local page
 // segments settle in closed form while cross-socket segments take the
-// per-word loop — and the result is still bit-identical to the fully
-// exact path, side-effect counts on the NUMA view included.
+// per-word loop — and the result is still bit-identical to the per-word
+// reference, side-effect counts on the NUMA view included.
 func TestRunNUMARemoteFallsBackPerWord(t *testing.T) {
-	asB, envB := runFixture(t, true)
-	asE, envE := runFixture(t, false)
+	asB, envB := runFixture(t, nil)
+	asE, envE := runFixture(t, nil)
 	numaB, numaE := &fakeNUMA{}, &fakeNUMA{}
 	envB.NUMA, envE.NUMA = numaB, numaE
 
@@ -317,7 +321,7 @@ func TestRunNUMARemoteFallsBackPerWord(t *testing.T) {
 		{run: Run{VA: MmapBase, Words: 1500}, data: true},
 	}
 	obsB := applyOps(t, asB, envB, ops)
-	obsE := applyOps(t, asE, envE, ops)
+	obsE := applyOpsWith(t, refRun, asE, envE, ops)
 	if numaB.remote == 0 {
 		t.Error("test never exercised the remote fallback (no remote accesses)")
 	}
@@ -329,7 +333,7 @@ func TestRunNUMARemoteFallsBackPerWord(t *testing.T) {
 
 // TestRunValidation: malformed runs are rejected before any charging.
 func TestRunValidation(t *testing.T) {
-	as, env := runFixture(t, true)
+	as, env := runFixture(t, nil)
 	bad := []Run{
 		{VA: MmapBase + 4, Words: 1},         // misaligned VA
 		{VA: MmapBase, Stride: 12, Words: 2}, // stride not a multiple of 8
@@ -352,10 +356,9 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkChargeRun is the regression benchmark for the batched
-// settlement path — the single hottest entry in the simulator. CI runs
-// it so a change that silently
-// knocks runs back onto the per-word path shows up as a step change.
+// BenchmarkChargeRun is the regression benchmark for run settlement —
+// the single hottest entry in the simulator. CI runs it so a change that
+// slows settlePage, or makes it allocate, shows up as a step change.
 func BenchmarkChargeRun(b *testing.B) {
 	fixture := func(b *testing.B, pages int, llc *cache.Cache) (*AddressSpace, *Env) {
 		as := NewAddressSpace(1, mem.NewPhysMem(0))
@@ -364,7 +367,6 @@ func BenchmarkChargeRun(b *testing.B) {
 		}
 		env := NewEnv(sim.XeonGold6130())
 		env.Cache = llc
-		env.Batch = true
 		return as, env
 	}
 	bench := func(b *testing.B, r Run) {

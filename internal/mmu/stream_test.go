@@ -27,8 +27,8 @@ func normalizeStreamCounters(p *sim.Perf) {
 // the same (page-crossing, unaligned-offset) range must agree on data,
 // clock, and every counter except the stream declarations themselves.
 func TestWordStreamsMatchByteBulk(t *testing.T) {
-	asW, envW := runFixture(t, true)
-	asB, envB := runFixture(t, true)
+	asW, envW := runFixture(t, nil)
+	asB, envB := runFixture(t, nil)
 	const words = 700 // 5600 bytes: crosses a page
 	va := MmapBase + 24
 
@@ -88,8 +88,8 @@ func TestWordStreamsMatchByteBulk(t *testing.T) {
 // Write of the same range — it is the same per-page chargeBulkAccess
 // walk with the byte movement elided.
 func TestChargeStreamMatchesReadWrite(t *testing.T) {
-	asC, envC := runFixture(t, true)
-	asD, envD := runFixture(t, true)
+	asC, envC := runFixture(t, nil)
+	asD, envD := runFixture(t, nil)
 	const n = 9000 // crosses three pages
 	va := MmapBase + 100
 
@@ -126,49 +126,47 @@ func TestChargeStreamMatchesReadWrite(t *testing.T) {
 
 // TestStreamColdHintParity: the stream entries ignore their cold
 // argument — with it set and clear, the clock, the counters and all
-// future cache behaviour must be identical, batched or not.
+// future cache behaviour must be identical.
 func TestStreamColdHintParity(t *testing.T) {
-	for _, batch := range []bool{true, false} {
-		asC, envC := runFixture(t, batch)
-		asP, envP := runFixture(t, batch)
+	asC, envC := runFixture(t, nil)
+	asP, envP := runFixture(t, nil)
 
-		words := make([]uint64, 1200)
-		for i := range words {
-			words[i] = uint64(i) | 0xabcd<<32
-		}
-		if err := asC.WriteWords(envC, MmapBase, words, true); err != nil {
-			t.Fatal(err)
-		}
-		if err := asP.WriteWords(envP, MmapBase, words, false); err != nil {
-			t.Fatal(err)
-		}
-		// Wrong hint: the same range is warm now.
-		if err := asC.ChargeStream(envC, MmapBase, 8*len(words), false, true); err != nil {
-			t.Fatal(err)
-		}
-		if err := asP.ChargeStream(envP, MmapBase, 8*len(words), false, false); err != nil {
-			t.Fatal(err)
-		}
+	words := make([]uint64, 1200)
+	for i := range words {
+		words[i] = uint64(i) | 0xabcd<<32
+	}
+	if err := asC.WriteWords(envC, MmapBase, words, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := asP.WriteWords(envP, MmapBase, words, false); err != nil {
+		t.Fatal(err)
+	}
+	// Wrong hint: the same range is warm now.
+	if err := asC.ChargeStream(envC, MmapBase, 8*len(words), false, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := asP.ChargeStream(envP, MmapBase, 8*len(words), false, false); err != nil {
+		t.Fatal(err)
+	}
 
-		if got, want := envC.Clock.Now(), envP.Clock.Now(); got != want {
-			t.Errorf("batch=%v: clock diverges: cold-hinted %v, unhinted %v", batch, got, want)
+	if got, want := envC.Clock.Now(), envP.Clock.Now(); got != want {
+		t.Errorf("clock diverges: cold-hinted %v, unhinted %v", got, want)
+	}
+	if pC, pP := *envC.Perf, *envP.Perf; pC != pP {
+		t.Errorf("perf diverges:\ncold-hinted: %+v\nunhinted:    %+v", pC, pP)
+	}
+	for i := 0; i < 256; i++ {
+		va := MmapBase + uint64(i*112)&^7
+		paC, err := asC.Translate(envC, va)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pC, pP := *envC.Perf, *envP.Perf; pC != pP {
-			t.Errorf("batch=%v: perf diverges:\ncold-hinted: %+v\nunhinted:    %+v", batch, pC, pP)
+		paP, err := asP.Translate(envP, va)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 256; i++ {
-			va := MmapBase + uint64(i*112)&^7
-			paC, err := asC.Translate(envC, va)
-			if err != nil {
-				t.Fatal(err)
-			}
-			paP, err := asP.Translate(envP, va)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hc, hp := envC.Cache.Access(paC), envP.Cache.Access(paP); hc != hp {
-				t.Fatalf("batch=%v: cache state diverges at probe %d (va %#x)", batch, i, va)
-			}
+		if hc, hp := envC.Cache.Access(paC), envP.Cache.Access(paP); hc != hp {
+			t.Fatalf("cache state diverges at probe %d (va %#x)", i, va)
 		}
 	}
 }
@@ -193,7 +191,7 @@ func TestCopyMemmoveSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			as, env := runFixture(t, true)
+			as, env := runFixture(t, nil)
 			image := make([]byte, span)
 			for i := range image {
 				image[i] = byte(i*7 + i>>8)

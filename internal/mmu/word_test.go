@@ -90,6 +90,9 @@ func refWord(as *AddressSpace, env *Env, va uint64, write bool, data *uint64) (u
 func refRun(as *AddressSpace, env *Env, r Run, data []uint64) error {
 	env.Perf.ChargeRuns++
 	env.Perf.RunWords += uint64(r.Words)
+	if r.Words > 0 && as.Swapped() {
+		env.Perf.RunFallbacks++
+	}
 	for i := 0; i < r.Words; i++ {
 		va := r.VA + uint64(i*r.stride())
 		var p *uint64
@@ -111,8 +114,13 @@ func refRun(as *AddressSpace, env *Env, r Run, data []uint64) error {
 // page-in zero-fills a fresh frame and charges a cost that depends on the
 // faulting clock's current reading, as the real tier's far-device charge
 // does, so a charge landing after the page-in instead of before it shows
-// up in the clock.
-type testSwapper struct{ pageIns int }
+// up in the clock. With maxResident set, a page-in past that many
+// resident pages first evicts the oldest, as reclaim would.
+type testSwapper struct {
+	pageIns     int
+	maxResident int      // 0: unbounded
+	resident    []uint64 // faulted-in VAs, oldest first (maxResident > 0 only)
+}
 
 func (s *testSwapper) PageIn(env *Env, as *AddressSpace, va uint64) (mem.FrameID, bool, error) {
 	pt := as.root.walk(va, false)
@@ -122,6 +130,13 @@ func (s *testSwapper) PageIn(env *Env, as *AddressSpace, va uint64) (mem.FrameID
 	e := pt.Entry(PTEIndex(va))
 	if e.State != SwapZero {
 		return mem.NilFrame, false, nil
+	}
+	if s.maxResident > 0 {
+		if len(s.resident) == s.maxResident {
+			s.evict(as, env, s.resident[0])
+			s.resident = s.resident[1:]
+		}
+		s.resident = append(s.resident, va)
 	}
 	f, err := as.Phys.AllocFrame()
 	if err != nil {

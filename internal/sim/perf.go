@@ -25,7 +25,7 @@ type Perf struct {
 	// Epoch-batched charging (declared access runs and their settlement).
 	ChargeRuns   uint64 // runs declared via ChargeRun/ReadRun/WriteRun
 	RunWords     uint64 // words covered by declared runs
-	RunFallbacks uint64 // runs settled per word: swap-armed machines only
+	RunFallbacks uint64 // runs with words on a swap-armed space; kept only for recorded benchmark digests
 	StreamRuns   uint64 // bulk streams declared via ReadWords/WriteWords/ChargeStream
 	StreamBytes  uint64 // bytes covered by declared streams
 
