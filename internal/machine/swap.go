@@ -53,9 +53,8 @@ func (s *machineSwapper) PageIn(env *mmu.Env, as *mmu.AddressSpace, va uint64) (
 	}
 	t0 := env.Clock.Now()
 	env.Clock.Advance(env.Cost.SyscallNs + env.Cost.PTEUpdateNs)
-	frame := m.Phys.Frame(f)
 	if state == mmu.SwapSlot {
-		m.swap.PageIn(env, slotID, frame[:])
+		m.swap.PageIn(env, slotID, m.Phys.Frame(f)[:])
 	} else {
 		// Demand-zero minor fault: the kernel clears the page at
 		// streaming bandwidth before handing it out.

@@ -184,12 +184,13 @@ func (as *AddressSpace) settlePage(env *Env, va uint64, stride, words int, write
 		env.Perf.BytesRead += 8 * uint64(k)
 	}
 	if data != nil {
-		p := as.Phys.Frame(f)[off:]
 		if write {
+			p := as.Phys.Frame(f)[off:]
 			for i, w := range data[:k] {
 				binary.LittleEndian.PutUint64(p[8*i:], w)
 			}
 		} else {
+			p := as.Phys.View(f)[off:]
 			for i := range data[:k] {
 				data[i] = binary.LittleEndian.Uint64(p[8*i:])
 			}

@@ -148,7 +148,7 @@ func (r *Reclaimer) scanSpace(rc ReclaimContext, as *mmu.AddressSpace, want int)
 				continue
 			}
 			frame := e.Frame
-			page := r.phys.Frame(frame)
+			page := r.phys.View(frame)
 			slot, zero, err := r.tier.pageOut(rc.Env, rc.Fault, page[:])
 			if err != nil {
 				if errors.Is(err, ErrFarWrite) {
