@@ -1,6 +1,7 @@
 package jvm
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -30,6 +31,24 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(m, cfg); err == nil {
 		t.Error("zero heap accepted")
 	}
+}
+
+// TestNewBacksNoHeapPages: mapping a heap gives its frames no host
+// pages of their own, since untouched frames share one zero page, so
+// building a JVM with a 32 MiB heap allocates under 1 MiB of Go heap.
+func TestNewBacksNoHeapPages(t *testing.T) {
+	m := testMachine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j, err := New(m, svagcConfig(32<<20, 1, 4))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("jvm.New of a 32 MiB heap allocated %d bytes, want under 1 MiB", got)
+	}
+	runtime.KeepAlive(j)
 }
 
 func TestAllocTriggersGCAndRecovers(t *testing.T) {

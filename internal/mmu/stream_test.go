@@ -390,9 +390,11 @@ func refStreamOp(as *AddressSpace, env *Env, kind int, va, src uint64, n int, p 
 // charges two streams) with random addresses, page-crossing and zero
 // lengths, misaligned word streams and streams that run off the end of
 // the mapping, against the per-entry loops they replaced, with TLB
-// flushes and (on the swap machine) evictions mixed in. After every op
-// the errors, the clocks, the full perf counters and the data read must
-// agree; at the end, the TLBs, the LLCs and the memory must too.
+// flushes and (on the swap machine) evictions mixed in; a quarter of the
+// writes carry zeros, which back no frame. After every op the errors, the
+// clocks, the full perf counters and the data read must agree and every
+// unbacked frame must read zero; at the end, the TLBs, the LLCs and the
+// memory must too.
 func TestStreamsMatchReference(t *testing.T) {
 	const span = wordPages * mem.PageSize
 	for _, m := range wordMachines {
@@ -436,10 +438,14 @@ func TestStreamsMatchReference(t *testing.T) {
 				for i := range pG {
 					pG[i] = byte(rng.Intn(256))
 				}
-				copy(pR, pG)
 				for i := range wG {
 					wG[i] = rng.Uint64()
 				}
+				if rng.Intn(4) == 0 {
+					clear(pG)
+					clear(wG)
+				}
+				copy(pR, pG)
 				copy(wR, wG)
 
 				var errG error
@@ -474,6 +480,7 @@ func TestStreamsMatchReference(t *testing.T) {
 				if !bytes.Equal(pG, pR) || !slices.Equal(wG, wR) {
 					t.Fatalf("op %d (kind %d, va %#x, n %d): data read diverges", op, kind, va, n)
 				}
+				checkUnbackedZero(t, got.as.Phys, fmt.Sprintf("op %d (kind %d, va %#x, n %d)", op, kind, va, n))
 			}
 			if !reflect.DeepEqual(got.env.TLB, ref.env.TLB) {
 				t.Error("TLB contents diverge")
