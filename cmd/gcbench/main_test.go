@@ -29,6 +29,7 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{[]string{"-seed", "0"}, "-seed"},
 		{[]string{"-exp", "fig1", "-quick", "-seed", "0"}, "-seed"},
 		{[]string{"-exp", "fig1", "-quick", "-sockets", "-3"}, "-sockets"},
+		{[]string{"-exp", "fig1", "-quick", "-sockets", "0"}, "-sockets"},
 		{[]string{"-exp", "fig99"}, "fig99"},
 		// cap-race named a fault site that no longer exists: a plan
 		// naming it is refused, never silently ignored.

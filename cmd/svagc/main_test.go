@@ -38,6 +38,7 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{[]string{"-bench", "Bisort", "-trace-buf", "-1"}, "-trace-buf"},
 		{[]string{"-soak", "1s", "-fault-rate", "0.5", "-machine", "i5-7600", "-sockets", "2", "-trace", "x.json"},
 			"-fault-rate is not read by -soak"},
+		{[]string{"-soak", "1s", "-fault-rate", "0.1"}, "-fault-rate is not read by -soak"},
 		{[]string{"-soak", "1s", "-phys", "64"}, "-phys is not read by -soak"},
 		{[]string{"-smr", "16", "-gc", "copygc", "-sockets", "2", "-numa-policy", "interleave", "-phys", "1", "-swap-tier", "8"},
 			"-phys is not read by -smr"},

@@ -8,7 +8,8 @@
 // presets (SVAGC, its memmove baseline, a ParallelGC-like generational
 // collector, a Shenandoah-like concurrent collector, and the SwapVA
 // extensions of the latter two), execute the paper's Table II workloads,
-// and regenerate every figure and table of the paper's evaluation.
+// and calibrate the swapping threshold. The gcbench command regenerates
+// every figure and table of the paper's evaluation.
 //
 // Quick start:
 //
@@ -22,6 +23,7 @@
 //	...
 //	pause, err := vm.CollectNow()
 //
-// See examples/ for complete programs, DESIGN.md for the architecture,
-// and EXPERIMENTS.md for the paper-versus-measured comparison.
+// The package's Examples are complete programs with their output
+// pinned. See DESIGN.md for the architecture and EXPERIMENTS.md for the
+// paper-versus-measured comparison.
 package svagc

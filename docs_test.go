@@ -81,12 +81,19 @@ type decls struct {
 	embeds  map[string][]string          // type → embedded types
 }
 
-// parseDecls parses every Go file under root, test files included,
-// skipping testdata and hidden directories.
+// parseDecls parses every Go file under root, test files included.
 func parseDecls(t *testing.T, root string) *decls {
-	t.Helper()
 	d := &decls{idents: map[string]bool{}, pkgs: map[string]map[string]string{},
 		members: map[string]map[string]string{}, embeds: map[string][]string{}}
+	parseGoFiles(t, root, func(_ string, _ *token.FileSet, f *ast.File) { d.addFile(f) })
+	return d
+}
+
+// parseGoFiles parses every Go file under root, test files included,
+// skipping testdata and hidden directories, and hands each to fn with
+// its slash-separated path as walked from root.
+func parseGoFiles(t *testing.T, root string, fn func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
@@ -105,13 +112,12 @@ func parseDecls(t *testing.T, root string) *decls {
 		if err != nil {
 			return err
 		}
-		d.addFile(f)
+		fn(filepath.ToSlash(path), fset, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
 }
 
 func (d *decls) addFile(f *ast.File) {

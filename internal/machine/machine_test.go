@@ -58,6 +58,10 @@ func TestMachineGeometry(t *testing.T) {
 	if m.Core(0).TLB == m.Core(1).TLB {
 		t.Error("cores share a TLB")
 	}
+	// Fig. 10b's second calibration machine: the 36-core Gold 6240.
+	if m := MustNew(Config{Cost: sim.XeonGold6240()}); m.NumCores() != 36 {
+		t.Errorf("XeonGold6240 machine: %d cores, want 36", m.NumCores())
+	}
 }
 
 func TestAddressSpacesGetDistinctASIDs(t *testing.T) {
